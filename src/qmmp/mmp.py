@@ -17,10 +17,9 @@ distinction is load-bearing everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
-from .perm import P123, Permutation, avoiders, occurs
+from .perm import P123, Permutation, catalan_moves, occurs
 from .series import BiPoly, IntPoly
 
 
@@ -145,34 +144,71 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # Distributions over avoidance classes (the brute-force ground truth)
 
 
-@lru_cache(maxsize=None)
-def _match_table(n: int, tau_word: tuple[int, ...]) -> tuple[bytes, ...]:
-    """Per-permutation quadrant tallies for the whole avoidance class.
+def _packed_histogram(
+    n: int, tau_word: tuple[int, ...], shift: Callable[[int, int, int, int], int]
+) -> int:
+    """Match-count histogram over the length-n avoiders of 123 or 132, packed in one int.
 
-    Each entry packs, for one avoider, the four quadrant counts of every
-    position as bytes ``q1 q2 q3 q4 | q1 q2 q3 q4 | ...``.  Counting the
-    left-larger entries is enough: the other three tallies follow from the
-    position and the value.
+    The avoiders are built left to right by a DFS whose state is the bitmask
+    ``used`` of the values placed so far (bit ``v`` for value ``v``); the
+    running minimum is its lowest set bit.  From a state the moves
+    (:func:`qmmp.perm.catalan_moves`) are:
+
+    - any free value below the running minimum, which starts no occurrence;
+    - one ascent: to the largest free value for 123, to the least free value
+      above the minimum for 132.
+
+    Every other ascent is a dead branch.  After an ascent ``lowest < v``, a
+    later value above ``v`` completes a 123, and a later value strictly
+    between ``lowest`` and ``v`` completes a 132, so a free value left there
+    can never be placed.  Conversely each allowed move keeps every free value
+    placeable, so the completions of a prefix, and with them the suffix
+    histogram, depend on ``used`` alone; the memo is keyed by it, is local
+    to the call, and holds at most 2^n entries.
+
+    A value ``v`` appended as entry ``i + 1`` has its quadrant tallies fixed
+    at once: ``q2 = popcount(used >> v)``, ``q1 = n - v - q2``,
+    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.  ``shift(q1, q2, q3, q4)``
+    returns the bit shift that a match at that position applies to the
+    suffix histogram.  Fields are ``2n + 2`` bits wide; since every count is
+    at most C_n < 4^n, no field carries into the next, and merging two
+    histograms is integer addition.
     """
-    rows = []
-    for p in avoiders(n, Permutation(tau_word)):
-        word = p.word
-        buf = bytearray(4 * n)
-        pos = 0
-        for i in range(n):
-            v = word[i]
-            q2 = 0
-            for j in range(i):
-                if word[j] > v:
-                    q2 += 1
-            q1 = (n - v) - q2
-            buf[pos] = q1
-            buf[pos + 1] = q2
-            buf[pos + 2] = i - q2
-            buf[pos + 3] = (n - 1 - i) - q1
-            pos += 4
-        rows.append(bytes(buf))
-    return tuple(rows)
+    full = ((1 << n) - 1) << 1
+    memo = {full: 1}
+
+    def suffix(used: int) -> int:
+        got = memo.get(used)
+        if got is not None:
+            return got
+        i = used.bit_count()
+        moves = catalan_moves(used, full, tau_word)
+        total = 0
+        while moves:
+            bit = moves & -moves
+            moves ^= bit
+            v = bit.bit_length() - 1
+            q2 = (used >> v).bit_count()
+            q1 = n - v - q2
+            total += suffix(used | bit) << shift(q1, q2, i - q2, n - 1 - i - q1)
+        memo[used] = total
+        return total
+
+    return suffix(0)
+
+
+def _unpack(packed: int, width: int) -> dict[int, int]:
+    """Field index -> count for the nonzero fields of a packed histogram."""
+    mask = (1 << width) - 1
+    out: dict[int, int] = {}
+    index = 0
+    while packed:
+        count = packed & mask
+        if count:
+            out[index] = count
+        packed >>= width
+        index += 1
+    return out
 
 
 def _require_class(tau: Permutation) -> tuple[int, ...]:
@@ -188,27 +224,17 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
     matching positions; the total mass is the n-th Catalan number.
     """
     tau_word = _require_class(tau)
-    a, b, c, d = spec.coords
-    ae, be, ce, de = (v is EMPTY for v in spec.coords)
-    an = 0 if ae else a
-    bn = 0 if be else b
-    cn = 0 if ce else c
-    dn = 0 if de else d
-    hist: dict[int, int] = {}
-    for buf in _match_table(n, tau_word):
-        m = 0
-        for pos in range(0, 4 * n, 4):
-            q1 = buf[pos]
-            if (q1 == 0 if ae else q1 >= an):
-                q2 = buf[pos + 1]
-                if (q2 == 0 if be else q2 >= bn):
-                    q3 = buf[pos + 2]
-                    if (q3 == 0 if ce else q3 >= cn):
-                        q4 = buf[pos + 3]
-                        if (q4 == 0 if de else q4 >= dn):
-                            m += 1
-        hist[m] = hist.get(m, 0) + 1
-    return IntPoly(hist)
+    # Slot s matches when lo_s <= q_s <= hi_s: EMPTY is [0, 0], k is [k, n].
+    (lo1, lo2, lo3, lo4) = (0 if v is EMPTY else v for v in spec.coords)
+    (hi1, hi2, hi3, hi4) = (0 if v is EMPTY else n for v in spec.coords)
+    width = 2 * n + 2
+
+    def shift(q1: int, q2: int, q3: int, q4: int) -> int:
+        if lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2 and lo3 <= q3 <= hi3 and lo4 <= q4 <= hi4:
+            return width
+        return 0
+
+    return IntPoly(_unpack(_packed_histogram(n, tau_word, shift), width))
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
@@ -222,20 +248,18 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be nonnegative")
-    hist: dict[tuple[int, int], int] = {}
-    for buf in _match_table(n, (1, 2, 3)):
-        m0 = 0
-        m1 = 0
-        for pos in range(0, 4 * n, 4):
-            q2 = buf[pos + 1]
-            if buf[pos + 2] == 0:
-                if q2 >= k1:
-                    m0 += 1
-            elif q2 >= k2:
-                m1 += 1
-        key = (m0, m1)
-        hist[key] = hist.get(key, 0) + 1
-    return BiPoly(hist)
+    width = 2 * n + 2
+    # Field index m0 * (n + 1) + m1 holds the avoiders with m0 peak and m1
+    # non-peak matches.
+    peak_width = width * (n + 1)
+
+    def shift(q1: int, q2: int, q3: int, q4: int) -> int:
+        if q3 == 0:
+            return peak_width if q2 >= k1 else 0
+        return width if q2 >= k2 else 0
+
+    fields = _unpack(_packed_histogram(n, (1, 2, 3), shift), width)
+    return BiPoly({divmod(index, n + 1): count for index, count in fields.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ def _all_path_words(n: int) -> tuple[str, ...]:
     return tuple(words)
 
 
-@lru_cache(maxsize=None)
 def _rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(quadrants_at(sigma, i) for i in range(1, sigma.n + 1))
 

@@ -210,7 +210,8 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
 
     Enumeration is a prefix-pruned backtracking search: a prefix is abandoned
     as soon as appending a value would complete an occurrence of ``tau``.
-    Results are cached per ``(n, tau)``.
+    For 123 and 132 the search also never enters a prefix that has no
+    completion.  Results are cached per ``(n, tau)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -219,65 +220,51 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=None)
 def _avoiders(n: int, tau_word: tuple[int, ...]) -> tuple[Permutation, ...]:
-    if tau_word == (1, 2, 3):
-        words = _avoiders_123(n)
-    elif tau_word == (1, 3, 2):
-        words = _avoiders_132(n)
+    if tau_word in ((1, 2, 3), (1, 3, 2)):
+        words = _avoiders_catalan(n, tau_word)
     else:
         words = _avoiders_generic(n, tau_word)
     return tuple(Permutation(w) for w in words)
 
 
-def _avoiders_123(n: int) -> list[tuple[int, ...]]:
+def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
+    """Bitmask of the values that extend a 123- or 132-avoiding prefix to an avoider.
+
+    ``used`` has bit ``v`` set for each value ``v`` already placed and
+    ``full`` has bits 1..n.  Any free value below the running minimum is a
+    move.  An ascent is a move only to the largest free value (123) or to
+    the least free value above the minimum (132): after an ascent
+    ``lowest < v``, a later value above ``v`` completes a 123 and a later
+    value between ``lowest`` and ``v`` completes a 132, so any other ascent
+    strands a free value that can never be placed.
+    """
+    lowest = (used & -used).bit_length() - 1 if used else full.bit_length()
+    free = full & ~used
+    above = free >> lowest << lowest
+    moves = free ^ above
+    if above:
+        moves |= 1 << (above.bit_length() - 1) if tau_word == (1, 2, 3) else above & -above
+    return moves
+
+
+def _avoiders_catalan(n: int, tau_word: tuple[int, ...]) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
-    big = n + 1
+    full = ((1 << n) - 1) << 1
 
-    def rec(used: int, lowest: int, ascent_top: int) -> None:
+    def rec(used: int) -> None:
         if len(prefix) == n:
             out.append(tuple(prefix))
             return
-        # Safe values are exactly those below the least earlier ascent top.
-        for v in range(1, ascent_top):
-            bit = 1 << v
-            if used & bit:
-                continue
-            prefix.append(v)
-            if v > lowest:
-                rec(used | bit, lowest, v)
-            else:
-                rec(used | bit, v, ascent_top)
+        moves = catalan_moves(used, full, tau_word)
+        while moves:
+            bit = moves & -moves
+            moves ^= bit
+            prefix.append(bit.bit_length() - 1)
+            rec(used | bit)
             prefix.pop()
 
-    rec(0, big, big)
-    return out
-
-
-def _avoiders_132(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    big = n + 1
-
-    def rec(used: int, lowest: int, forbidden: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        blocked = used | forbidden
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if blocked & bit:
-                continue
-            prefix.append(v)
-            if v > lowest:
-                # Values strictly between the running minimum and v are now
-                # sandwiched by an ascent and would play the "2" of a 132.
-                gap = (bit - 1) ^ ((2 << lowest) - 1) if v > lowest + 1 else 0
-                rec(used | bit, lowest, forbidden | gap)
-            else:
-                rec(used | bit, v, forbidden)
-            prefix.pop()
-
-    rec(0, big, 0)
+    rec(0)
     return out
 
 

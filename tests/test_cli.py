@@ -93,6 +93,17 @@ def test_auto_falls_back_to_brute(capsys):
     assert auto_out == brute_out
 
 
+def test_brute_fallback_at_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("MMP_MAX_N", raising=False)
+    code, out, err = run_cli(
+        capsys, "series", "--avoid", "132", "--spec", "0,1,0,0", "--max-n", "16"
+    )
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 17
+    assert lines[-1].startswith("t^16:")
+
+
 def test_engine_spec_mismatch_errors(capsys):
     code, out, err = run_cli(
         capsys, "series", "--avoid", "123", "--spec", "0,3,0,1", "--max-n", "6",

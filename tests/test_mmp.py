@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from qmmp.mmp import (
     quadrants_at,
     report_at,
 )
-from qmmp.perm import P123, P132, Permutation, avoiders
+from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs
 from qmmp.series import BiPoly, IntPoly, catalan
 
 SIGMA = Permutation.parse("471569283")
@@ -95,6 +96,52 @@ def test_distribution_matches_direct_count():
             m = mmp_count(sigma, spec)
             hist[m] = hist.get(m, 0) + 1
         assert distribution(n, P132, spec) == IntPoly(hist)
+
+
+def _class_by_filter(n, tau):
+    """Avoiders of ``tau`` by filtering the whole symmetric group (no ``avoiders``)."""
+    perms = (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
+    return [sigma for sigma in perms if not occurs(tau, sigma)]
+
+
+def test_distribution_audit_over_symmetric_group():
+    # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel
+    # against per-permutation tallies taken position by position
+    slots = (0, 1, 2, EMPTY)
+    for tau in (P123, P132):
+        for n in range(8):
+            rows = [
+                [quadrants_at(sigma, i) for i in range(1, n + 1)]
+                for sigma in _class_by_filter(n, tau)
+            ]
+            assert len(rows) == catalan(n)
+            for coords in itertools.product(slots, repeat=4):
+                hist = {}
+                for row in rows:
+                    m = sum(
+                        1
+                        for q in row
+                        if all(x == 0 if c is EMPTY else x >= c for x, c in zip(q, coords))
+                    )
+                    hist[m] = hist.get(m, 0) + 1
+                got = distribution(n, tau, QuadrantSpec(*coords))
+                assert got == IntPoly(hist), (tau, n, coords)
+
+
+def test_bivariate_distribution_audit():
+    for n in range(9):
+        rows = []
+        for sigma in _class_by_filter(n, P123):
+            peaks = set(left_to_right_minima(sigma))
+            rows.append([(i in peaks, quadrants_at(sigma, i)[1]) for i in range(1, n + 1)])
+        for k1 in range(4):
+            for k2 in range(4):
+                hist = {}
+                for row in rows:
+                    m0 = sum(1 for peak, q2 in row if peak and q2 >= k1)
+                    m1 = sum(1 for peak, q2 in row if not peak and q2 >= k2)
+                    hist[(m0, m1)] = hist.get((m0, m1), 0) + 1
+                assert bivariate_distribution(n, k1, k2) == BiPoly(hist), (n, k1, k2)
 
 
 def test_bivariate_distribution_examples():

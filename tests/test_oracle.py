@@ -17,6 +17,14 @@ def test_brute_series_examples():
     assert left == right
 
 
+def test_deep_brute_fallback_is_bounded():
+    # no engine covers (0,1,0,0) over 132-avoiders; depth 16 is the default cap
+    for tau in (P123, P132):
+        s = oracle.brute_series(tau, QuadrantSpec(0, 1, 0, 0), 16)
+        for n in range(17):
+            assert s.poly(n).mass() == catalan(n)
+
+
 def test_class_from_text():
     assert oracle.class_from_text("123") == P123
     assert oracle.class_from_text("132") == P132
