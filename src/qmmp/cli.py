@@ -50,28 +50,13 @@ def _cap_max_n(requested: int) -> int:
 
 def _compute_series(avoid: str, spec: QuadrantSpec, trunc: int, engine: str) -> TSeries:
     tau = oracle.class_from_text(avoid)
-    if engine == "brute":
-        return oracle.brute_series(tau, spec, trunc)
-    if avoid == "123":
-        if engine == "closed":
-            return gf.closed_series_123(spec, trunc)
-        if engine == "recurrence":
-            return gf.recurrence_series_123(spec, trunc)
+    if engine != "brute":
         try:
-            return gf.transport_123(spec, trunc)
+            return gf.engine_series(avoid, spec, trunc, engine)
         except gf.NoEngineError:
-            return oracle.brute_series(tau, spec, trunc)
-    if engine == "closed":
-        raise gf.NoEngineError(
-            f"no closed-form engine for MMP({spec}) over 132-avoiders; "
-            "applicable engines: recurrence, brute"
-        )
-    if engine == "recurrence":
-        return gf.q132_series(spec, trunc)
-    try:
-        return gf.q132_series(spec, trunc)
-    except gf.NoEngineError:
-        return oracle.brute_series(tau, spec, trunc)
+            if engine != "auto":
+                raise
+    return oracle.brute_series(tau, spec, trunc)
 
 
 def _series_rows(series: TSeries) -> list[tuple[int, tuple, int]]:
@@ -232,10 +217,7 @@ def write_paper_tables(out_dir: Path | str = ".", trunc: int = TABLE_TRUNC) -> l
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for avoid, spec in paper_table_specs():
-        if avoid == "132":
-            series = gf.q132_series(spec, trunc)
-        else:
-            series = gf.transport_123(spec, trunc)
+        series = gf.engine_series(avoid, spec, trunc)
         name = table_file_name(avoid, spec)
         (out / name).write_text("\n".join(series.render_lines()) + "\n", encoding="utf-8")
         written.append(name)

@@ -30,35 +30,13 @@ from pathlib import Path
 from . import mmp as _mmp
 from .mmp import EMPTY, QuadrantSpec
 from .perm import P123
-from .series import BiPoly, IntPoly, TSeries, catalan, narayana, solve_quadratic
+from .series import BiPoly, IntPoly, TSeries, catalan, narayana
 
 DEFAULT_TRUNC = 13
 
 
 class NoEngineError(ValueError):
     """No closed form or recurrence covers the requested spec."""
-
-
-@dataclass(frozen=True)
-class SpecKey:
-    """An (avoidance class, quadrant spec) pair with an implemented engine.
-
-    Construction validates engine coverage, so holding a SpecKey is proof
-    that :meth:`series` will not fall back to brute force.
-    """
-
-    avoid: str
-    spec: QuadrantSpec
-
-    def __post_init__(self) -> None:
-        if self.avoid not in ("123", "132"):
-            raise ValueError(f"unsupported avoidance class {self.avoid!r}")
-        self.series(0)  # raises NoEngineError when nothing covers the spec
-
-    def series(self, trunc: int = DEFAULT_TRUNC) -> TSeries:
-        if self.avoid == "132":
-            return q132_series(self.spec, trunc)
-        return transport_123(self.spec, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +49,12 @@ def _const(n: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _c_00e0(trunc: int) -> tuple[IntPoly, ...]:
-    # Base series F for (0, 0, EMPTY, 0): t F^2 - (1 + t - t x) F + 1 = 0.
-    a = TSeries.t_power(1, trunc)
-    b_coeffs = [IntPoly.const(-1)]
-    if trunc >= 1:
-        b_coeffs.append(IntPoly({0: -1, 1: 1}))
-        b_coeffs.extend(IntPoly() for _ in range(trunc - 1))
-    b = TSeries(b_coeffs)
-    c = TSeries.one(trunc)
-    return solve_quadratic(a, b, c, IntPoly.const(1)).coeffs
+    # (0, 0, EMPTY, 0) marks the left-to-right minima, which are Narayana
+    # distributed; this is the root F of t F^2 - (1 + t - t x) F + 1 = 0.
+    out = [IntPoly.const(1)]
+    for n in range(1, trunc + 1):
+        out.append(IntPoly({p: narayana(n, p) for p in range(1, n + 1)}))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -226,38 +201,6 @@ def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
 def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (EMPTY, k, EMPTY, ell) over 132-avoiders (hills at k = ell = 0)."""
     return TSeries(_c_ekel(k, ell, trunc))
-
-
-def q132_series(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Route a 132-avoider spec to its engine.
-
-    This is the single place where boundary indices are delegated and the
-    second/fourth-slot symmetry rewrites are applied.  Covered families:
-    numeric (a, b, EMPTY, d) and (EMPTY, b, EMPTY, d).
-    """
-    a, b, c, d = spec.coords
-    if c is EMPTY and a is not EMPTY and b is not EMPTY and d is not EMPTY:
-        if a == 0:
-            if b == 0 and d == 0:
-                return TSeries(_c_00e0(trunc))
-            if d == 0:
-                return q132_0ke0(b, trunc)
-            if b == 0:
-                return q132_0ke0(d, trunc)
-            return q132_0kel(b, d, trunc)
-        if b == 0 and d == 0:
-            return q132_k0e0(a, trunc)
-        if d == 0:
-            return q132_kle0(a, b, trunc)
-        if b == 0:
-            return q132_kle0(a, d, trunc)
-        return q132_akel(a, b, d, trunc)
-    if a is EMPTY and c is EMPTY and b is not EMPTY and d is not EMPTY:
-        return q132_ekel(b, d, trunc)
-    raise NoEngineError(
-        f"no engine for MMP({spec}) over 132-avoiders; "
-        f"fall back to oracle.brute_series(132, ...)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,85 +427,107 @@ def closed_poly_0k0l(k: int, ell: int, n: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# Routing for 123-avoider specs
+# Routing: the one map from (avoidance class, spec, engine kind) to an engine
 
 
-def _numeric4(spec: QuadrantSpec) -> tuple[int, int, int, int] | None:
-    if any(v is EMPTY for v in spec.coords):
-        return None
-    return spec.coords  # type: ignore[return-value]
+ENGINE_KINDS = ("auto", "closed", "recurrence")
 
 
-def closed_series_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Closed-form series over 123-avoiders, where one exists.
+def engine_series(
+    avoid: str, spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC, engine: str = "auto"
+) -> TSeries:
+    """Series for ``spec`` over ``avoid``-avoiders from the engine of kind ``engine``.
 
-    Covers (0,0,0,0) and the (0,k,0,l) pairs with coefficient formulas
-    (either orientation).  Below each formula's validity threshold the few
-    initial polynomials come from direct enumeration.
+    This is the only place that turns a spec into an engine call.  ``auto``
+    tries a closed form before a recurrence.  Over 132-avoiders the engines
+    cover numeric ``(a, b, EMPTY, d)`` and ``(EMPTY, b, EMPTY, d)``, with the
+    second and fourth slots swapped by the inverse symmetry (lemma-sym).
+    Over 123-avoiders the closed forms cover ``(0, k, 0, l)`` for the small
+    ``(k, l)`` with coefficient formulas (either orientation); the
+    recurrences cover ``(0, k, 0, 0)`` by the bivariate engine and, after the
+    reverse-complement rotation ``(a, b, c, d) -> (c, d, a, b)`` where it
+    applies, the specs with a positive first slot, which transport to the
+    132 engines.  Anything else raises NoEngineError naming the brute-force
+    fallback.
     """
-    quad = _numeric4(spec)
-    if quad is None or quad[0] != 0 or quad[2] != 0:
-        raise NoEngineError(f"no closed form for MMP({spec}) over 123-avoiders")
-    k, ell = quad[1], quad[3]
-    if (k, ell) == (0, 0):
-        return TSeries([IntPoly.x(n, catalan(n)) for n in range(trunc + 1)])
-    if (k, ell) not in _CLOSED_0K0L_THRESHOLD:
-        if (ell, k) in _CLOSED_0K0L_THRESHOLD:
-            k, ell = ell, k  # reverse-complement symmetry swaps the two slots
-        else:
-            raise NoEngineError(f"no closed form for MMP({spec}) over 123-avoiders")
-    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-    coeffs = []
-    for n in range(trunc + 1):
-        if n >= threshold:
-            coeffs.append(closed_poly_0k0l(k, ell, n))
-        else:
-            coeffs.append(_mmp.distribution(n, P123, QuadrantSpec(0, k, 0, ell)))
-    return TSeries(coeffs)
-
-
-def recurrence_series_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Recurrence-backed series over 123-avoiders, where one exists."""
+    if avoid not in ("123", "132"):
+        raise ValueError(f"unsupported avoidance class {avoid!r}")
+    if engine not in ENGINE_KINDS:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_KINDS)}")
     a, b, c, d = spec.coords
-    a_num = a is not EMPTY
-    c_num = c is not EMPTY
-    b_d_numeric = b is not EMPTY and d is not EMPTY
-    if a_num and c_num and a >= 1 and c >= 1:
-        # A position can never see points in both quadrants I and III here.
-        return TSeries([_const(n) for n in range(trunc + 1)])
-    if b_d_numeric and a_num and a >= 1 and (c is EMPTY or c == 0):
-        return q132_series(QuadrantSpec(a, b, EMPTY, d), trunc)
-    if b_d_numeric and c_num and c >= 1 and (a is EMPTY or a == 0):
-        # rotate by the reverse-complement symmetry: (a,b,c,d) -> (c,d,a,b)
-        return q132_series(QuadrantSpec(c, d, EMPTY, b), trunc)
-    quad = _numeric4(spec)
-    if quad is not None and quad[0] == 0 and quad[2] == 0:
-        k, ell = quad[1], quad[3]
-        if k == 0 or ell == 0:
-            return q123_0k00(max(k, ell), trunc)
+    if avoid == "123":
+        if engine != "recurrence" and EMPTY not in spec.coords and a == c == 0:
+            if b == d == 0:
+                return TSeries([IntPoly.x(n, catalan(n)) for n in range(trunc + 1)])
+            # the reverse-complement symmetry swaps the second and fourth slots
+            k, ell = (b, d) if (b, d) in _CLOSED_0K0L_THRESHOLD else (d, b)
+            if (k, ell) in _CLOSED_0K0L_THRESHOLD:
+                # below the formula's threshold the polynomials are enumerated
+                low = _CLOSED_0K0L_THRESHOLD[(k, ell)]
+                return TSeries(
+                    closed_poly_0k0l(k, ell, n)
+                    if n >= low
+                    else _mmp.distribution(n, P123, QuadrantSpec(0, k, 0, ell))
+                    for n in range(trunc + 1)
+                )
+        if engine == "closed":
+            raise NoEngineError(f"no closed form for MMP({spec}) over 123-avoiders")
+        pos_a = a is not EMPTY and a >= 1
+        pos_c = c is not EMPTY and c >= 1
+        if pos_a and pos_c:
+            # A position can never see points in both quadrants I and III here.
+            return TSeries([_const(n) for n in range(trunc + 1)])
+        bivariate = a == c == 0 and 0 in (b, d)
+        if b is EMPTY or d is EMPTY or not (pos_a or pos_c or bivariate):
+            kind = "recurrence engine for" if engine == "recurrence" else "engine covers"
+            raise NoEngineError(
+                f"no {kind} MMP({spec}) over 123-avoiders; "
+                f"fall back to oracle.brute_series(123, ...)"
+            )
+        if bivariate:
+            return q123_0k00(max(b, d), trunc)
+        if pos_c:
+            a, b, c, d = c, d, a, b
+        c = EMPTY  # a third slot of 0 or EMPTY transports to EMPTY over 132
+    elif engine == "closed":
+        raise NoEngineError(
+            f"no closed-form engine for MMP({spec}) over 132-avoiders; "
+            "applicable engines: recurrence, brute"
+        )
+    if c is EMPTY and b is not EMPTY and d is not EMPTY:
+        if a is EMPTY:
+            return q132_ekel(b, d, trunc)
+        if b == 0:
+            b, d = d, 0  # lemma-sym: the second and fourth slots swap
+        if a == 0:
+            return q132_0ke0(b, trunc) if d == 0 else q132_0kel(b, d, trunc)
+        if b == 0:
+            return q132_k0e0(a, trunc)
+        return q132_kle0(a, b, trunc) if d == 0 else q132_akel(a, b, d, trunc)
     raise NoEngineError(
-        f"no recurrence engine for MMP({spec}) over 123-avoiders; "
-        f"fall back to oracle.brute_series(123, ...)"
+        f"no engine for MMP({spec}) over 132-avoiders; "
+        f"fall back to oracle.brute_series(132, ...)"
     )
 
 
-def transport_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Series over 123-avoiders by the cheapest applicable engine.
+def q132_series(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
+    """Series over 132-avoiders: ``engine_series("132", spec, trunc)``."""
+    return engine_series("132", spec, trunc)
 
-    Preference order: closed form, then recurrence.  Specs outside every
-    covered family raise NoEngineError naming the brute-force fallback.
-    """
-    try:
-        return closed_series_123(spec, trunc)
-    except NoEngineError:
-        pass
-    try:
-        return recurrence_series_123(spec, trunc)
-    except NoEngineError:
-        raise NoEngineError(
-            f"no engine covers MMP({spec}) over 123-avoiders; "
-            f"fall back to oracle.brute_series(123, ...)"
-        ) from None
+
+def transport_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
+    """Series over 123-avoiders: ``engine_series("123", spec, trunc)``."""
+    return engine_series("123", spec, trunc)
+
+
+def closed_series_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
+    """Closed-form series over 123-avoiders: ``engine_series(..., "closed")``."""
+    return engine_series("123", spec, trunc, "closed")
+
+
+def recurrence_series_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:
+    """Recurrence series over 123-avoiders: ``engine_series(..., "recurrence")``."""
+    return engine_series("123", spec, trunc, "recurrence")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ concrete counterexample whenever a cell fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import dyck, gf
@@ -26,7 +26,7 @@ from .mmp import (
     quadrants_at,
 )
 from .perm import P123, P132, Permutation, avoiders
-from .series import TSeries, catalan
+from .series import TSeries
 
 
 def class_from_text(text: str) -> Permutation:
@@ -71,9 +71,10 @@ def _rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def _count_rows(rows, spec: QuadrantSpec) -> int:
+    conds = tuple(enumerate(spec.coords))
     total = 0
     for q in rows:
-        for s, cond in enumerate(spec.coords):
+        for s, cond in conds:
             if (q[s] != 0) if cond is EMPTY else (q[s] < cond):
                 break
         else:
@@ -191,28 +192,42 @@ def _subject_theorem_3(max_n: int) -> VerificationReport:
     return cells.report("theorem-3")
 
 
-def _top_coeff_subject(
-    subject: str,
-    grid,
-    spec_of,
-    value_of,
-    threshold_of,
-    max_n: int,
-    classes=("123", "132"),
-) -> VerificationReport:
+_PAIRS = [(k, ell) for k in range(5) for ell in range(5 - k)]
+
+# Top-degree coefficient subjects: (parameter grid, spec of the parameters).
+# A cell checks x^(n - sum) at every n >= sum + 1, both classes, against
+# gf.extremal_coeff of the subject's family.
+_TOP_COEFF_GRIDS = {
+    "theorem-4": (_PAIRS, lambda k, ell: QuadrantSpec(0, k, 0, ell)),
+    "corollary-4": ([(k,) for k in range(5)], lambda k: QuadrantSpec(0, k, 0, 0)),
+    "theorem-04": (_PAIRS, lambda k, ell: QuadrantSpec(0, k, EMPTY, ell)),
+    "corollary-04": ([(k,) for k in range(5)], lambda k: QuadrantSpec(0, k, EMPTY, 0)),
+    "corollary-05": (_PAIRS, lambda k, ell: QuadrantSpec(EMPTY, k, EMPTY, ell)),
+    "theorem-004": (_PAIRS, lambda k, ell: QuadrantSpec(k, ell, EMPTY, 0)),
+    "theorem-0004": (
+        [(k, ell, m) for k in range(1, 5) for ell in range(5 - k) for m in range(5 - k - ell)],
+        lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m),
+    ),
+}
+
+
+def _top_coeff_subject(subject: str, max_n: int) -> VerificationReport:
+    grid, spec_of = _TOP_COEFF_GRIDS[subject]
     cells = _Cells()
     for params in grid:
         failures: list[str] = []
         spec = spec_of(*params)
-        lo = threshold_of(*params)
+        top = sum(params)  # the top degree is n - top, from n = top + 1 on
+        lo = top + 1
+        k, ell, m = (*params, 0, 0)[:3]
         for n in range(lo, max_n + 1):
-            expo = n - sum(p for p in params)
-            want = value_of(*params, n)
-            for text in classes:
+            expo = n - top
+            want = gf.extremal_coeff(subject, k, ell, m, n)
+            for text in ("123", "132"):
                 got = distribution(n, class_from_text(text), spec).coeff(expo)
                 if got != want:
                     failures.append(f"n={n} {text} x^{expo}: got {got}, expected {want}")
-        label = ",".join(f"{name}={v}" for name, v in zip(("k", "l", "m"), params))
+        label = ",".join(f"{name}={v}" for name, v in zip("klm", params))
         if lo > max_n:
             cells.skip(label, f"threshold n>={lo} exceeds max_n={max_n}")
         else:
@@ -220,202 +235,40 @@ def _top_coeff_subject(
     return cells.report(subject)
 
 
-def _subject_theorem_4(max_n: int) -> VerificationReport:
-    grid = [(k, ell) for k in range(5) for ell in range(5 - k)]
-    return _top_coeff_subject(
-        "theorem-4",
-        grid,
-        lambda k, ell: QuadrantSpec(0, k, 0, ell),
-        lambda k, ell, n: catalan(k) * catalan(n - k - ell) * catalan(ell),
-        lambda k, ell: k + ell + 1,
-        max_n,
-    )
+_POSITIVE_PAIRS = [(k, ell) for k in range(1, 6) for ell in range(1, 7 - k)]
 
-
-def _subject_corollary_4(max_n: int) -> VerificationReport:
-    return _top_coeff_subject(
-        "corollary-4",
-        [(k,) for k in range(5)],
-        lambda k: QuadrantSpec(0, k, 0, 0),
-        lambda k, n: catalan(k) * catalan(n - k),
-        lambda k: k + 1,
-        max_n,
-    )
-
-
-def _subject_theorem_04(max_n: int) -> VerificationReport:
-    grid = [(k, ell) for k in range(5) for ell in range(5 - k)]
-    return _top_coeff_subject(
-        "theorem-04",
-        grid,
-        lambda k, ell: QuadrantSpec(0, k, EMPTY, ell),
-        lambda k, ell, n: catalan(k) * catalan(ell),
-        lambda k, ell: k + ell + 1,
-        max_n,
-    )
-
-
-def _subject_corollary_04(max_n: int) -> VerificationReport:
-    return _top_coeff_subject(
-        "corollary-04",
-        [(k,) for k in range(5)],
-        lambda k: QuadrantSpec(0, k, EMPTY, 0),
-        lambda k, n: catalan(k),
-        lambda k: k + 1,
-        max_n,
-    )
-
-
-def _subject_corollary_05(max_n: int) -> VerificationReport:
-    grid = [(k, ell) for k in range(5) for ell in range(5 - k)]
-    return _top_coeff_subject(
-        "corollary-05",
-        grid,
+# Engine-vs-oracle subjects over 132-avoiders: (parameter names, grid, spec of
+# the parameters).  Each cell compares the routed recurrence with brute force.
+_ENGINE_GRIDS = {
+    "theorem-2": ("k", [(k,) for k in range(7)], lambda k: QuadrantSpec(k, 0, EMPTY, 0)),
+    "theorem-6": ("k", [(k,) for k in range(7)], lambda k: QuadrantSpec(0, k, EMPTY, 0)),
+    "theorem-7": ("kl", _POSITIVE_PAIRS, lambda k, ell: QuadrantSpec(k, ell, EMPTY, 0)),
+    "theorem-8": ("kl", _POSITIVE_PAIRS, lambda k, ell: QuadrantSpec(0, k, EMPTY, ell)),
+    "theorem-9": (
+        "kl",
+        [(k, ell) for k in range(7) for ell in range(7 - k)],
         lambda k, ell: QuadrantSpec(EMPTY, k, EMPTY, ell),
-        lambda k, ell, n: catalan(k) * catalan(ell),
-        lambda k, ell: k + ell + 1,
-        max_n,
-    )
+    ),
+    "theorem-10": (
+        "akl",
+        [(a, k, ell) for a in range(1, 5) for k in range(1, 6 - a) for ell in range(1, 7 - a - k)],
+        lambda a, k, ell: QuadrantSpec(a, k, EMPTY, ell),
+    ),
+}
 
 
-def _subject_theorem_004(max_n: int) -> VerificationReport:
-    grid = [(k, ell) for k in range(5) for ell in range(5 - k)]
-    return _top_coeff_subject(
-        "theorem-004",
-        grid,
-        lambda k, ell: QuadrantSpec(k, ell, EMPTY, 0),
-        lambda k, ell, n: gf.extremal_coeff("theorem-004", k, ell, 0, n),
-        lambda k, ell: k + ell + 1,
-        max_n,
-    )
-
-
-def _subject_theorem_0004(max_n: int) -> VerificationReport:
-    grid = [
-        (k, ell, m)
-        for k in range(1, 5)
-        for ell in range(5 - k)
-        for m in range(5 - k - ell)
-    ]
-    return _top_coeff_subject(
-        "theorem-0004",
-        grid,
-        lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m),
-        lambda k, ell, m, n: gf.extremal_coeff("theorem-0004", k, ell, m, n),
-        lambda k, ell, m: k + ell + m + 1,
-        max_n,
-    )
-
-
-def _engine_subject(subject: str, jobs, max_n: int) -> VerificationReport:
-    """jobs: iterable of (cell_label, engine TSeries factory, oracle poly fn)."""
+def _engine_subject(subject: str, max_n: int) -> VerificationReport:
+    names, grid, spec_of = _ENGINE_GRIDS[subject]
     cells = _Cells()
-    for label, engine_of, oracle_of in jobs:
+    for params in grid:
         failures: list[str] = []
-        engine = engine_of(max_n)
+        spec = spec_of(*params)
+        engine = gf.engine_series("132", spec, max_n, "recurrence")
         for n in range(max_n + 1):
-            got = engine.poly(n)
-            want = oracle_of(n)
-            _poly_eq(failures, f"n={n}", got, want)
+            _poly_eq(failures, f"n={n}", engine.poly(n), distribution(n, P132, spec))
+        label = ",".join(f"{name}={v}" for name, v in zip(names, params))
         cells.check(label, failures, f"n<={max_n}")
     return cells.report(subject)
-
-
-def _subject_theorem_2(max_n: int) -> VerificationReport:
-    jobs = [
-        (
-            f"k={k}",
-            (lambda k: lambda t: gf.q132_k0e0(k, t))(k),
-            (lambda k: lambda n: distribution(n, P132, QuadrantSpec(k, 0, EMPTY, 0)))(k),
-        )
-        for k in range(7)
-    ]
-    return _engine_subject("theorem-2", jobs, max_n)
-
-
-def _subject_theorem_6(max_n: int) -> VerificationReport:
-    jobs = [
-        (
-            f"k={k}",
-            (lambda k: lambda t: gf.q132_0ke0(k, t))(k),
-            (lambda k: lambda n: distribution(n, P132, QuadrantSpec(0, k, EMPTY, 0)))(k),
-        )
-        for k in range(7)
-    ]
-    return _engine_subject("theorem-6", jobs, max_n)
-
-
-def _subject_theorem_7(max_n: int) -> VerificationReport:
-    jobs = []
-    for k in range(1, 6):
-        for ell in range(1, 7 - k):
-            jobs.append(
-                (
-                    f"k={k},l={ell}",
-                    (lambda k, ell: lambda t: gf.q132_kle0(k, ell, t))(k, ell),
-                    (
-                        lambda k, ell: lambda n: distribution(
-                            n, P132, QuadrantSpec(k, ell, EMPTY, 0)
-                        )
-                    )(k, ell),
-                )
-            )
-    return _engine_subject("theorem-7", jobs, max_n)
-
-
-def _subject_theorem_8(max_n: int) -> VerificationReport:
-    jobs = []
-    for k in range(1, 6):
-        for ell in range(1, 7 - k):
-            jobs.append(
-                (
-                    f"k={k},l={ell}",
-                    (lambda k, ell: lambda t: gf.q132_0kel(k, ell, t))(k, ell),
-                    (
-                        lambda k, ell: lambda n: distribution(
-                            n, P132, QuadrantSpec(0, k, EMPTY, ell)
-                        )
-                    )(k, ell),
-                )
-            )
-    return _engine_subject("theorem-8", jobs, max_n)
-
-
-def _subject_theorem_9(max_n: int) -> VerificationReport:
-    jobs = []
-    for k in range(7):
-        for ell in range(7 - k):
-            jobs.append(
-                (
-                    f"k={k},l={ell}",
-                    (lambda k, ell: lambda t: gf.q132_ekel(k, ell, t))(k, ell),
-                    (
-                        lambda k, ell: lambda n: distribution(
-                            n, P132, QuadrantSpec(EMPTY, k, EMPTY, ell)
-                        )
-                    )(k, ell),
-                )
-            )
-    return _engine_subject("theorem-9", jobs, max_n)
-
-
-def _subject_theorem_10(max_n: int) -> VerificationReport:
-    jobs = []
-    for a in range(1, 5):
-        for k in range(1, 6 - a):
-            for ell in range(1, 7 - a - k):
-                jobs.append(
-                    (
-                        f"a={a},k={k},l={ell}",
-                        (lambda a, k, ell: lambda t: gf.q132_akel(a, k, ell, t))(a, k, ell),
-                        (
-                            lambda a, k, ell: lambda n: distribution(
-                                n, P132, QuadrantSpec(a, k, EMPTY, ell)
-                            )
-                        )(a, k, ell),
-                    )
-                )
-    return _engine_subject("theorem-10", jobs, max_n)
 
 
 def _subject_theorem_11(max_n: int) -> VerificationReport:
@@ -441,35 +294,35 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
 
 def _subject_theorem_12(max_n: int) -> VerificationReport:
     cells = _Cells()
-    pairs = [(k, ell) for k in range(3) for ell in range(3)]
-    fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
+    specs = {(k, ell): QuadrantSpec(0, k, 0, ell) for k in range(3) for ell in range(3)}
+    fails: dict[tuple[int, int], list[str]] = {p: [] for p in specs}
     for n in range(max_n + 1):
         for sigma in avoiders(n, P123):
             rows = _rows(sigma)
-            for k, ell in pairs:
+            for (k, ell), spec in specs.items():
                 if fails[(k, ell)]:
                     continue
                 fast = fast_mmp_0k0l(sigma, k, ell)
-                slow = _count_rows(rows, QuadrantSpec(0, k, 0, ell))
+                slow = _count_rows(rows, spec)
                 if fast != slow:
                     fails[(k, ell)].append(f"sigma={sigma}: fast={fast}, direct={slow}")
-    for k, ell in pairs:
+    for k, ell in specs:
         cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
     return cells.report("theorem-12")
 
 
 def _subject_theorem_13(max_n: int) -> VerificationReport:
     cells = _Cells()
-    pairs = [(k, ell) for k in range(4) for ell in range(4)]
-    fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
+    specs = {(k, ell): QuadrantSpec(0, k, 0, ell) for k in range(4) for ell in range(4)}
+    fails: dict[tuple[int, int], list[str]] = {p: [] for p in specs}
     for n in range(max_n + 1):
         for sigma in avoiders(n, P123):
             rows = _rows(sigma)
-            for k, ell in pairs:
+            for (k, ell), spec in specs.items():
                 if fails[(k, ell)]:
                     continue
                 r, s = corner_frame_counts(sigma, k, ell)
-                count = _count_rows(rows, QuadrantSpec(0, k, 0, ell))
+                count = _count_rows(rows, spec)
                 if n > k + ell:
                     ok = (
                         0 <= r <= k + ell
@@ -480,7 +333,7 @@ def _subject_theorem_13(max_n: int) -> VerificationReport:
                     ok = count == 0
                 if not ok:
                     fails[(k, ell)].append(f"sigma={sigma}: r={r}, s={s}, count={count}")
-    for k, ell in pairs:
+    for k, ell in specs:
         cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
     return cells.report("theorem-13")
 
@@ -494,26 +347,6 @@ def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> VerificationR
         _poly_eq(failures, f"n={n}", gf.closed_poly_0k0l(k, ell, n), distribution(n, P123, spec))
         cells.check(f"n={n}", failures)
     return cells.report(subject)
-
-
-def _subject_theorem_14(max_n: int) -> VerificationReport:
-    return _closed_subject("theorem-14", 1, 0, max_n)
-
-
-def _subject_theorem_15(max_n: int) -> VerificationReport:
-    return _closed_subject("theorem-15", 2, 0, max_n)
-
-
-def _subject_theorem_16(max_n: int) -> VerificationReport:
-    return _closed_subject("theorem-16", 1, 1, max_n)
-
-
-def _subject_theorem_17(max_n: int) -> VerificationReport:
-    return _closed_subject("theorem-17", 2, 1, max_n)
-
-
-def _subject_theorem_18(max_n: int) -> VerificationReport:
-    return _closed_subject("theorem-18", 2, 2, max_n)
 
 
 _SYM_COORDS = (0, 1, 2, EMPTY)
@@ -700,28 +533,17 @@ def _subject_conjecture_1(max_n: int) -> VerificationReport:
 
 _SUBJECTS: dict[str, tuple[Callable[[int], VerificationReport], int]] = {
     "corollary-1": (_subject_corollary_1, 8),
-    "theorem-2": (_subject_theorem_2, 9),
     "theorem-3": (_subject_theorem_3, 9),
-    "theorem-4": (_subject_theorem_4, 9),
-    "corollary-4": (_subject_corollary_4, 9),
-    "theorem-04": (_subject_theorem_04, 9),
-    "corollary-04": (_subject_corollary_04, 9),
-    "corollary-05": (_subject_corollary_05, 9),
-    "theorem-004": (_subject_theorem_004, 9),
-    "theorem-0004": (_subject_theorem_0004, 9),
-    "theorem-6": (_subject_theorem_6, 9),
-    "theorem-7": (_subject_theorem_7, 9),
-    "theorem-8": (_subject_theorem_8, 9),
-    "theorem-9": (_subject_theorem_9, 9),
-    "theorem-10": (_subject_theorem_10, 9),
+    **{sid: (partial(_top_coeff_subject, sid), 9) for sid in _TOP_COEFF_GRIDS},
+    **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
     "theorem-11": (_subject_theorem_11, 9),
     "theorem-12": (_subject_theorem_12, 8),
     "theorem-13": (_subject_theorem_13, 10),
-    "theorem-14": (_subject_theorem_14, 9),
-    "theorem-15": (_subject_theorem_15, 9),
-    "theorem-16": (_subject_theorem_16, 9),
-    "theorem-17": (_subject_theorem_17, 9),
-    "theorem-18": (_subject_theorem_18, 9),
+    "theorem-14": (partial(_closed_subject, "theorem-14", 1, 0), 9),
+    "theorem-15": (partial(_closed_subject, "theorem-15", 2, 0), 9),
+    "theorem-16": (partial(_closed_subject, "theorem-16", 1, 1), 9),
+    "theorem-17": (partial(_closed_subject, "theorem-17", 2, 1), 9),
+    "theorem-18": (partial(_closed_subject, "theorem-18", 2, 2), 9),
     "lemma-sym": (_subject_lemma_sym, 9),
     "lemma-sym2": (_subject_lemma_sym2, 8),
     "lemma-p1-2": (_subject_lemma_p1_2, 9),

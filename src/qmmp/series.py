@@ -147,7 +147,8 @@ class BiPoly:
     """A polynomial in ``x0, x1`` with integer coefficients.
 
     Exponent pairs are packed into single int keys; exponents are limited to
-    0..255 per variable, far beyond any truncation depth used here.
+    0..255 per variable, far beyond any truncation depth used here.  A
+    product that would exceed the limit raises ValueError.
     """
 
     __slots__ = ("_c",)
@@ -225,6 +226,13 @@ class BiPoly:
             return out
         if not isinstance(other, BiPoly):
             return NotImplemented
+        if self._c and other._c:
+            # Packed exponents add without a carry only while each sum stays
+            # within 0..255; the largest key holds the largest x0 exponent.
+            e0 = (max(self._c) >> 8) + (max(other._c) >> 8)
+            e1 = max(map((255).__and__, self._c)) + max(map((255).__and__, other._c))
+            if max(e0, e1) > 255:
+                raise ValueError(f"product reaches x0^{e0}, x1^{e1}; exponents are limited to 255")
         c: dict[int, int] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():

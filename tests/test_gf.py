@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
-from qmmp import gf
+from qmmp import gf, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution
 from qmmp.perm import P123, P132
-from qmmp.series import IntPoly, TSeries, catalan
+from qmmp.series import IntPoly, TSeries, catalan, solve_quadratic
 
 
 def test_spot_values_from_reference_rows():
@@ -177,17 +179,70 @@ def test_closed_coeff_mass_is_catalan():
             assert total == catalan(n), (k, ell, n)
 
 
-def test_spec_key_factory():
-    key = gf.SpecKey("132", QuadrantSpec(2, 1, EMPTY, 1))
-    assert key.series(6) == gf.q132_akel(2, 1, 1, 6)
-    key = gf.SpecKey("123", QuadrantSpec(0, 2, 0, 2))
-    assert key.series(6) == gf.closed_series_123(QuadrantSpec(0, 2, 0, 2), 6)
+_NO_ENGINE_TEXT = {
+    ("132", "auto"): "no engine for MMP({}) over 132-avoiders; "
+    "fall back to oracle.brute_series(132, ...)",
+    ("132", "recurrence"): "no engine for MMP({}) over 132-avoiders; "
+    "fall back to oracle.brute_series(132, ...)",
+    ("132", "closed"): "no closed-form engine for MMP({}) over 132-avoiders; "
+    "applicable engines: recurrence, brute",
+    ("123", "auto"): "no engine covers MMP({}) over 123-avoiders; "
+    "fall back to oracle.brute_series(123, ...)",
+    ("123", "recurrence"): "no recurrence engine for MMP({}) over 123-avoiders; "
+    "fall back to oracle.brute_series(123, ...)",
+    ("123", "closed"): "no closed form for MMP({}) over 123-avoiders",
+}
+
+
+def test_engine_series_coverage():
+    # Over every {0,1,2,e}^4 spec: how many specs each (class, engine kind)
+    # covers, every covered series against brute force to t^7, and the exact
+    # NoEngineError text of every uncovered one.
+    n = 7
+    covered = {key: 0 for key in _NO_ENGINE_TEXT}
+    for avoid in ("123", "132"):
+        tau = oracle.class_from_text(avoid)
+        for slots in itertools.product("012e", repeat=4):
+            spec = QuadrantSpec.parse(",".join(slots))
+            brute = oracle.brute_series(tau, spec, n)
+            for engine in gf.ENGINE_KINDS:
+                try:
+                    series = gf.engine_series(avoid, spec, n, engine)
+                except gf.NoEngineError as exc:
+                    assert str(exc) == _NO_ENGINE_TEXT[(avoid, engine)].format(spec)
+                    continue
+                covered[(avoid, engine)] += 1
+                assert series == brute, (avoid, engine, str(spec))
+    assert covered == {
+        ("132", "auto"): 36,
+        ("132", "recurrence"): 36,
+        ("132", "closed"): 0,
+        ("123", "auto"): 145,
+        ("123", "recurrence"): 141,
+        ("123", "closed"): 9,
+    }
+    assert gf.engine_series("132", QuadrantSpec(2, 1, EMPTY, 1), 6) == gf.q132_akel(2, 1, 1, 6)
+    assert gf.engine_series("123", QuadrantSpec(0, 2, 0, 2), 6) == gf.closed_series_123(
+        QuadrantSpec(0, 2, 0, 2), 6
+    )
     with pytest.raises(gf.NoEngineError):
-        gf.SpecKey("132", QuadrantSpec(0, 1, 0, 0))
+        gf.engine_series("132", QuadrantSpec(0, 1, 0, 0), 6)
     with pytest.raises(gf.NoEngineError):
-        gf.SpecKey("123", QuadrantSpec(0, 3, 0, 1))
-    with pytest.raises(ValueError):
-        gf.SpecKey("213", QuadrantSpec(0, 0, 0, 0))
+        gf.engine_series("123", QuadrantSpec(0, 3, 0, 1), 6)
+    with pytest.raises(ValueError, match="avoidance class"):
+        gf.engine_series("213", QuadrantSpec(0, 0, 0, 0), 6)
+    with pytest.raises(ValueError, match="unknown engine"):
+        gf.engine_series("123", QuadrantSpec(0, 0, 0, 0), 6, "brute")
+
+
+def test_narayana_base_is_the_quadratic_root():
+    # t F^2 - (1 + t - t x) F + 1 = 0 with F(0) = 1, solved by coefficient
+    # recursion, against the Narayana rows the (0,0,e,0) engine is built on.
+    n = 20
+    a = TSeries.t_power(1, n)
+    b = TSeries([IntPoly.const(-1), IntPoly({0: -1, 1: 1})] + [IntPoly()] * (n - 1))
+    root = solve_quadratic(a, b, TSeries.one(n), IntPoly.const(1))
+    assert root == gf.q132_series(QuadrantSpec(0, 0, EMPTY, 0), n)
 
 
 def test_errata_lines_format():

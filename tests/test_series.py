@@ -63,6 +63,19 @@ def test_bipoly_basics():
     assert p.render() == "x1+x0"
 
 
+def test_bipoly_product_exponent_limit():
+    # packed exponents must not carry from x1 into x0 (or grow past 255)
+    with pytest.raises(ValueError, match="255"):
+        BiPoly.term(0, 255) * BiPoly.term(0, 1)
+    with pytest.raises(ValueError, match="255"):
+        BiPoly.term(255, 0) * BiPoly.term(1, 0)
+    with pytest.raises(ValueError, match="255"):
+        BiPoly({(0, 200): 1, (3, 0): 1}) * BiPoly({(1, 56): 2})
+    assert (BiPoly.term(0, 254) * BiPoly.term(0, 1)).render() == "x1^255"
+    assert BiPoly.term(254, 0) * BiPoly.term(1, 0) == BiPoly.term(255, 0)
+    assert (BiPoly() * BiPoly.term(0, 255)).is_zero()
+
+
 polys = st.dictionaries(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=-6, max_value=6),
