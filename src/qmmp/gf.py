@@ -4,7 +4,8 @@ One engine per family of quadrant specs, each computing the exact truncated
 series whose t^n coefficient is the match-count polynomial over the length-n
 avoidance class.  Engines are organized around a first-return decomposition:
 the t^n coefficient is assembled by convolving lower-order coefficients of
-boundary engines, so everything stays in exact integer arithmetic.
+boundary engines, every recursion through the one kernel ``_first_return``,
+so everything stays in exact integer arithmetic.
 
 Family naming follows the slot string of the quadrant spec: ``k0e0`` is
 ``(k, 0, EMPTY, 0)``, ``akel`` is ``(a, k, EMPTY, l)``, ``ekel`` is
@@ -41,10 +42,55 @@ class NoEngineError(ValueError):
 
 # ---------------------------------------------------------------------------
 # 132-avoider engines (third slot EMPTY), as cached coefficient lists
+#
+# The public entry points clamp every threshold to ``trunc``: a quadrant of a
+# length-n permutation holds at most n - 1 points, so up to t^trunc a
+# threshold of trunc or more never matches and they all give one series.
 
 
 def _const(n: int) -> IntPoly:
     return IntPoly.const(catalan(n))
+
+
+def _catalans(trunc: int) -> tuple[int, ...]:
+    return tuple(catalan(i) for i in range(trunc + 1))
+
+
+def _first_return(
+    trunc: int, split: int, left, right, block=(), head=None, ell: int = 0, tail=None, low: int = 0
+) -> tuple:
+    """Coefficient list of a first-return decomposition, the one engine kernel.
+
+    ``out[0] = 1`` and ``out[n] = C_n`` for ``n <= low`` (no match fits
+    yet); for ``n > low``::
+
+        out[n] = sum(block[i-1] * head(i)[n-i]  for 1 <= i < split)
+               + sum(left[i-1] * right[n-i]     for split <= i <= n - ell)
+               + sum(C_j * tail(j)[n-1-j]       for 0 <= j < ell)
+
+    Each term splits at a first return after ``i`` steps.  For ``i < split``
+    the block before the return still lowers the threshold of what follows,
+    and ``head(i)`` is the engine with the lowered threshold; for larger
+    ``i`` the two sides are independent; when only ``j < ell`` steps follow
+    the return, those ``C_j`` blocks lower the threshold of the part before
+    it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
+    None, stand for the list being built.  Products go through the
+    polynomial ``*`` of ``right``'s type.
+    """
+    poly = type(right[0])
+    out = [poly.const(catalan(n)) for n in range(min(low, trunc) + 1)]
+    left = out if left is None else left
+    for n in range(low + 1, trunc + 1):
+        acc = poly()
+        for i in range(1, min(split, n + 1)):
+            acc = acc + block[i - 1] * head(i)[n - i]
+        for i in range(split, n - ell + 1):
+            acc = acc + left[i - 1] * right[n - i]
+        for j in range(min(ell, n)):
+            sub = tail(j)
+            acc = acc + catalan(j) * (out if sub is None else sub)[n - 1 - j]
+        out.append(acc)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -61,24 +107,17 @@ def _c_00e0(trunc: int) -> tuple[IntPoly, ...]:
 def _c_k0e0(k: int, trunc: int) -> tuple[IntPoly, ...]:
     if k == 0:
         return _c_00e0(trunc)
-    prev = TSeries(_c_k0e0(k - 1, trunc))
-    return (TSeries.one(trunc) - prev.shift(1)).inverse().coeffs
+    # 1 / (1 - t P) with P the (k - 1, 0, EMPTY, 0) series
+    return _first_return(trunc, 1, None, _c_k0e0(k - 1, trunc))
 
 
 @lru_cache(maxsize=None)
 def _c_0ke0(k: int, trunc: int) -> tuple[IntPoly, ...]:
     if k == 0:
         return _c_00e0(trunc)
-    base = _c_00e0(trunc)
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        acc = IntPoly()
-        for i in range(1, min(k - 1, n) + 1):
-            acc = acc + catalan(i - 1) * _c_0ke0(k - i, trunc)[n - i]
-        for i in range(k, n + 1):
-            acc = acc + out[i - 1] * base[n - i]
-        out.append(acc)
-    return tuple(out)
+    return _first_return(
+        trunc, k, None, _c_00e0(trunc), _catalans(trunc), lambda i: _c_0ke0(k - i, trunc)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -87,17 +126,10 @@ def _c_kle0(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
         return _c_k0e0(k, trunc)
     if k == 0:
         return _c_0ke0(ell, trunc)
-    right = _c_k0e0(k, trunc)
-    left = _c_kle0(k - 1, ell, trunc)
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        acc = IntPoly()
-        for i in range(1, min(ell - 1, n) + 1):
-            acc = acc + catalan(i - 1) * _c_kle0(k, ell - i, trunc)[n - i]
-        for i in range(ell, n + 1):
-            acc = acc + left[i - 1] * right[n - i]
-        out.append(acc)
-    return tuple(out)
+    left, right = _c_kle0(k - 1, ell, trunc), _c_k0e0(k, trunc)
+    return _first_return(
+        trunc, ell, left, right, _catalans(trunc), lambda i: _c_kle0(k, ell - i, trunc)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -107,23 +139,11 @@ def _c_0kel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
     if k == 0:
         # second and fourth slots swap by the inverse symmetry
         return _c_0ke0(ell, trunc)
-    left = _c_0ke0(k, trunc)
-    right = _c_0ke0(ell, trunc)
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        if n <= k + ell:
-            out.append(_const(n))
-            continue
-        acc = IntPoly()
-        for i in range(1, min(k - 1, n) + 1):
-            acc = acc + catalan(i - 1) * _c_0kel(k - i, ell, trunc)[n - i]
-        for i in range(k, n - ell + 1):
-            acc = acc + left[i - 1] * right[n - i]
-        for j in range(min(ell - 1, n - 1) + 1):
-            sub = out if j == 0 else _c_0kel(k, ell - j, trunc)
-            acc = acc + catalan(j) * sub[n - j - 1]
-        out.append(acc)
-    return tuple(out)
+    left, right = _c_0ke0(k, trunc), _c_0ke0(ell, trunc)
+    return _first_return(
+        trunc, k, left, right, _catalans(trunc), lambda i: _c_0kel(k - i, ell, trunc),
+        ell, lambda j: _c_0kel(k, ell - j, trunc) if j else None, low=k + ell,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -134,73 +154,55 @@ def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
         return _c_kle0(a, ell, trunc)
     if ell == 0:
         return _c_kle0(a, k, trunc)
-    left = _c_kle0(a - 1, k, trunc)
-    right = _c_kle0(a, ell, trunc)
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        if n <= a + k + ell:
-            out.append(_const(n))
-            continue
-        acc = IntPoly()
-        for i in range(1, min(k - 1, n) + 1):
-            acc = acc + catalan(i - 1) * _c_akel(a, k - i, ell, trunc)[n - i]
-        for i in range(k, n - ell + 1):
-            acc = acc + left[i - 1] * right[n - i]
-        for j in range(min(ell - 1, n - 1) + 1):
-            acc = acc + catalan(j) * _c_akel(a - 1, k, ell - j, trunc)[n - j - 1]
-        out.append(acc)
-    return tuple(out)
+    left, right = _c_kle0(a - 1, k, trunc), _c_kle0(a, ell, trunc)
+    return _first_return(
+        trunc, k, left, right, _catalans(trunc), lambda i: _c_akel(a, k - i, ell, trunc),
+        ell, lambda j: _c_akel(a - 1, k, ell - j, trunc), low=a + k + ell,
+    )
 
 
 @lru_cache(maxsize=None)
 def _c_ekel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
     if k == 0 and ell == 0:
         # 1 / (1 - t (C(t) + x - 1)): the x-power records hills.
-        s = [IntPoly.x(1)]
-        s.extend(_const(n) for n in range(1, trunc + 1))
-        return (TSeries.one(trunc) - TSeries(s).shift(1)).inverse().coeffs
+        hills = (IntPoly.x(1),) + tuple(_const(n) for n in range(1, trunc + 1))
+        return _first_return(trunc, 1, None, hills)
     if k == 0:
         return _c_ekel(ell, 0, trunc)
-    base = _c_ekel(0, ell, trunc)
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        acc = IntPoly()
-        for i in range(1, min(k - 1, n) + 1):
-            acc = acc + catalan(i - 1) * _c_ekel(k - i, ell, trunc)[n - i]
-        for i in range(k, n + 1):
-            acc = acc + catalan(i - 1) * base[n - i]
-        out.append(acc)
-    return tuple(out)
+    cat = _catalans(trunc)
+    return _first_return(
+        trunc, k, cat, _c_ekel(0, ell, trunc), cat, lambda i: _c_ekel(k - i, ell, trunc)
+    )
 
 
 def q132_k0e0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, 0, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_k0e0(k, trunc))
+    return TSeries(_c_k0e0(min(k, trunc), trunc))
 
 
 def q132_0ke0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_0ke0(k, trunc))
+    return TSeries(_c_0ke0(min(k, trunc), trunc))
 
 
 def q132_kle0(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, ell, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_kle0(k, ell, trunc))
+    return TSeries(_c_kle0(min(k, trunc), min(ell, trunc), trunc))
 
 
 def q132_0kel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, ell) over 132-avoiders."""
-    return TSeries(_c_0kel(k, ell, trunc))
+    return TSeries(_c_0kel(min(k, trunc), min(ell, trunc), trunc))
 
 
 def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (a, k, EMPTY, ell) over 132-avoiders."""
-    return TSeries(_c_akel(a, k, ell, trunc))
+    return TSeries(_c_akel(min(a, trunc), min(k, trunc), min(ell, trunc), trunc))
 
 
 def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (EMPTY, k, EMPTY, ell) over 132-avoiders (hills at k = ell = 0)."""
-    return TSeries(_c_ekel(k, ell, trunc))
+    return TSeries(_c_ekel(min(k, trunc), min(ell, trunc), trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -215,64 +217,30 @@ def _c_biv(k1: int, k2: int, trunc: int) -> tuple[BiPoly, ...]:
             out.append(BiPoly({(p, n - p): narayana(n, p) for p in range(1, n + 1)}))
         return tuple(out)
     base = _c_biv(0, 0, trunc)
-    x0 = BiPoly.term(1, 0)
-    x1 = BiPoly.term(0, 1)
-    out = [BiPoly.const(1)]
     if k2 == 0:
         # Only peaks carry a condition.  The first-arch block never helps a
         # peak match, while everything left of the return helps everything
         # in the tail.
-        prev = _c_biv(k1 - 1, 0, trunc)
-        block = _biv_specialized(0, 0, "x0=1", trunc)
-        for n in range(1, trunc + 1):
-            acc = prev[n - 1]
-            for i in range(2, min(k1, n) + 1):
-                acc = acc + x1 * block[i - 1] * _c_biv(k1 - i, 0, trunc)[n - i]
-            for i in range(k1 + 1, n + 1):
-                acc = acc + x1 * out[i - 1] * base[n - i]
-            out.append(acc)
-        return tuple(out)
+        x1 = BiPoly.term(0, 1)
+        block = (1,) + tuple(x1 * p.at_x0_one() for p in base[1:])
+        right = tuple(x1 * p for p in base)
+        return _first_return(trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc))
     if k1 == 0:
         # Only non-peaks carry a condition; the lifted block gains one
         # non-matching non-peak and bumps the others' left-larger count by 1.
-        prev = _c_biv(0, k2 - 1, trunc)
-        block = _biv_specialized(0, 0, "x1=1", trunc)
-        for n in range(1, trunc + 1):
-            acc = x0 * prev[n - 1]
-            for i in range(2, min(k2 - 1, n) + 1):
-                acc = acc + block[i - 1] * _c_biv(0, k2 - i, trunc)[n - i]
-            for i in range(max(k2, 2), n + 1):
-                acc = acc + prev[i - 1] * base[n - i]
-            out.append(acc)
-        return tuple(out)
-    prev = _c_biv(k1, k2 - 1, trunc)
+        block = (BiPoly.term(1, 0),) + tuple(p.at_x1_one() for p in base[1:])
+        left = _c_biv(0, k2 - 1, trunc)
+        return _first_return(
+            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc)
+        )
     if k1 >= k2:
-        block = _biv_specialized(0, k2 - 1, "x0=1", trunc)
-        for n in range(1, trunc + 1):
-            acc = BiPoly()
-            for i in range(1, min(k1 - 1, n) + 1):
-                acc = acc + block[i - 1] * _c_biv(k1 - i, max(k2 - i, 0), trunc)[n - i]
-            for i in range(k1, n + 1):
-                acc = acc + prev[i - 1] * base[n - i]
-            out.append(acc)
-        return tuple(out)
-    block = _biv_specialized(k1, 0, "x1=1", trunc)
-    for n in range(1, trunc + 1):
-        acc = BiPoly()
-        for i in range(1, min(k2 - 1, n) + 1):
-            acc = acc + block[i - 1] * _c_biv(max(k1 - i, 0), k2 - i, trunc)[n - i]
-        for i in range(k2, n + 1):
-            acc = acc + prev[i - 1] * base[n - i]
-        out.append(acc)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _biv_specialized(k1: int, k2: int, which: str, trunc: int) -> tuple[BiPoly, ...]:
-    src = _c_biv(k1, k2, trunc)
-    if which == "x0=1":
-        return tuple(p.at_x0_one() for p in src)
-    return tuple(p.at_x1_one() for p in src)
+        block = tuple(p.at_x0_one() for p in _c_biv(0, k2 - 1, trunc))
+    else:
+        block = tuple(p.at_x1_one() for p in _c_biv(k1, 0, trunc))
+    return _first_return(
+        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc), base, block,
+        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc),
+    )
 
 
 def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
@@ -280,11 +248,12 @@ def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     k1 on quadrant II), x1 tracks matching non-peaks (threshold k2)."""
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be nonnegative")
-    return TSeries(_c_biv(k1, k2, trunc))
+    return TSeries(_c_biv(min(k1, trunc), min(k2, trunc), trunc))
 
 
 def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, 0, 0) over 123-avoiders (bivariate engine at x0 = x1 = x)."""
+    k = min(k, trunc)
     return TSeries(tuple(p.to_univariate() for p in _c_biv(k, k, trunc)))
 
 

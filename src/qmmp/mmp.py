@@ -264,6 +264,9 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
 
 # ---------------------------------------------------------------------------
 # Corner/frame counting over 123-avoiders
+#
+# The public functions check their input; the private bodies serve callers
+# that walk avoiders(n, P123), which are 123-avoiders by construction.
 
 
 def _require_123_avoider(sigma: Permutation) -> None:
@@ -283,6 +286,10 @@ def corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]
     if k < 0 or ell < 0:
         raise ValueError("k, ell must be nonnegative")
     _require_123_avoider(sigma)
+    return _corner_frame_counts(sigma, k, ell)
+
+
+def _corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]:
     n = sigma.n
     r = 0
     s = 0
@@ -308,6 +315,10 @@ def fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
     if k < 0 or ell < 0:
         raise ValueError("k, ell must be nonnegative")
     _require_123_avoider(sigma)
+    return _fast_mmp_0k0l(sigma, k, ell)
+
+
+def _fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
     n = sigma.n
     return sum(
         1 for j, v in enumerate(sigma.word, start=1) if k < j <= n - ell and ell < v <= n - k

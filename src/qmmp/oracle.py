@@ -18,10 +18,10 @@ from . import dyck, gf
 from .mmp import (
     EMPTY,
     QuadrantSpec,
+    _corner_frame_counts,
+    _fast_mmp_0k0l,
     bivariate_distribution,
-    corner_frame_counts,
     distribution,
-    fast_mmp_0k0l,
     mmp_count,
     quadrants_at,
 )
@@ -302,7 +302,7 @@ def _subject_theorem_12(max_n: int) -> VerificationReport:
             for (k, ell), spec in specs.items():
                 if fails[(k, ell)]:
                     continue
-                fast = fast_mmp_0k0l(sigma, k, ell)
+                fast = _fast_mmp_0k0l(sigma, k, ell)
                 slow = _count_rows(rows, spec)
                 if fast != slow:
                     fails[(k, ell)].append(f"sigma={sigma}: fast={fast}, direct={slow}")
@@ -321,7 +321,7 @@ def _subject_theorem_13(max_n: int) -> VerificationReport:
             for (k, ell), spec in specs.items():
                 if fails[(k, ell)]:
                     continue
-                r, s = corner_frame_counts(sigma, k, ell)
+                r, s = _corner_frame_counts(sigma, k, ell)
                 count = _count_rows(rows, spec)
                 if n > k + ell:
                     ok = (
@@ -410,7 +410,7 @@ def _subject_lemma_p1_2(max_n: int) -> VerificationReport:
     return cells.report("lemma-p1-2")
 
 
-def _diag_subject(subject: str, tau, inverse_map, max_n: int) -> VerificationReport:
+def _diag_subject(subject: str, inverse_map, max_n: int) -> VerificationReport:
     # peak on the k-th diagonal <=> k points in quadrant I at that position
     cells = _Cells()
     for n in range(max_n + 1):
@@ -432,11 +432,11 @@ def _diag_subject(subject: str, tau, inverse_map, max_n: int) -> VerificationRep
 
 
 def _subject_lemma_p1_3(max_n: int) -> VerificationReport:
-    return _diag_subject("lemma-p1-3", P132, dyck.phi_inv, max_n)
+    return _diag_subject("lemma-p1-3", dyck.phi_inv, max_n)
 
 
 def _subject_lemma_p2_3(max_n: int) -> VerificationReport:
-    return _diag_subject("lemma-p2-3", P123, dyck.psi_inv, max_n)
+    return _diag_subject("lemma-p2-3", dyck.psi_inv, max_n)
 
 
 def _subject_lemma_p2_2(max_n: int) -> VerificationReport:

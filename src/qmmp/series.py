@@ -402,12 +402,8 @@ class TSeries:
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; requires the t^0 coefficient to be +/-1."""
-        c0 = self.coeffs[0]
-        if c0 == 1:
-            b0 = c0
-        elif c0 == -1:
-            b0 = c0
-        else:
+        b0 = self.coeffs[0]
+        if b0 != 1 and b0 != -1:
             raise ValueError("series is not invertible: t^0 coefficient must be +1 or -1")
         out = [b0]
         for n in range(1, self.trunc + 1):

@@ -1,7 +1,7 @@
 import json
 import re
 
-from qmmp import cli
+from qmmp import cli, oracle
 from qmmp.mmp import QuadrantSpec
 
 
@@ -102,6 +102,21 @@ def test_brute_fallback_at_default_cap(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert len(lines) == 17
     assert lines[-1].startswith("t^16:")
+
+
+def test_large_slots_give_the_brute_force_series(capsys):
+    for avoid, text in (
+        ("132", "e,900,e,0"),
+        ("132", "0,900,e,0"),
+        ("132", "900,0,e,0"),
+        ("123", "0,0,0,900"),
+        ("123", "0,1,900,0"),
+        ("123", "900,0,e,0"),
+    ):
+        code, out, err = run_cli(capsys, "series", "--avoid", avoid, "--spec", text, "--max-n", "4")
+        assert code == 0 and err == "", (avoid, text, err)
+        brute = oracle.brute_series(oracle.class_from_text(avoid), QuadrantSpec.parse(text), 4)
+        assert out.splitlines() == brute.render_lines(), (avoid, text)
 
 
 def test_engine_spec_mismatch_errors(capsys):

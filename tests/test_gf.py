@@ -1,11 +1,16 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from qmmp import gf, oracle
+from qmmp import cli, gf, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution
 from qmmp.perm import P123, P132
 from qmmp.series import IntPoly, TSeries, catalan, solve_quadratic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_spot_values_from_reference_rows():
@@ -68,9 +73,43 @@ def test_engines_match_oracle_small():
             assert gf.q132_ekel(k, ell, n).coeffs == tuple(
                 distribution(m, P132, QuadrantSpec(EMPTY, k, EMPTY, ell)) for m in range(n + 1)
             )
-            assert gf.q123_bivariate(k, ell, n).coeffs == tuple(
-                bivariate_distribution(m, k, ell) for m in range(n + 1)
+    # every branch of the bivariate recursion (k2 = 0, k1 = 0, k1 >= k2, k1 < k2)
+    n = 12
+    for k1 in range(4):
+        for k2 in range(4):
+            assert gf.q123_bivariate(k1, k2, n).coeffs == tuple(
+                bivariate_distribution(m, k1, k2) for m in range(n + 1)
             )
+
+
+def test_paper_specs_match_pinned_digests():
+    # The benchmark pins every rendered line of the 58 paper-table series at
+    # t^40; the router must reproduce the first 21 lines of each.
+    pinned = json.loads((ROOT / "perfbench" / "reference" / "engines-deep.json").read_text())
+    assert [(avoid, QuadrantSpec.parse(text)) for avoid, text, _ in pinned["specs"]] == (
+        cli.paper_table_specs()
+    )
+    for avoid, text, digests in pinned["specs"]:
+        lines = gf.engine_series(avoid, QuadrantSpec.parse(text), 20).render_lines()
+        got = [hashlib.sha256(line.encode()).hexdigest()[:16] for line in lines]
+        assert got == digests[:21], (avoid, text)
+
+
+def test_large_thresholds_clamp_to_the_depth():
+    # A quadrant of a length-n permutation holds at most n - 1 points, so a
+    # threshold past the depth is the depth itself, not a deep recursion.
+    n = 4
+    for series, spec in (
+        (gf.q132_ekel(900, 0, n), QuadrantSpec(EMPTY, 900, EMPTY, 0)),
+        (gf.q132_akel(900, 1, 900, n), QuadrantSpec(900, 1, EMPTY, 900)),
+    ):
+        assert series == oracle.brute_series(P132, spec, n)
+    assert gf.q123_bivariate(900, 0, n).coeffs == tuple(
+        bivariate_distribution(m, 900, 0) for m in range(n + 1)
+    )
+    assert gf.q123_0k00(900, n) == oracle.brute_series(P123, QuadrantSpec(0, 900, 0, 0), n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gf.q123_bivariate(-1, 900, n)
 
 
 def test_mass_is_catalan():
