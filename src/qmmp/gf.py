@@ -4,16 +4,20 @@ One engine per family of quadrant specs, each computing the exact truncated
 series whose t^n coefficient is the match-count polynomial over the length-n
 avoidance class.  Engines are organized around a first-return decomposition:
 the t^n coefficient is assembled by convolving lower-order coefficients of
-boundary engines, every recursion through the one kernel ``_first_return``,
-so everything stays in exact integer arithmetic.
+boundary engines, every recursion through the one kernel ``_first_return``.
+The kernel multiplies and adds only Python ints: each coefficient polynomial
+is packed into one int with fixed-width fields (Kronecker substitution), the
+engine caches hold the packed lists, and the public entry points unpack them
+once per degree, checking each degree's mass against the Catalan number.
 
 Family naming follows the slot string of the quadrant spec: ``k0e0`` is
 ``(k, 0, EMPTY, 0)``, ``akel`` is ``(a, k, EMPTY, l)``, ``ekel`` is
 ``(EMPTY, k, EMPTY, l)``, and so on.  The 123-avoider series for specs whose
 first or third slot is positive transport to 132-avoider engines; the genuinely
-two-sided specs ``(0, k, 0, l)`` have their own bivariate recursion (peaks and
-non-peaks tracked separately) and, for small ``(k, l)``, closed coefficient
-formulas.
+two-sided specs ``(0, k, 0, l)`` have their own recursion (peaks and non-peaks
+tracked by x0 and x1) and, for small ``(k, l)``, closed coefficient formulas.
+That recursion runs in the image it is asked for: bivariate for
+``q123_bivariate``, univariate at x0 = x1 = x for ``q123_0k00``.
 
 ``KNOWN_ERRATA`` records the spots where a stated closed form, taken
 literally, first diverges from the brute-force oracle; the shipped engines
@@ -31,7 +35,7 @@ from pathlib import Path
 from . import mmp as _mmp
 from .mmp import EMPTY, QuadrantSpec
 from .perm import P123
-from .series import BiPoly, IntPoly, TSeries, catalan, narayana
+from .series import BiPoly, IntPoly, TSeries, catalan, narayana, unpack_fields
 
 DEFAULT_TRUNC = 13
 
@@ -41,15 +45,38 @@ class NoEngineError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# 132-avoider engines (third slot EMPTY), as cached coefficient lists
+# Packed coefficients
 #
-# The public entry points clamp every threshold to ``trunc``: a quadrant of a
-# length-n permutation holds at most n - 1 points, so up to t^trunc a
-# threshold of trunc or more never matches and they all give one series.
+# Every engine coefficient is a polynomial whose entries are nonnegative
+# counts summing to C_n < 4^trunc, so the engines keep it as one Python int
+# with ``2 * trunc + 3``-bit fields, field f holding the coefficient of x^f
+# (Kronecker substitution).  Integer sums and products of such ints are the
+# polynomial sums and products: no field can carry, since every partial sum
+# is bounded by the finished coefficient.  The public entry points unpack
+# once per degree and check each degree's mass against C_n, so a carry
+# (which changes the mass) raises instead of passing silently.
 
 
-def _const(n: int) -> IntPoly:
-    return IntPoly.const(catalan(n))
+def _width(trunc: int) -> int:
+    return 2 * trunc + 3
+
+
+def _unpack(cls: type, trunc: int, n: int, packed: int) -> IntPoly | BiPoly:
+    """The t^n coefficient held in ``packed``, as an ``IntPoly`` or ``BiPoly``.
+
+    A ``BiPoly`` has ``x0^e0 x1^e1`` at field ``e0 * (trunc + 1) + e1``.
+    """
+    fields = unpack_fields(packed, _width(trunc))
+    mass = sum(fields.values())
+    if mass != catalan(n):
+        raise ArithmeticError(f"t^{n} coefficient has mass {mass}, not C_{n}: a field carried")
+    if cls is IntPoly:
+        return IntPoly(fields)
+    return BiPoly({divmod(f, trunc + 1): c for f, c in fields.items()})
+
+
+def _series(packed: tuple[int, ...], trunc: int, cls: type = IntPoly) -> TSeries:
+    return TSeries(_unpack(cls, trunc, n, v) for n, v in enumerate(packed))
 
 
 def _catalans(trunc: int) -> tuple[int, ...]:
@@ -58,8 +85,8 @@ def _catalans(trunc: int) -> tuple[int, ...]:
 
 def _first_return(
     trunc: int, split: int, left, right, block=(), head=None, ell: int = 0, tail=None, low: int = 0
-) -> tuple:
-    """Coefficient list of a first-return decomposition, the one engine kernel.
+) -> tuple[int, ...]:
+    """Packed coefficient list of a first-return decomposition, the one engine kernel.
 
     ``out[0] = 1`` and ``out[n] = C_n`` for ``n <= low`` (no match fits
     yet); for ``n > low``::
@@ -74,54 +101,66 @@ def _first_return(
     ``i`` the two sides are independent; when only ``j < ell`` steps follow
     the return, those ``C_j`` blocks lower the threshold of the part before
     it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
-    None, stand for the list being built.  Products go through the
-    polynomial ``*`` of ``right``'s type.
+    None, stand for the list being built.  Every entry is a packed int, so
+    the products and sums are plain integer arithmetic.
     """
-    poly = type(right[0])
-    out = [poly.const(catalan(n)) for n in range(min(low, trunc) + 1)]
+    out = [catalan(n) for n in range(min(low, trunc) + 1)]
     left = out if left is None else left
     for n in range(low + 1, trunc + 1):
-        acc = poly()
-        for i in range(1, min(split, n + 1)):
-            acc = acc + block[i - 1] * head(i)[n - i]
-        for i in range(split, n - ell + 1):
-            acc = acc + left[i - 1] * right[n - i]
-        for j in range(min(ell, n)):
-            sub = tail(j)
-            acc = acc + catalan(j) * (out if sub is None else sub)[n - 1 - j]
-        out.append(acc)
+        out.append(
+            sum(block[i - 1] * head(i)[n - i] for i in range(1, min(split, n + 1)))
+            + sum(left[i - 1] * right[n - i] for i in range(split, n - ell + 1))
+            + sum(catalan(j) * (tail(j) or out)[n - 1 - j] for j in range(min(ell, n)))
+        )
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _c_00e0(trunc: int) -> tuple[IntPoly, ...]:
-    # (0, 0, EMPTY, 0) marks the left-to-right minima, which are Narayana
-    # distributed; this is the root F of t F^2 - (1 + t - t x) F + 1 = 0.
-    out = [IntPoly.const(1)]
-    for n in range(1, trunc + 1):
-        out.append(IntPoly({p: narayana(n, p) for p in range(1, n + 1)}))
-    return tuple(out)
+def _narayana(trunc: int, s0: int = 1, s1: int = 0) -> tuple[int, ...]:
+    """Packed ``sum_p N(n, p) x0^p x1^(n-p)``, with x0 and x1 at field strides s0 and s1.
+
+    Over 132-avoiders (the defaults, x1 set to 1) x0 marks the left-to-right
+    minima, the ``(0, 0, EMPTY, 0)`` series; over 123-avoiders x0 marks the
+    peaks and x1 the non-peaks of the path.
+    """
+    w = _width(trunc)
+    return (1,) + tuple(
+        sum(narayana(n, p) << (p * s0 + (n - p) * s1) * w for p in range(1, n + 1))
+        for n in range(1, trunc + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# 132-avoider engines (third slot EMPTY), as cached packed coefficient lists
+#
+# The public entry points clamp every threshold to ``trunc``: a quadrant of a
+# length-n permutation holds at most n - 1 points, so up to t^trunc a
+# threshold of trunc or more never matches and they all give one series.
+
+
+def _const(n: int) -> IntPoly:
+    return IntPoly.const(catalan(n))
 
 
 @lru_cache(maxsize=None)
-def _c_k0e0(k: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_k0e0(k: int, trunc: int) -> tuple[int, ...]:
     if k == 0:
-        return _c_00e0(trunc)
+        return _narayana(trunc)
     # 1 / (1 - t P) with P the (k - 1, 0, EMPTY, 0) series
     return _first_return(trunc, 1, None, _c_k0e0(k - 1, trunc))
 
 
 @lru_cache(maxsize=None)
-def _c_0ke0(k: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_0ke0(k: int, trunc: int) -> tuple[int, ...]:
     if k == 0:
-        return _c_00e0(trunc)
+        return _narayana(trunc)
     return _first_return(
-        trunc, k, None, _c_00e0(trunc), _catalans(trunc), lambda i: _c_0ke0(k - i, trunc)
+        trunc, k, None, _narayana(trunc), _catalans(trunc), lambda i: _c_0ke0(k - i, trunc)
     )
 
 
 @lru_cache(maxsize=None)
-def _c_kle0(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_kle0(k: int, ell: int, trunc: int) -> tuple[int, ...]:
     if ell == 0:
         return _c_k0e0(k, trunc)
     if k == 0:
@@ -133,7 +172,7 @@ def _c_kle0(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _c_0kel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_0kel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
     if ell == 0:
         return _c_0ke0(k, trunc)
     if k == 0:
@@ -147,7 +186,7 @@ def _c_0kel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     if a == 0:
         return _c_0kel(k, ell, trunc)
     if k == 0:
@@ -162,10 +201,10 @@ def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _c_ekel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
+def _c_ekel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
     if k == 0 and ell == 0:
         # 1 / (1 - t (C(t) + x - 1)): the x-power records hills.
-        hills = (IntPoly.x(1),) + tuple(_const(n) for n in range(1, trunc + 1))
+        hills = (1 << _width(trunc),) + _catalans(trunc)[1:]
         return _first_return(trunc, 1, None, hills)
     if k == 0:
         return _c_ekel(ell, 0, trunc)
@@ -177,69 +216,85 @@ def _c_ekel(k: int, ell: int, trunc: int) -> tuple[IntPoly, ...]:
 
 def q132_k0e0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, 0, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_k0e0(min(k, trunc), trunc))
+    return _series(_c_k0e0(min(k, trunc), trunc), trunc)
 
 
 def q132_0ke0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_0ke0(min(k, trunc), trunc))
+    return _series(_c_0ke0(min(k, trunc), trunc), trunc)
 
 
 def q132_kle0(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, ell, EMPTY, 0) over 132-avoiders."""
-    return TSeries(_c_kle0(min(k, trunc), min(ell, trunc), trunc))
+    return _series(_c_kle0(min(k, trunc), min(ell, trunc), trunc), trunc)
 
 
 def q132_0kel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, ell) over 132-avoiders."""
-    return TSeries(_c_0kel(min(k, trunc), min(ell, trunc), trunc))
+    return _series(_c_0kel(min(k, trunc), min(ell, trunc), trunc), trunc)
 
 
 def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (a, k, EMPTY, ell) over 132-avoiders."""
-    return TSeries(_c_akel(min(a, trunc), min(k, trunc), min(ell, trunc), trunc))
+    return _series(_c_akel(min(a, trunc), min(k, trunc), min(ell, trunc), trunc), trunc)
 
 
 def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (EMPTY, k, EMPTY, ell) over 132-avoiders (hills at k = ell = 0)."""
-    return TSeries(_c_ekel(min(k, trunc), min(ell, trunc), trunc))
+    return _series(_c_ekel(min(k, trunc), min(ell, trunc), trunc), trunc)
 
 
 # ---------------------------------------------------------------------------
-# 123-avoider bivariate engine for (0, k, 0, 0): peaks vs non-peaks
+# 123-avoider engine for (0, k, 0, 0): peaks vs non-peaks
+#
+# x0 tracks matching peaks and x1 matching non-peaks.  Setting x0 = x1 = x,
+# x0 = 1 or x1 = 1 is a ring homomorphism, so the whole recursion runs in
+# whichever image is asked for: ``image = (cls, keep_x0, keep_x1)`` is the
+# coefficient type the list unpacks to and which variables are kept (a
+# dropped one is set to 1).  In the packing, x0 and x1 sit at field strides
+# ``(trunc + 1, 1)`` for ``BiPoly`` (an x1 exponent never passes trunc, so it
+# never spills into x0) and ``(1, 1)`` for ``IntPoly``; a dropped variable
+# has stride 0.
+
+_XY = (BiPoly, True, True)
+_X = (IntPoly, True, True)
 
 
 @lru_cache(maxsize=None)
-def _c_biv(k1: int, k2: int, trunc: int) -> tuple[BiPoly, ...]:
+def _c_biv(k1: int, k2: int, trunc: int, image: tuple) -> tuple[int, ...]:
+    cls, keep_x0, keep_x1 = image
+    s0 = (trunc + 1 if cls is BiPoly else 1) if keep_x0 else 0
+    s1 = 1 if keep_x1 else 0
     if k1 == 0 and k2 == 0:
-        out = [BiPoly.const(1)]
-        for n in range(1, trunc + 1):
-            out.append(BiPoly({(p, n - p): narayana(n, p) for p in range(1, n + 1)}))
-        return tuple(out)
-    base = _c_biv(0, 0, trunc)
+        return _narayana(trunc, s0, s1)
+    w = _width(trunc)
+    x0, x1 = 1 << s0 * w, 1 << s1 * w
+    no_x0, no_x1 = (cls, False, keep_x1), (cls, keep_x0, False)
+    base = _c_biv(0, 0, trunc, image)
     if k2 == 0:
         # Only peaks carry a condition.  The first-arch block never helps a
         # peak match, while everything left of the return helps everything
         # in the tail.
-        x1 = BiPoly.term(0, 1)
-        block = (1,) + tuple(x1 * p.at_x0_one() for p in base[1:])
+        block = (1,) + tuple(x1 * p for p in _c_biv(0, 0, trunc, no_x0)[1:])
         right = tuple(x1 * p for p in base)
-        return _first_return(trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc))
+        return _first_return(
+            trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, image)
+        )
     if k1 == 0:
         # Only non-peaks carry a condition; the lifted block gains one
         # non-matching non-peak and bumps the others' left-larger count by 1.
-        block = (BiPoly.term(1, 0),) + tuple(p.at_x1_one() for p in base[1:])
-        left = _c_biv(0, k2 - 1, trunc)
+        block = (x0,) + _c_biv(0, 0, trunc, no_x1)[1:]
+        left = _c_biv(0, k2 - 1, trunc, image)
         return _first_return(
-            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc)
+            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc, image)
         )
     if k1 >= k2:
-        block = tuple(p.at_x0_one() for p in _c_biv(0, k2 - 1, trunc))
+        block = _c_biv(0, k2 - 1, trunc, no_x0)
     else:
-        block = tuple(p.at_x1_one() for p in _c_biv(k1, 0, trunc))
+        block = _c_biv(k1, 0, trunc, no_x1)
     return _first_return(
-        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc), base, block,
-        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc),
+        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc, image), base, block,
+        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, image),
     )
 
 
@@ -248,13 +303,16 @@ def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     k1 on quadrant II), x1 tracks matching non-peaks (threshold k2)."""
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be nonnegative")
-    return TSeries(_c_biv(min(k1, trunc), min(k2, trunc), trunc))
+    if trunc > 255:
+        raise ValueError(f"t^{trunc} reaches x0^{trunc}; exponents are limited to 255")
+    return _series(_c_biv(min(k1, trunc), min(k2, trunc), trunc, _XY), trunc, BiPoly)
 
 
 def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Series for (0, k, 0, 0) over 123-avoiders (bivariate engine at x0 = x1 = x)."""
+    """Series for (0, k, 0, 0) over 123-avoiders: the peak/non-peak recursion
+    of ``q123_bivariate`` run in its x0 = x1 = x image."""
     k = min(k, trunc)
-    return TSeries(tuple(p.to_univariate() for p in _c_biv(k, k, trunc)))
+    return _series(_c_biv(k, k, trunc, _X), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,9 @@ class IntPoly:
         return isinstance(other, IntPoly) and self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(self.items())
 
     def render(self) -> str:
@@ -254,27 +257,10 @@ class BiPoly:
         return isinstance(other, BiPoly) and self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(tuple(sorted(self._c.items())))
-
-    def at_x0_one(self) -> "BiPoly":
-        """Substitute x0 = 1."""
-        c: dict[int, int] = {}
-        for k, v in self._c.items():
-            k1 = k & 255
-            c[k1] = c.get(k1, 0) + v
-        out = BiPoly()
-        out._c = {k: v for k, v in c.items() if v}
-        return out
-
-    def at_x1_one(self) -> "BiPoly":
-        """Substitute x1 = 1."""
-        c: dict[int, int] = {}
-        for k, v in self._c.items():
-            k0 = k & ~255
-            c[k0] = c.get(k0, 0) + v
-        out = BiPoly()
-        out._c = {k: v for k, v in c.items() if v}
-        return out
 
     def to_univariate(self) -> IntPoly:
         """Substitute x0 = x1 = x."""
@@ -431,6 +417,24 @@ class TSeries:
 
     def __repr__(self) -> str:
         return f"TSeries(trunc={self.trunc})"
+
+
+def unpack_fields(packed: int, width: int) -> dict[int, int]:
+    """The nonzero ``width``-bit fields of ``packed >= 0``, keyed by position.
+
+    Field f holds bits ``f * width`` up to ``(f + 1) * width``: the inverse
+    of packing a polynomial as ``sum(c << e * width)`` (Kronecker
+    substitution) while every coefficient is below ``2**width``.
+    """
+    mask = (1 << width) - 1
+    out = {}
+    f = 0
+    while packed:
+        if packed & mask:
+            out[f] = packed & mask
+        packed >>= width
+        f += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

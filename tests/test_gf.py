@@ -8,7 +8,7 @@ import pytest
 from qmmp import cli, gf, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution
 from qmmp.perm import P123, P132
-from qmmp.series import IntPoly, TSeries, catalan, solve_quadratic
+from qmmp.series import BiPoly, IntPoly, TSeries, catalan, solve_quadratic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,15 +84,59 @@ def test_engines_match_oracle_small():
 
 def test_paper_specs_match_pinned_digests():
     # The benchmark pins every rendered line of the 58 paper-table series at
-    # t^40; the router must reproduce the first 21 lines of each.
+    # t^40, the depth with the widest packed fields; the router must
+    # reproduce all 41 lines of each.
     pinned = json.loads((ROOT / "perfbench" / "reference" / "engines-deep.json").read_text())
     assert [(avoid, QuadrantSpec.parse(text)) for avoid, text, _ in pinned["specs"]] == (
         cli.paper_table_specs()
     )
     for avoid, text, digests in pinned["specs"]:
-        lines = gf.engine_series(avoid, QuadrantSpec.parse(text), 20).render_lines()
+        lines = gf.engine_series(avoid, QuadrantSpec.parse(text), 40).render_lines()
         got = [hashlib.sha256(line.encode()).hexdigest()[:16] for line in lines]
-        assert got == digests[:21], (avoid, text)
+        assert len(digests) == 41 and got == digests, (avoid, text)
+
+
+def _substitute(p: BiPoly, keep_x0: bool, keep_x1: bool) -> BiPoly:
+    """``p`` with each dropped variable set to 1."""
+    out: dict = {}
+    for (e0, e1), c in p.items():
+        key = (e0 * keep_x0, e1 * keep_x1)
+        out[key] = out.get(key, 0) + c
+    return BiPoly(out)
+
+
+def test_bivariate_images_commute_with_substitution():
+    # Setting x0 = x1 = x, x0 = 1 or x1 = 1 is a ring homomorphism, so the
+    # recursion run in an image equals the bivariate series substituted.
+    n = 16
+    for k1 in range(7):
+        for k2 in range(7):
+            biv = gf.q123_bivariate(k1, k2, n)
+            if k1 == k2:
+                assert gf.q123_0k00(k1, n).coeffs == tuple(
+                    p.to_univariate() for p in biv.coeffs
+                )
+            for keep in ((False, True), (True, False), (False, False)):
+                image = gf._series(gf._c_biv(k1, k2, n, (BiPoly, *keep)), n, BiPoly)
+                assert image.coeffs == tuple(_substitute(p, *keep) for p in biv.coeffs)
+                univariate = gf._series(gf._c_biv(k1, k2, n, (IntPoly, *keep)), n)
+                assert univariate.coeffs == tuple(
+                    _substitute(p, *keep).to_univariate() for p in biv.coeffs
+                )
+
+
+def test_unpack_rejects_a_carried_field():
+    # t^1 fields are 5 bits wide, so C_5 = 42 overflows field 0 and carries
+    # into field 1; the mass check must see it.
+    assert gf._width(1) == 5
+    for cls in (IntPoly, BiPoly):
+        with pytest.raises(ArithmeticError, match="carried"):
+            gf._unpack(cls, 1, 5, 42)
+        with pytest.raises(ArithmeticError, match="carried"):
+            gf._unpack(cls, 3, 3, 5 + (1 << gf._width(3)))
+        assert gf._unpack(cls, 5, 5, 42) == cls.const(42)
+    assert gf._unpack(IntPoly, 3, 3, 3 + (2 << 9)) == IntPoly({0: 3, 1: 2})
+    assert gf._unpack(BiPoly, 3, 3, 3 + (2 << 9 * 5)) == BiPoly({(0, 0): 3, (1, 1): 2})
 
 
 def test_large_thresholds_clamp_to_the_depth():
@@ -110,6 +154,8 @@ def test_large_thresholds_clamp_to_the_depth():
     assert gf.q123_0k00(900, n) == oracle.brute_series(P123, QuadrantSpec(0, 900, 0, 0), n)
     with pytest.raises(ValueError, match="nonnegative"):
         gf.q123_bivariate(-1, 900, n)
+    with pytest.raises(ValueError, match="255"):
+        gf.q123_bivariate(1, 1, 256)
 
 
 def test_mass_is_catalan():

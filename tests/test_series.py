@@ -10,6 +10,7 @@ from qmmp.series import (
     catalan_xt_series,
     narayana,
     solve_quadratic,
+    unpack_fields,
 )
 
 
@@ -53,14 +54,29 @@ def test_intpoly_basics():
         IntPoly({-1: 2})
 
 
+def test_constant_polynomials_hash_as_their_int():
+    # equal objects must hash equal, and a constant polynomial equals its int
+    for cls in (IntPoly, BiPoly):
+        assert cls.const(3) == 3 and cls() == 0
+        assert len({cls.const(3), 3}) == 1
+        assert len({cls(), 0}) == 1
+        assert len({cls.const(-2), -2, cls.const(3)}) == 2
+
+
 def test_bipoly_basics():
     p = BiPoly({(1, 0): 1, (0, 1): 1})
     assert (p * p) == BiPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert p.at_x0_one() == BiPoly({(0, 0): 1, (0, 1): 1})
-    assert p.at_x1_one() == BiPoly({(1, 0): 1, (0, 0): 1})
     assert p.to_univariate() == IntPoly({1: 2})
     assert (p - p).is_zero()
     assert p.render() == "x1+x0"
+
+
+@given(
+    st.dictionaries(st.integers(0, 20), st.integers(1, 2**12 - 1), max_size=8),
+    st.integers(12, 40),
+)
+def test_unpack_fields_inverts_packing(coeffs, width):
+    assert unpack_fields(sum(c << e * width for e, c in coeffs.items()), width) == coeffs
 
 
 def test_bipoly_product_exponent_limit():
