@@ -130,10 +130,17 @@ def psi(sigma: Permutation) -> DyckPath:
     return DyckPath(_staircase(sigma))
 
 
-def _column_scan(path: DyckPath) -> tuple[list[int], list[bool]]:
-    """Per column c: the number of D steps before the c-th R, and peak flags."""
+def _column_scan(path: DyckPath) -> tuple[list[int], list[int], list[bool]]:
+    """Column depths and outer corners of ``path``, shared by both inverses.
+
+    Per column: the number of D steps before its R, and the value that an
+    outer corner (a DR peak) places there, 0 in every other column; plus
+    flags marking the placed values as used.
+    """
+    n = path.n
     depths = []
-    is_peak = []
+    word = []
+    used = [False] * (n + 2)
     down = 0
     prev = ""
     for ch in path.word:
@@ -141,9 +148,13 @@ def _column_scan(path: DyckPath) -> tuple[list[int], list[bool]]:
             down += 1
         else:
             depths.append(down)
-            is_peak.append(prev == "D")
+            if prev == "D":
+                word.append(n - down + 1)
+                used[n - down + 1] = True
+            else:
+                word.append(0)
         prev = ch
-    return depths, is_peak
+    return depths, word, used
 
 
 def phi_inv(path: DyckPath) -> Permutation:
@@ -154,20 +165,13 @@ def phi_inv(path: DyckPath) -> Permutation:
     above the path.
     """
     n = path.n
-    depths, is_peak = _column_scan(path)
-    word = [0] * n
-    used = [False] * (n + 2)
-    for c in range(1, n + 1):
-        if is_peak[c - 1]:
-            v = n - depths[c - 1] + 1
-            word[c - 1] = v
-            used[v] = True
-    for c in range(1, n + 1):
-        if word[c - 1]:
+    depths, word, used = _column_scan(path)
+    for c in range(n):
+        if word[c]:
             continue
-        for v in range(n - depths[c - 1] + 1, n + 1):
+        for v in range(n - depths[c] + 1, n + 1):
             if not used[v]:
-                word[c - 1] = v
+                word[c] = v
                 used[v] = True
                 break
     return Permutation(tuple(word))
@@ -180,18 +184,11 @@ def psi_inv(path: DyckPath) -> Permutation:
     then paired with the i-th empty column from the left.
     """
     n = path.n
-    depths, is_peak = _column_scan(path)
-    word = [0] * n
-    used = [False] * (n + 2)
-    for c in range(1, n + 1):
-        if is_peak[c - 1]:
-            v = n - depths[c - 1] + 1
-            word[c - 1] = v
-            used[v] = True
+    _, word, used = _column_scan(path)
     free_values = [v for v in range(n, 0, -1) if not used[v]]
-    free_columns = [c for c in range(1, n + 1) if not word[c - 1]]
+    free_columns = [c for c in range(n) if not word[c]]
     for c, v in zip(free_columns, free_values):
-        word[c - 1] = v
+        word[c] = v
     return Permutation(tuple(word))
 
 

@@ -17,10 +17,10 @@ distinction is load-bearing everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .perm import P123, Permutation, catalan_moves, occurs
-from .series import BiPoly, IntPoly
+from .series import BiPoly, IntPoly, unpack_fields
 
 
 class _EmptyType:
@@ -101,43 +101,92 @@ class MatchReport:
     matched: bool
 
 
+def quadrant_rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
+    """Quadrant I-IV tallies at every position of ``sigma``, in one left-to-right pass.
+
+    ``used`` has bit ``v`` set for each value placed so far, so at entry
+    ``i + 1`` with value ``v`` the earlier larger values number
+    ``q2 = popcount(used >> v)``, and then ``q1 = n - v - q2``,
+    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``: the same formula as the
+    append-time tallies of :func:`_packed_histogram`.
+    """
+    n = sigma.n
+    used = 0
+    rows = []
+    for i, v in enumerate(sigma.word):
+        q2 = (used >> v).bit_count()
+        q1 = n - v - q2
+        rows.append((q1, q2, i - q2, n - 1 - i - q1))
+        used |= 1 << v
+    return tuple(rows)
+
+
 def quadrants_at(sigma: Permutation, i: int) -> tuple[int, int, int, int]:
     """Counts of graph points in quadrants I-IV relative to position ``i`` (1-based)."""
-    n = sigma.n
-    if not 1 <= i <= n:
-        raise ValueError(f"position {i} out of range 1..{n}")
-    word = sigma.word
-    v = word[i - 1]
-    q2 = 0
-    for j in range(i - 1):
-        if word[j] > v:
-            q2 += 1
-    q1 = (n - v) - q2
-    q3 = (i - 1) - q2
-    q4 = (n - i) - q1
-    return (q1, q2, q3, q4)
+    if not 1 <= i <= sigma.n:
+        raise ValueError(f"position {i} out of range 1..{sigma.n}")
+    return quadrant_rows(sigma)[i - 1]
 
 
-def _slot_ok(count: int, cond: Coord) -> bool:
-    if cond is EMPTY:
-        return count == 0
-    return count >= cond
+def _window(spec: QuadrantSpec, n: int) -> tuple[tuple[int, int], ...]:
+    """Per slot, the closed range ``(lo, hi)`` of tallies that match at length ``n``.
+
+    EMPTY is ``(0, 0)``: no points there.  A number ``k`` is ``(k, n)``: at
+    least ``k`` points, since a tally is at most ``n - 1``.
+    """
+    return tuple((0, 0) if v is EMPTY else (v, n) for v in spec.coords)
+
+
+def _in_window(q: tuple[int, int, int, int], window: tuple[tuple[int, int], ...]) -> bool:
+    return all(lo <= x <= hi for x, (lo, hi) in zip(q, window))
 
 
 def matches_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> bool:
     """True iff position ``i`` of ``sigma`` satisfies every quadrant condition."""
-    q = quadrants_at(sigma, i)
-    return all(_slot_ok(q[s], cond) for s, cond in enumerate(spec.coords))
+    return _in_window(quadrants_at(sigma, i), _window(spec, sigma.n))
 
 
 def report_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> MatchReport:
     q = quadrants_at(sigma, i)
-    return MatchReport(q, all(_slot_ok(q[s], cond) for s, cond in enumerate(spec.coords)))
+    return MatchReport(q, _in_window(q, _window(spec, sigma.n)))
+
+
+def match_counter(
+    specs: Sequence[QuadrantSpec], n: int
+) -> Callable[[Permutation], tuple[int, ...]]:
+    """A function from a length-n permutation to its match count under each spec.
+
+    The closure owns a table from each tally tuple seen so far to a packed
+    int with one field per spec, set to 1 where the tuple matches that spec.
+    A field is ``n.bit_length()`` bits wide (at least 1), because a count is
+    at most n, so a permutation's counts are the sum of its rows' entries,
+    unpacked once.  The table lives as long as the closure.
+    """
+    windows = [_window(spec, n) for spec in specs]
+    width = max(1, n.bit_length())
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(windows), width)
+    table: dict[tuple[int, int, int, int], int] = {}
+
+    def counts(sigma: Permutation) -> tuple[int, ...]:
+        if sigma.n != n:
+            raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
+        total = 0
+        for q in quadrant_rows(sigma):
+            entry = table.get(q)
+            if entry is None:
+                entry = table[q] = sum(
+                    1 << f for f, window in zip(shifts, windows) if _in_window(q, window)
+                )
+            total += entry
+        return tuple((total >> f) & mask for f in shifts)
+
+    return counts
 
 
 def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
     """Number of positions of ``sigma`` matching ``spec``."""
-    return sum(1 for i in range(1, sigma.n + 1) if matches_at(sigma, i, spec))
+    return match_counter((spec,), sigma.n)(sigma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +246,6 @@ def _packed_histogram(
     return suffix(0)
 
 
-def _unpack(packed: int, width: int) -> dict[int, int]:
-    """Field index -> count for the nonzero fields of a packed histogram."""
-    mask = (1 << width) - 1
-    out: dict[int, int] = {}
-    index = 0
-    while packed:
-        count = packed & mask
-        if count:
-            out[index] = count
-        packed >>= width
-        index += 1
-    return out
-
-
 def _require_class(tau: Permutation) -> tuple[int, ...]:
     if tau.word not in ((1, 2, 3), (1, 3, 2)):
         raise ValueError(f"unsupported avoidance class {tau!r}: only 123 and 132")
@@ -224,9 +259,7 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
     matching positions; the total mass is the n-th Catalan number.
     """
     tau_word = _require_class(tau)
-    # Slot s matches when lo_s <= q_s <= hi_s: EMPTY is [0, 0], k is [k, n].
-    (lo1, lo2, lo3, lo4) = (0 if v is EMPTY else v for v in spec.coords)
-    (hi1, hi2, hi3, hi4) = (0 if v is EMPTY else n for v in spec.coords)
+    ((lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4)) = _window(spec, n)
     width = 2 * n + 2
 
     def shift(q1: int, q2: int, q3: int, q4: int) -> int:
@@ -234,7 +267,7 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
             return width
         return 0
 
-    return IntPoly(_unpack(_packed_histogram(n, tau_word, shift), width))
+    return IntPoly(unpack_fields(_packed_histogram(n, tau_word, shift), width))
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
@@ -258,7 +291,7 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
             return peak_width if q2 >= k1 else 0
         return width if q2 >= k2 else 0
 
-    fields = _unpack(_packed_histogram(n, (1, 2, 3), shift), width)
+    fields = unpack_fields(_packed_histogram(n, (1, 2, 3), shift), width)
     return BiPoly({divmod(index, n + 1): count for index, count in fields.items()})
 
 

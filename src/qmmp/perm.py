@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -211,19 +210,14 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
     Enumeration is a prefix-pruned backtracking search: a prefix is abandoned
     as soon as appending a value would complete an occurrence of ``tau``.
     For 123 and 132 the search also never enters a prefix that has no
-    completion.  Results are cached per ``(n, tau)``.
+    completion.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _avoiders(n, tau.word)
-
-
-@lru_cache(maxsize=None)
-def _avoiders(n: int, tau_word: tuple[int, ...]) -> tuple[Permutation, ...]:
-    if tau_word in ((1, 2, 3), (1, 3, 2)):
-        words = _avoiders_catalan(n, tau_word)
+    if tau.word in ((1, 2, 3), (1, 3, 2)):
+        words = _avoiders_catalan(n, tau.word)
     else:
-        words = _avoiders_generic(n, tau_word)
+        words = _avoiders_generic(n, tau.word)
     return tuple(Permutation(w) for w in words)
 
 

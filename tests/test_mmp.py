@@ -10,8 +10,10 @@ from qmmp.mmp import (
     corner_frame_counts,
     distribution,
     fast_mmp_0k0l,
+    match_counter,
     matches_at,
     mmp_count,
+    quadrant_rows,
     quadrants_at,
     report_at,
 )
@@ -19,6 +21,19 @@ from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, o
 from qmmp.series import BiPoly, IntPoly, catalan
 
 SIGMA = Permutation.parse("471569283")
+
+
+def _tallies(sigma, i):
+    """Quadrant I-IV tallies at position ``i``, by comparing positions and values."""
+    v = sigma.word[i - 1]
+    earlier = sigma.word[: i - 1]
+    later = sigma.word[i:]
+    return (
+        sum(w > v for w in later),
+        sum(w > v for w in earlier),
+        sum(w < v for w in earlier),
+        sum(w < v for w in later),
+    )
 
 
 def test_spec_parsing():
@@ -73,7 +88,10 @@ def test_quadrant_counts_sum_on_random_pairs():
         rng.shuffle(word)
         sigma = Permutation(tuple(word))
         i = rng.randint(1, n)
-        assert sum(quadrants_at(sigma, i)) == n - 1
+        want = _tallies(sigma, i)
+        assert sum(want) == n - 1
+        assert quadrants_at(sigma, i) == want
+        assert quadrant_rows(sigma)[i - 1] == want
 
 
 def test_distribution_examples():
@@ -105,27 +123,38 @@ def _class_by_filter(n, tau):
 
 
 def test_distribution_audit_over_symmetric_group():
-    # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel
-    # against per-permutation tallies taken position by position
+    # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel,
+    # mmp_count and one match_counter over all the specs, against
+    # per-permutation counts from tallies taken by the definition
     slots = (0, 1, 2, EMPTY)
+    specs = [QuadrantSpec(*coords) for coords in itertools.product(slots, repeat=4)]
     for tau in (P123, P132):
         for n in range(8):
-            rows = [
-                [quadrants_at(sigma, i) for i in range(1, n + 1)]
-                for sigma in _class_by_filter(n, tau)
-            ]
-            assert len(rows) == catalan(n)
-            for coords in itertools.product(slots, repeat=4):
+            perms = _class_by_filter(n, tau)
+            assert len(perms) == catalan(n)
+            rows = [[_tallies(sigma, i) for i in range(1, n + 1)] for sigma in perms]
+            counter = match_counter(specs, n)
+            packed = [counter(sigma) for sigma in perms]
+            for f, spec in enumerate(specs):
                 hist = {}
-                for row in rows:
+                for sigma, row, counts in zip(perms, rows, packed):
                     m = sum(
                         1
                         for q in row
-                        if all(x == 0 if c is EMPTY else x >= c for x, c in zip(q, coords))
+                        if all(x == 0 if c is EMPTY else x >= c for x, c in zip(q, spec.coords))
                     )
+                    assert counts[f] == m and mmp_count(sigma, spec) == m, (sigma, spec)
                     hist[m] = hist.get(m, 0) + 1
-                got = distribution(n, tau, QuadrantSpec(*coords))
-                assert got == IntPoly(hist), (tau, n, coords)
+                got = distribution(n, tau, spec)
+                assert got == IntPoly(hist), (tau, n, spec)
+
+
+def test_match_counter_checks_length():
+    counter = match_counter([QuadrantSpec(0, 0, 0, 0)], 4)
+    assert counter(Permutation((4, 3, 2, 1))) == (4,)
+    assert match_counter([], 3)(Permutation((1, 2, 3))) == ()
+    with pytest.raises(ValueError, match="length"):
+        counter(Permutation((1, 2, 3)))
 
 
 def test_bivariate_distribution_audit():
@@ -133,7 +162,7 @@ def test_bivariate_distribution_audit():
         rows = []
         for sigma in _class_by_filter(n, P123):
             peaks = set(left_to_right_minima(sigma))
-            rows.append([(i in peaks, quadrants_at(sigma, i)[1]) for i in range(1, n + 1)])
+            rows.append([(i in peaks, _tallies(sigma, i)[1]) for i in range(1, n + 1)])
         for k1 in range(4):
             for k2 in range(4):
                 hist = {}

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from qmmp import oracle
 from qmmp.mmp import EMPTY, QuadrantSpec
 from qmmp.perm import P123, P132
 from qmmp.series import IntPoly, catalan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_brute_series_examples():
@@ -120,3 +125,12 @@ def test_verify_all_shape():
     assert failing == ["theorem-3"]
     again = oracle.verify_all(4)
     assert [r.lines() for r in again] == [r.lines() for r in reports]
+
+
+def test_verify_all_matches_pinned_transcript():
+    # The benchmark pins every line of `qmmp verify --subject all` at the
+    # default depths, cell lines first and subject summaries last.
+    pinned = json.loads((ROOT / "perfbench" / "reference" / "verify-all.json").read_text())
+    reports = oracle.verify_all()
+    lines = [line for report in reports for line in report.lines()]
+    assert lines + [report.summary() for report in reports] == pinned["lines"]
