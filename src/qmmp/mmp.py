@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .perm import P123, Permutation, catalan_moves, occurs
-from .series import BiPoly, IntPoly, unpack_fields
+from .series import BiPoly, IntPoly, catalan, unpack_fields
 
 
 class _EmptyType:
@@ -151,6 +151,11 @@ def report_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> MatchReport:
     return MatchReport(q, _in_window(q, _window(spec, sigma.n)))
 
 
+def _require_length(sigma: Permutation, n: int) -> None:
+    if sigma.n != n:
+        raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
+
+
 def match_counter(
     specs: Sequence[QuadrantSpec], n: int
 ) -> Callable[[Permutation], tuple[int, ...]]:
@@ -169,8 +174,7 @@ def match_counter(
     table: dict[tuple[int, int, int, int], int] = {}
 
     def counts(sigma: Permutation) -> tuple[int, ...]:
-        if sigma.n != n:
-            raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
+        _require_length(sigma, n)
         total = 0
         for q in quadrant_rows(sigma):
             entry = table.get(q)
@@ -186,17 +190,27 @@ def match_counter(
 
 def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
     """Number of positions of ``sigma`` matching ``spec``."""
-    return match_counter((spec,), sigma.n)(sigma)[0]
+    window = _window(spec, sigma.n)
+    return sum(1 for q in quadrant_rows(sigma) if _in_window(q, window))
 
 
 # ---------------------------------------------------------------------------
 # Distributions over avoidance classes (the brute-force ground truth)
 
+# Specs per walk of :func:`distributions`.  Every lane widens every memo
+# entry of a walk, so this bounds a walk's memory as well as its speed-up;
+# verify-all peaks lower at 24 lanes than at 16 or 32.
+_LANES = 24
+
 
 def _packed_histogram(
-    n: int, tau_word: tuple[int, ...], shift: Callable[[int, int, int, int], int]
+    n: int,
+    tau_word: tuple[int, ...],
+    leaf: int,
+    width: int,
+    entry: Callable[[int, int, int, int], int],
 ) -> int:
-    """Match-count histogram over the length-n avoiders of 123 or 132, packed in one int.
+    """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
 
     The avoiders are built left to right by a DFS whose state is the bitmask
     ``used`` of the values placed so far (bit ``v`` for value ``v``); the
@@ -213,24 +227,30 @@ def _packed_histogram(
     can never be placed.  Conversely each allowed move keeps every free value
     placeable, so the completions of a prefix, and with them the suffix
     histogram, depend on ``used`` alone; the memo is keyed by it, is local
-    to the call, and holds at most 2^n entries.
+    to the call, and holds at most 2^n entries.  ``leaf`` is the histogram
+    of a complete permutation.
 
     A value ``v`` appended as entry ``i + 1`` has its quadrant tallies fixed
     at once: ``q2 = popcount(used >> v)``, ``q1 = n - v - q2``,
-    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.  ``shift(q1, q2, q3, q4)``
-    returns the bit shift that a match at that position applies to the
-    suffix histogram.  Fields are ``2n + 2`` bits wide; since every count is
-    at most C_n < 4^n, no field carries into the next, and merging two
-    histograms is integer addition.
+    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.  ``entry(q1, q2, q3, q4)``
+    says what a match there does to the suffix histogram ``child``: entry 0
+    leaves it as it is, a negative entry ``~s`` moves all of it up by ``s``
+    bits, and a positive entry ``m`` moves the bits under mask ``m`` up by
+    ``width``.  Entries are kept per move ``(i, v, q2)`` in a table local to
+    the call.  Histograms merge by integer addition, so a field must never
+    carry into the next.
     """
     full = ((1 << n) - 1) << 1
-    memo = {full: 1}
+    memo = {full: leaf}
+    bits = (n + 1).bit_length()
+    table: list[int | None] = [None] * (n << 2 * bits)
 
     def suffix(used: int) -> int:
         got = memo.get(used)
         if got is not None:
             return got
         i = used.bit_count()
+        row = i << 2 * bits
         moves = catalan_moves(used, full, tau_word)
         total = 0
         while moves:
@@ -238,8 +258,19 @@ def _packed_histogram(
             moves ^= bit
             v = bit.bit_length() - 1
             q2 = (used >> v).bit_count()
-            q1 = n - v - q2
-            total += suffix(used | bit) << shift(q1, q2, i - q2, n - 1 - i - q1)
+            key = row | v << bits | q2
+            m = table[key]
+            if m is None:
+                q1 = n - v - q2
+                m = table[key] = entry(q1, q2, i - q2, n - 1 - i - q1)
+            child = suffix(used | bit)
+            if not m:
+                total += child
+            elif m < 0:
+                total += child << ~m
+            else:
+                low = child & m
+                total += child - low + (low << width)
         memo[used] = total
         return total
 
@@ -252,22 +283,53 @@ def _require_class(tau: Permutation) -> tuple[int, ...]:
     return tau.word
 
 
+def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
+    """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
+
+    Up to 24 specs share one walk of :func:`_packed_histogram`, each in its
+    own *lane* of ``n + 1`` fields, one per match count.  A field is
+    ``catalan(n).bit_length()`` bits wide, since a count is at most C_n.  A
+    move shifts the lanes of the specs it matches up by one field; when it
+    matches every spec of the walk, the whole histogram shifts.
+    """
+    tau_word = _require_class(tau)
+    width = catalan(n).bit_length()
+    lane = (n + 1) * width
+    ones = (1 << lane) - 1
+    out: list[IntPoly] = []
+    for start in range(0, len(specs), _LANES):
+        windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
+        leaf = sum(1 << (j * lane) for j in range(len(windows)))
+        every = leaf * ones
+        # Per slot and tally, the lanes whose window admits that tally.
+        a1, a2, a3, a4 = admits = [[0] * n for _ in range(4)]
+        for j, window in enumerate(windows):
+            mask = ones << (j * lane)
+            for a, (lo, hi) in zip(admits, window):
+                for x in range(lo, min(hi + 1, n)):
+                    a[x] |= mask
+
+        # Defaults bind the tables as locals: entry runs once per distinct move.
+        def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, width=width):
+            m = a1[q1] & a2[q2] & a3[q3] & a4[q4]
+            return ~width if m == every else m
+
+        packed = _packed_histogram(n, tau_word, leaf, width, entry)
+        polys: list[dict[int, int]] = [{} for _ in windows]
+        for f, count in unpack_fields(packed, width).items():
+            j, m = divmod(f, n + 1)
+            polys[j][m] = count
+        out += map(IntPoly, polys)
+    return out
+
+
 def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
     """Match-count generating polynomial over the length-n avoiders of ``tau``.
 
     The coefficient of ``x^m`` is the number of avoiders with exactly ``m``
     matching positions; the total mass is the n-th Catalan number.
     """
-    tau_word = _require_class(tau)
-    ((lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4)) = _window(spec, n)
-    width = 2 * n + 2
-
-    def shift(q1: int, q2: int, q3: int, q4: int) -> int:
-        if lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2 and lo3 <= q3 <= hi3 and lo4 <= q4 <= hi4:
-            return width
-        return 0
-
-    return IntPoly(unpack_fields(_packed_histogram(n, tau_word, shift), width))
+    return distributions(n, tau, (spec,))[0]
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
@@ -281,25 +343,25 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be nonnegative")
-    width = 2 * n + 2
-    # Field index m0 * (n + 1) + m1 holds the avoiders with m0 peak and m1
-    # non-peak matches.
+    width = catalan(n).bit_length()
+    # One lane; field m0 * (n + 1) + m1 holds the avoiders with m0 peak and
+    # m1 non-peak matches.
     peak_width = width * (n + 1)
 
-    def shift(q1: int, q2: int, q3: int, q4: int) -> int:
+    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
         if q3 == 0:
-            return peak_width if q2 >= k1 else 0
-        return width if q2 >= k2 else 0
+            return ~peak_width if q2 >= k1 else 0
+        return ~width if q2 >= k2 else 0
 
-    fields = unpack_fields(_packed_histogram(n, (1, 2, 3), shift), width)
+    fields = unpack_fields(_packed_histogram(n, (1, 2, 3), 1, width, entry), width)
     return BiPoly({divmod(index, n + 1): count for index, count in fields.items()})
 
 
 # ---------------------------------------------------------------------------
 # Corner/frame counting over 123-avoiders
 #
-# The public functions check their input; the private bodies serve callers
-# that walk avoiders(n, P123), which are 123-avoiders by construction.
+# The public functions check their input; the counter and the private body
+# serve callers that walk avoiders(n, P123), which avoid 123 by construction.
 
 
 def _require_123_avoider(sigma: Permutation) -> None:
@@ -316,26 +378,49 @@ def corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]
     For n > k + ell the identity ``s = 2(k + ell) - r`` holds on every
     123-avoider.
     """
-    if k < 0 or ell < 0:
-        raise ValueError("k, ell must be nonnegative")
+    counter = corner_frame_counter([(k, ell)], sigma.n)
     _require_123_avoider(sigma)
-    return _corner_frame_counts(sigma, k, ell)
+    return counter(sigma)[0]
 
 
-def _corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]:
-    n = sigma.n
-    r = 0
-    s = 0
-    for i, v in enumerate(sigma.word, start=1):
-        left = i <= k
-        right = i > n - ell
-        top = v > n - k
-        bottom = v <= ell
-        if left or right or top or bottom:
-            s += 1
-        if (top or bottom) and (left or right):
-            r += 1
-    return (r, s)
+def corner_frame_counter(
+    pairs: Sequence[tuple[int, int]], n: int
+) -> Callable[[Permutation], tuple[tuple[int, int], ...]]:
+    """A function from a length-n permutation to its :func:`corner_frame_counts` per pair.
+
+    The closure owns a table from each point ``(i, v)`` seen so far to a
+    packed int with two fields per ``(k, l)`` pair: ``r`` is 1 where the
+    point lies in a corner and ``s`` is 1 where it lies in the frame.  A
+    field is ``n.bit_length()`` bits wide (at least 1), because a count is
+    at most n, so a permutation's counts are one sum and one unpack.  The
+    counter does not check that its input avoids 123.
+    """
+    if any(k < 0 or ell < 0 for k, ell in pairs):
+        raise ValueError("k, ell must be nonnegative")
+    width = max(1, n.bit_length())
+    mask = (1 << width) - 1
+    shifts = range(0, 2 * width * len(pairs), 2 * width)
+    table: dict[tuple[int, int], int] = {}
+
+    def bands(i: int, v: int) -> int:
+        entry = 0
+        for f, (k, ell) in zip(shifts, pairs):
+            column = i <= k or i > n - ell
+            row = v > n - k or v <= ell
+            entry |= (row and column) << f | (row or column) << (f + width)
+        return entry
+
+    def counts(sigma: Permutation) -> tuple[tuple[int, int], ...]:
+        _require_length(sigma, n)
+        total = 0
+        for point in enumerate(sigma.word, start=1):
+            entry = table.get(point)
+            if entry is None:
+                entry = table[point] = bands(*point)
+            total += entry
+        return tuple(((total >> f) & mask, (total >> (f + width)) & mask) for f in shifts)
+
+    return counts
 
 
 def fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:

@@ -19,16 +19,17 @@ from . import dyck, gf
 from .mmp import (
     EMPTY,
     QuadrantSpec,
-    _corner_frame_counts,
     _fast_mmp_0k0l,
     bivariate_distribution,
+    corner_frame_counter,
     distribution,
+    distributions,
     match_counter,
     mmp_count,
     quadrant_rows,
 )
 from .perm import P123, P132, Permutation, avoiders
-from .series import TSeries
+from .series import IntPoly, TSeries
 
 
 def class_from_text(text: str) -> Permutation:
@@ -130,23 +131,61 @@ def _poly_eq(failures: list[str], label: str, got, want) -> None:
 # Subjects
 
 
+def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly]:
+    """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
+
+    All of a class's specs go to one :func:`distributions` call, so they
+    share its walks.
+    """
+    out = {}
+    for tau in (P123, P132):
+        specs = [spec for t, spec in wanted if t == tau]
+        out.update(zip([(tau, spec) for spec in specs], distributions(n, tau, specs)))
+    return out
+
+
+def _engine_failures(tau: Permutation, cells, max_n: int) -> list[list[str]]:
+    """Engine-vs-oracle failures per cell, over n <= max_n.
+
+    A cell is a list of ``(label, engine series, spec)``; each n's
+    distributions of every cell's specs come from one call.
+    """
+    specs = [spec for cell in cells for _, _, spec in cell]
+    fails: list[list[str]] = [[] for _ in cells]
+    for n in range(max_n + 1):
+        polys = iter(distributions(n, tau, specs))
+        for cell, failures in zip(cells, fails):
+            for label, engine, _ in cell:
+                _poly_eq(failures, f"n={n}{label}", engine.poly(n), next(polys))
+    return fails
+
+
+# Corollary-1: each variant of (k, l, m) has the distribution of the base,
+# (k,l,0,m) over 123-avoiders, which comes first.
+_COROLLARY_1_SPECS = (
+    ("", P123, lambda k, ell, m: QuadrantSpec(k, ell, 0, m)),
+    ("123 (k,l,e,m)", P123, lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m)),
+    ("132 (k,l,e,m)", P132, lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m)),
+    ("123 (0,m,k,l)", P123, lambda k, ell, m: QuadrantSpec(0, m, k, ell)),
+    ("123 (e,m,k,l)", P123, lambda k, ell, m: QuadrantSpec(EMPTY, m, k, ell)),
+)
+
+
 def _subject_corollary_1(max_n: int) -> VerificationReport:
+    grid = [(k, ell, m) for k in range(1, 3) for ell in range(3) for m in range(3)]
+    rows = [
+        [(label, (tau, spec_of(*params))) for label, tau, spec_of in _COROLLARY_1_SPECS]
+        for params in grid
+    ]
+    fails: list[list[str]] = [[] for _ in grid]
+    for n in range(max_n + 1):
+        polys = _oracle_at(n, [key for row in rows for _, key in row])
+        for ((_, base), *variants), failures in zip(rows, fails):
+            for label, key in variants:
+                _poly_eq(failures, f"n={n} {label}", polys[key], polys[base])
     cells = _Cells()
-    for k in range(1, 3):
-        for ell in range(3):
-            for m in range(3):
-                failures: list[str] = []
-                for n in range(max_n + 1):
-                    base = distribution(n, P123, QuadrantSpec(k, ell, 0, m))
-                    variants = (
-                        ("123 (k,l,e,m)", distribution(n, P123, QuadrantSpec(k, ell, EMPTY, m))),
-                        ("132 (k,l,e,m)", distribution(n, P132, QuadrantSpec(k, ell, EMPTY, m))),
-                        ("123 (0,m,k,l)", distribution(n, P123, QuadrantSpec(0, m, k, ell))),
-                        ("123 (e,m,k,l)", distribution(n, P123, QuadrantSpec(EMPTY, m, k, ell))),
-                    )
-                    for label, poly in variants:
-                        _poly_eq(failures, f"n={n} {label}", poly, base)
-                cells.check(f"k={k},l={ell},m={m}", failures, f"n<={max_n}")
+    for (k, ell, m), failures in zip(grid, fails):
+        cells.check(f"k={k},l={ell},m={m}", failures, f"n<={max_n}")
     return cells.report("corollary-1")
 
 
@@ -159,21 +198,21 @@ def _subject_theorem_3(max_n: int) -> VerificationReport:
     # x^1 coefficients satisfy empty-slot >= zero-slot, with equality for
     # n < k+l+m+2; (iii) they differ at n = k+l+m+2, so every x^1 cell fails
     # there (see gf.KNOWN_ERRATA).
+    grid = [(k, ell, m) for k in range(3) for ell in range(3) for m in range(3)]
+    specs = [QuadrantSpec(k, ell, slot, m) for k, ell, m in grid for slot in (EMPTY, 0)]
+    fails: list[dict[int, list[str]]] = [{0: [], 1: []} for _ in grid]
+    for n in range(max_n + 1):
+        polys = distributions(n, P132, specs)
+        for empty3, zero3, per_exp in zip(polys[0::2], polys[1::2], fails):
+            for e in (0, 1):
+                if empty3.coeff(e) != zero3.coeff(e):
+                    per_exp[e].append(
+                        f"n={n}: empty-slot {empty3.coeff(e)}, zero-slot {zero3.coeff(e)}"
+                    )
     cells = _Cells()
-    for k in range(3):
-        for ell in range(3):
-            for m in range(3):
-                per_exp: dict[int, list[str]] = {0: [], 1: []}
-                for n in range(max_n + 1):
-                    empty3 = distribution(n, P132, QuadrantSpec(k, ell, EMPTY, m))
-                    zero3 = distribution(n, P132, QuadrantSpec(k, ell, 0, m))
-                    for e in (0, 1):
-                        if empty3.coeff(e) != zero3.coeff(e):
-                            per_exp[e].append(
-                                f"n={n}: empty-slot {empty3.coeff(e)}, zero-slot {zero3.coeff(e)}"
-                            )
-                for e in (0, 1):
-                    cells.check(f"k={k},l={ell},m={m},x^{e}", per_exp[e], f"n<={max_n}")
+    for (k, ell, m), per_exp in zip(grid, fails):
+        for e in (0, 1):
+            cells.check(f"k={k},l={ell},m={m},x^{e}", per_exp[e], f"n<={max_n}")
     return cells.report("theorem-3")
 
 
@@ -198,20 +237,23 @@ _TOP_COEFF_GRIDS = {
 
 def _top_coeff_subject(subject: str, max_n: int) -> VerificationReport:
     grid, spec_of = _TOP_COEFF_GRIDS[subject]
-    cells = _Cells()
-    for params in grid:
-        failures: list[str] = []
-        spec = spec_of(*params)
-        top = sum(params)  # the top degree is n - top, from n = top + 1 on
-        lo = top + 1
-        k, ell, m = (*params, 0, 0)[:3]
-        for n in range(lo, max_n + 1):
-            expo = n - top
+    specs = [spec_of(*params) for params in grid]
+    fails: list[list[str]] = [[] for _ in grid]
+    for n in range(max_n + 1):
+        # the top degree is n - sum(params), from n = sum(params) + 1 on
+        live = [row for row in zip(grid, specs, fails) if sum(row[0]) < n]
+        polys = _oracle_at(n, [(tau, spec) for _, spec, _ in live for tau in (P123, P132)])
+        for params, spec, failures in live:
+            expo = n - sum(params)
+            k, ell, m = (*params, 0, 0)[:3]
             want = gf.extremal_coeff(subject, k, ell, m, n)
             for text in ("123", "132"):
-                got = distribution(n, class_from_text(text), spec).coeff(expo)
+                got = polys[class_from_text(text), spec].coeff(expo)
                 if got != want:
                     failures.append(f"n={n} {text} x^{expo}: got {got}, expected {want}")
+    cells = _Cells()
+    for params, failures in zip(grid, fails):
+        lo = sum(params) + 1
         label = ",".join(f"{name}={v}" for name, v in zip("klm", params))
         if lo > max_n:
             cells.skip(label, f"threshold n>={lo} exceeds max_n={max_n}")
@@ -244,13 +286,10 @@ _ENGINE_GRIDS = {
 
 def _engine_subject(subject: str, max_n: int) -> VerificationReport:
     names, grid, spec_of = _ENGINE_GRIDS[subject]
+    specs = [spec_of(*params) for params in grid]
+    rows = [[("", gf.engine_series("132", spec, max_n, "recurrence"), spec)] for spec in specs]
     cells = _Cells()
-    for params in grid:
-        failures: list[str] = []
-        spec = spec_of(*params)
-        engine = gf.engine_series("132", spec, max_n, "recurrence")
-        for n in range(max_n + 1):
-            _poly_eq(failures, f"n={n}", engine.poly(n), distribution(n, P132, spec))
+    for params, failures in zip(grid, _engine_failures(P132, rows, max_n)):
         label = ",".join(f"{name}={v}" for name, v in zip(names, params))
         cells.check(label, failures, f"n<={max_n}")
     return cells.report(subject)
@@ -267,12 +306,8 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
                 want = bivariate_distribution(n, k1, k2)
                 _poly_eq(failures, f"n={n}", got, want)
             cells.check(f"k1={k1},k2={k2}", failures, f"n<={max_n}")
-    for k in range(7):
-        failures = []
-        engine = gf.q123_0k00(k, max_n)
-        for n in range(max_n + 1):
-            want = distribution(n, P123, QuadrantSpec(0, k, 0, 0))
-            _poly_eq(failures, f"n={n}", engine.poly(n), want)
+    rows = [[("", gf.q123_0k00(k, max_n), QuadrantSpec(0, k, 0, 0))] for k in range(7)]
+    for k, failures in enumerate(_engine_failures(P123, rows, max_n)):
         cells.check(f"specialized k={k}", failures, f"n<={max_n}")
     return cells.report("theorem-11")
 
@@ -301,11 +336,11 @@ def _subject_theorem_13(max_n: int) -> VerificationReport:
     fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
     for n in range(max_n + 1):
         counter = match_counter([QuadrantSpec(0, k, 0, ell) for k, ell in pairs], n)
+        frames = corner_frame_counter(pairs, n)
         for sigma in avoiders(n, P123):
-            for (k, ell), count in zip(pairs, counter(sigma)):
+            for (k, ell), count, (r, s) in zip(pairs, counter(sigma), frames(sigma)):
                 if fails[(k, ell)]:
                     continue
-                r, s = _corner_frame_counts(sigma, k, ell)
                 if n > k + ell:
                     ok = (
                         0 <= r <= k + ell
@@ -346,15 +381,20 @@ _SYM_GRIDS = {
 def _sym_subject(subject: str, max_n: int) -> VerificationReport:
     tau, image_of, loop_order = _SYM_GRIDS[subject]
     rank = {v: i for i, v in enumerate(_SYM_COORDS)}
-    cells = _Cells()
+    pairs = []
     for slots in itertools.product(_SYM_COORDS, repeat=4):
         spec = QuadrantSpec(**dict(zip(loop_order, slots)))
         image = QuadrantSpec(*image_of(*spec.coords))
-        if [rank[v] for v in spec.coords] >= [rank[v] for v in image.coords]:
-            continue
-        failures: list[str] = []
-        for n in range(max_n + 1):
-            _poly_eq(failures, f"n={n}", distribution(n, tau, spec), distribution(n, tau, image))
+        if [rank[v] for v in spec.coords] < [rank[v] for v in image.coords]:
+            pairs.append((spec, image))
+    specs = [spec for pair in pairs for spec in pair]
+    fails: list[list[str]] = [[] for _ in pairs]
+    for n in range(max_n + 1):
+        polys = distributions(n, tau, specs)
+        for left, right, failures in zip(polys[0::2], polys[1::2], fails):
+            _poly_eq(failures, f"n={n}", left, right)
+    cells = _Cells()
+    for (spec, _), failures in zip(pairs, fails):
         cells.check(f"spec={spec}", failures, f"n<={max_n}")
     return cells.report(subject)
 
@@ -453,22 +493,24 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
     series, by engines to t^trunc and against brute force to t^min(trunc, 9)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    cells = _Cells()
+    ks = range(1, k_max + 1)
     brute_to = min(trunc, 9)
-    for k in range(1, k_max + 1):
-        left = gf.q132_0ke0(k, trunc)
-        right = gf.q132_kle0(1, k - 1, trunc)
+    engines = [(gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)) for k in ks]
+    rows = [
+        [
+            (" (0,k,e,0)", left, QuadrantSpec(0, k, EMPTY, 0)),
+            (" (1,k-1,e,0)", right, QuadrantSpec(1, k - 1, EMPTY, 0)),
+        ]
+        for k, (left, right) in zip(ks, engines)
+    ]
+    cells = _Cells()
+    oracle_fails = _engine_failures(P132, rows, brute_to)
+    for k, (left, right), oracle_failures in zip(ks, engines, oracle_fails):
         failures: list[str] = []
         for n in range(trunc + 1):
             _poly_eq(failures, f"n={n}", left.poly(n), right.poly(n))
         cells.check(f"k={k},engines", failures, f"n<={trunc}")
-        failures = []
-        for n in range(brute_to + 1):
-            want_l = distribution(n, P132, QuadrantSpec(0, k, EMPTY, 0))
-            want_r = distribution(n, P132, QuadrantSpec(1, k - 1, EMPTY, 0))
-            _poly_eq(failures, f"n={n} (0,k,e,0)", left.poly(n), want_l)
-            _poly_eq(failures, f"n={n} (1,k-1,e,0)", right.poly(n), want_r)
-        cells.check(f"k={k},oracle", failures, f"n<={brute_to}")
+        cells.check(f"k={k},oracle", oracle_failures, f"n<={brute_to}")
     return cells.report("conjecture-1")
 
 

@@ -2,8 +2,10 @@
 
 ``perm`` and ``mmp`` import nothing from ``gf``, ``dyck``, ``oracle`` or
 ``cli``, so a brute-force count never runs engine, router or bijection code;
-and ``perm``, ``mmp`` and ``oracle`` apply no ``functools`` cache, so no
-oracle result outlives the call that computed it.
+``perm``, ``mmp`` and ``oracle`` apply no ``functools`` cache; and ``mmp``,
+where the walks and counters build their lane, mask and tally tables, binds
+no mutable container at module or class level and no mutable default
+argument.  So no oracle result outlives the call that computed it.
 """
 
 import ast
@@ -11,6 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
 CACHES = {"lru_cache", "cache", "cached_property"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "deque"}
 
 
 def _tree(module):
@@ -74,3 +78,47 @@ def test_oracle_layers_hold_no_functools_cache():
         assert _cache_uses(_tree(module)) == [], module
     # the scan does see the engine caches
     assert "@lru_cache on _narayana" in _cache_uses(_tree("gf"))
+
+
+def _mutable(value):
+    if isinstance(value, CONTAINERS):
+        return True
+    func = value.func if isinstance(value, ast.Call) else None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in CONTAINER_CALLS
+
+
+def _lasting_tables(tree):
+    """Mutable containers bound at module or class level, or as argument defaults."""
+    found = []
+
+    def scan(body, where):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, f"{where}{node.name}.")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _mutable(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.extend(where + ast.unparse(t) for t in targets)
+
+    scan(tree.body, "")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            if any(_mutable(d) for d in defaults):
+                found.append(f"default of {getattr(node, 'name', 'lambda')}")
+        elif isinstance(node, ast.Global):
+            found.append(f"global {', '.join(node.names)}")
+    return found
+
+
+def test_oracle_kernel_tables_live_inside_a_call():
+    tree = _tree("mmp")
+    assert _lasting_tables(tree) == []
+    # the walks and counters that build tables are the ones scanned
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kernels = {"_packed_histogram", "distributions", "match_counter", "corner_frame_counter"}
+    assert kernels <= functions
+    # the scan does see lasting tables
+    probe = ast.parse("T = {}\nclass C:\n    rows: list = list()\ndef f(m=[]):\n    global T\n")
+    assert _lasting_tables(probe) == ["T", "C.rows", "default of f", "global T"]

@@ -7,8 +7,10 @@ from qmmp.mmp import (
     EMPTY,
     QuadrantSpec,
     bivariate_distribution,
+    corner_frame_counter,
     corner_frame_counts,
     distribution,
+    distributions,
     fast_mmp_0k0l,
     match_counter,
     matches_at,
@@ -122,12 +124,15 @@ def _class_by_filter(n, tau):
     return [sigma for sigma in perms if not occurs(tau, sigma)]
 
 
+SPECS_012E = [QuadrantSpec(*coords) for coords in itertools.product((0, 1, 2, EMPTY), repeat=4)]
+
+
 def test_distribution_audit_over_symmetric_group():
-    # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel,
+    # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel
+    # one spec at a time and all 256 specs in one call (11 walks of up to 24 lanes),
     # mmp_count and one match_counter over all the specs, against
     # per-permutation counts from tallies taken by the definition
-    slots = (0, 1, 2, EMPTY)
-    specs = [QuadrantSpec(*coords) for coords in itertools.product(slots, repeat=4)]
+    specs = SPECS_012E
     for tau in (P123, P132):
         for n in range(8):
             perms = _class_by_filter(n, tau)
@@ -135,6 +140,8 @@ def test_distribution_audit_over_symmetric_group():
             rows = [[_tallies(sigma, i) for i in range(1, n + 1)] for sigma in perms]
             counter = match_counter(specs, n)
             packed = [counter(sigma) for sigma in perms]
+            batch = distributions(n, tau, specs)
+            assert len(batch) == len(specs)
             for f, spec in enumerate(specs):
                 hist = {}
                 for sigma, row, counts in zip(perms, rows, packed):
@@ -146,7 +153,32 @@ def test_distribution_audit_over_symmetric_group():
                     assert counts[f] == m and mmp_count(sigma, spec) == m, (sigma, spec)
                     hist[m] = hist.get(m, 0) + 1
                 got = distribution(n, tau, spec)
-                assert got == IntPoly(hist), (tau, n, spec)
+                assert got == IntPoly(hist) == batch[f], (tau, n, spec)
+
+
+def test_distributions_lanes():
+    # each lane of a walk holds one spec's histogram, whose mass is C_n
+    for tau in (P123, P132):
+        for n in range(13):
+            polys = distributions(n, tau, SPECS_012E)
+            assert [poly.mass() for poly in polys] == [catalan(n)] * len(SPECS_012E), (tau, n)
+        assert distributions(0, tau, SPECS_012E[:40]) == [IntPoly({0: 1})] * 40
+        assert distributions(1, tau, [QuadrantSpec(0, 0, 0, 0), QuadrantSpec(1, 0, 0, 0)]) == [
+            IntPoly({1: 1}),
+            IntPoly({0: 1}),
+        ]
+        assert distributions(5, tau, []) == []
+    # input order is kept, and a repeated spec gets its own lane, in the
+    # same walk or in another
+    spec = QuadrantSpec(1, EMPTY, 0, 1)
+    assert distributions(6, P123, [spec, spec]) == [distribution(6, P123, spec)] * 2
+    head = SPECS_012E[::-7]
+    specs = head + SPECS_012E[:3] + head
+    polys = distributions(6, P132, specs)
+    assert polys == [distribution(6, P132, spec) for spec in specs]
+    assert polys[: len(head)] == polys[-len(head) :]
+    with pytest.raises(ValueError):
+        distributions(3, Permutation((2, 1, 3)), SPECS_012E[:1])
 
 
 def test_match_counter_checks_length():
@@ -226,6 +258,34 @@ def test_corner_frame_counts():
     assert corner_frame_counts(dodger, 1, 1) == (0, 4)
     with pytest.raises(ValueError):
         corner_frame_counts(Permutation((1, 2, 3)), 1, 1)
+
+
+def _corner_frame_by_definition(sigma, k, ell):
+    """(r, s) from the bands as sets of rows and columns."""
+    n = sigma.n
+    columns = set(range(1, k + 1)) | set(range(n - ell + 1, n + 1))
+    rows = set(range(n - k + 1, n + 1)) | set(range(1, ell + 1))
+    points = list(enumerate(sigma.word, start=1))
+    r = sum(1 for i, v in points if i in columns and v in rows)
+    s = sum(1 for i, v in points if i in columns or v in rows)
+    return (r, s)
+
+
+def test_corner_frame_counter():
+    pairs = [(k, ell) for k in range(5) for ell in range(5)]
+    for n in range(9):
+        counter = corner_frame_counter(pairs, n)
+        for sigma in avoiders(n, P123):
+            got = counter(sigma)
+            assert len(got) == len(pairs)
+            for (k, ell), counts in zip(pairs, got):
+                assert counts == corner_frame_counts(sigma, k, ell), (sigma, k, ell)
+                assert counts == _corner_frame_by_definition(sigma, k, ell), (sigma, k, ell)
+    assert corner_frame_counter([], 3)(Permutation((3, 2, 1))) == ()
+    with pytest.raises(ValueError, match="length"):
+        corner_frame_counter(pairs, 4)(Permutation((3, 2, 1)))
+    with pytest.raises(ValueError):
+        corner_frame_counter([(1, -1)], 4)
 
 
 def test_fast_formula_row_bounds():
