@@ -79,7 +79,7 @@ class QuadrantSpec:
         for p in parts:
             if p.lower() == "e":
                 coords.append(EMPTY)
-            elif p.isdigit():
+            elif p.isascii() and p.isdigit():  # str.isdigit alone takes "²"
                 coords.append(int(p))
             else:
                 raise ValueError(f"invalid quadrant spec {text!r}: bad slot {p!r}")
@@ -101,14 +101,26 @@ class MatchReport:
     matched: bool
 
 
+def _append_tallies(n: int, i: int, v: int, q2: int) -> tuple[int, int, int, int]:
+    """Quadrant I-IV tallies of value ``v`` appended as entry ``i + 1`` of a length-n word.
+
+    ``q2`` is the number of earlier larger values, ``popcount(used >> v)``
+    when bit ``u`` of ``used`` is set for each earlier value ``u``; then
+    ``q1 = n - v - q2``, ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.
+    """
+    q1 = n - v - q2
+    return (q1, q2, i - q2, n - 1 - i - q1)
+
+
 def quadrant_rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
     """Quadrant I-IV tallies at every position of ``sigma``, in one left-to-right pass.
 
     ``used`` has bit ``v`` set for each value placed so far, so at entry
     ``i + 1`` with value ``v`` the earlier larger values number
-    ``q2 = popcount(used >> v)``, and then ``q1 = n - v - q2``,
-    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``: the same formula as the
-    append-time tallies of :func:`_packed_histogram`.
+    ``q2 = popcount(used >> v)``, and the other tallies follow by the
+    formula of :func:`_append_tallies` (inlined here, where it runs once
+    per position), as in the append-time walks :func:`_packed_histogram`
+    and :func:`qmmp.perm.avoider_walk`.
     """
     n = sigma.n
     used = 0
@@ -151,11 +163,6 @@ def report_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> MatchReport:
     return MatchReport(q, _in_window(q, _window(spec, sigma.n)))
 
 
-def _require_length(sigma: Permutation, n: int) -> None:
-    if sigma.n != n:
-        raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
-
-
 def match_counter(
     specs: Sequence[QuadrantSpec], n: int
 ) -> Callable[[Permutation], tuple[int, ...]]:
@@ -174,7 +181,8 @@ def match_counter(
     table: dict[tuple[int, int, int, int], int] = {}
 
     def counts(sigma: Permutation) -> tuple[int, ...]:
-        _require_length(sigma, n)
+        if sigma.n != n:
+            raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
         total = 0
         for q in quadrant_rows(sigma):
             entry = table.get(q)
@@ -358,86 +366,50 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Corner/frame counting over 123-avoiders
-#
-# The public functions check their input; the counter and the private body
-# serve callers that walk avoiders(n, P123), which avoid 123 by construction.
+# Corner and frame bands over 123-avoiders
 
 
-def _require_123_avoider(sigma: Permutation) -> None:
+def _bands(j: int, v: int, n: int, k: int, ell: int) -> tuple[bool, bool]:
+    """Whether the point ``(j, v)`` of a length-n graph lies in a corner, and in the frame.
+
+    The frame is the union of the top ``k`` rows, bottom ``ell`` rows,
+    left ``k`` columns and right ``ell`` columns; a corner is where a row
+    band meets a column band.  The interior is the complement of the frame.
+    """
+    column = j <= k or j > n - ell
+    row = v > n - k or v <= ell
+    return row and column, row or column
+
+
+def _check_pair(sigma: Permutation, k: int, ell: int) -> None:
+    if k < 0 or ell < 0:
+        raise ValueError("k, ell must be nonnegative")
     if occurs(P123, sigma):
         raise ValueError(f"{sigma} contains an increasing triple; a 123-avoider is required")
 
 
 def corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]:
-    """Counts (r, s) of graph points in the corner and frame bands.
+    """Counts (r, s) of graph points in the corner and frame bands (:func:`_bands`).
 
-    The frame is the union of the top ``k`` rows, bottom ``ell`` rows,
-    left ``k`` columns and right ``ell`` columns of the graph; the corner
-    area is the union of the four row-band/column-band intersections.
     For n > k + ell the identity ``s = 2(k + ell) - r`` holds on every
     123-avoider.
     """
-    counter = corner_frame_counter([(k, ell)], sigma.n)
-    _require_123_avoider(sigma)
-    return counter(sigma)[0]
-
-
-def corner_frame_counter(
-    pairs: Sequence[tuple[int, int]], n: int
-) -> Callable[[Permutation], tuple[tuple[int, int], ...]]:
-    """A function from a length-n permutation to its :func:`corner_frame_counts` per pair.
-
-    The closure owns a table from each point ``(i, v)`` seen so far to a
-    packed int with two fields per ``(k, l)`` pair: ``r`` is 1 where the
-    point lies in a corner and ``s`` is 1 where it lies in the frame.  A
-    field is ``n.bit_length()`` bits wide (at least 1), because a count is
-    at most n, so a permutation's counts are one sum and one unpack.  The
-    counter does not check that its input avoids 123.
-    """
-    if any(k < 0 or ell < 0 for k, ell in pairs):
-        raise ValueError("k, ell must be nonnegative")
-    width = max(1, n.bit_length())
-    mask = (1 << width) - 1
-    shifts = range(0, 2 * width * len(pairs), 2 * width)
-    table: dict[tuple[int, int], int] = {}
-
-    def bands(i: int, v: int) -> int:
-        entry = 0
-        for f, (k, ell) in zip(shifts, pairs):
-            column = i <= k or i > n - ell
-            row = v > n - k or v <= ell
-            entry |= (row and column) << f | (row or column) << (f + width)
-        return entry
-
-    def counts(sigma: Permutation) -> tuple[tuple[int, int], ...]:
-        _require_length(sigma, n)
-        total = 0
-        for point in enumerate(sigma.word, start=1):
-            entry = table.get(point)
-            if entry is None:
-                entry = table[point] = bands(*point)
-            total += entry
-        return tuple(((total >> f) & mask, (total >> (f + width)) & mask) for f in shifts)
-
-    return counts
+    _check_pair(sigma, k, ell)
+    r = s = 0
+    for j, v in enumerate(sigma.word, start=1):
+        corner, frame = _bands(j, v, sigma.n, k, ell)
+        r += corner
+        s += frame
+    return (r, s)
 
 
 def fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
     """Match count for the spec ``(0, k, 0, ell)`` without scanning quadrants.
 
-    On a 123-avoider this is just the number of positions that avoid the top
-    ``k``/bottom ``ell`` rows and the left ``k``/right ``ell`` columns, i.e.
-    ``k < j <= n - ell`` and ``ell < sigma_j <= n - k``.
+    On a 123-avoider this is just the number of points in the interior of
+    the bands (:func:`_bands`), i.e. at positions ``k < j <= n - ell`` with
+    values ``ell < sigma_j <= n - k``.
     """
-    if k < 0 or ell < 0:
-        raise ValueError("k, ell must be nonnegative")
-    _require_123_avoider(sigma)
-    return _fast_mmp_0k0l(sigma, k, ell)
-
-
-def _fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
+    _check_pair(sigma, k, ell)
     n = sigma.n
-    return sum(
-        1 for j, v in enumerate(sigma.word, start=1) if k < j <= n - ell and ell < v <= n - k
-    )
+    return sum(1 for j, v in enumerate(sigma.word, start=1) if not _bands(j, v, n, k, ell)[1])

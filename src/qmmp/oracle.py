@@ -19,16 +19,17 @@ from . import dyck, gf
 from .mmp import (
     EMPTY,
     QuadrantSpec,
-    _fast_mmp_0k0l,
+    _append_tallies,
+    _bands,
+    _in_window,
+    _window,
     bivariate_distribution,
-    corner_frame_counter,
     distribution,
     distributions,
     match_counter,
-    mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, avoiders
+from .perm import P123, P132, Permutation, avoider_walk
 from .series import IntPoly, TSeries
 
 
@@ -312,48 +313,113 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
     return cells.report("theorem-11")
 
 
-def _subject_theorem_12(max_n: int) -> VerificationReport:
-    cells = _Cells()
-    pairs = [(k, ell) for k in range(3) for ell in range(3)]
+class _BandFields:
+    """Walk entries for theorem-12/13 over the length-n 123-avoiders.
+
+    Each ``(k, l)`` pair has four fields, in order R, X, Y, C, that sum over
+    a permutation to ``r``, ``r + s``, ``count + s`` and ``count``: ``r`` and
+    ``s`` are its corner and frame counts (:func:`qmmp.mmp._bands`) and
+    ``count`` its ``(0,k,0,l)`` match count.  A field is
+    ``(2n).bit_length() + 1`` bits wide, so every sum (at most 2n) leaves the
+    field's top bit, the *guard*, clear.  A *rule* ``(offset, mask, expect)``
+    passes a total when ``(total + offset) & mask == expect``; an offset of
+    ``guard - 1 - (k + l)`` on R carries into the guard exactly when
+    ``r > k + l``.  No field carries into the next, so the rules of
+    different pairs add up to one rule.
+    """
+
+    def __init__(self, pairs: list[tuple[int, int]], n: int) -> None:
+        self.pairs = pairs
+        self.n = n
+        self.width = (2 * n).bit_length() + 1
+        self.ones = (1 << self.width) - 1
+        self.bases = [4 * self.width * p for p in range(len(pairs))]
+        self.windows = [_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs]
+
+    def entry(self, i: int, v: int, q2: int) -> int:
+        n, w = self.n, self.width
+        q = _append_tallies(n, i, v, q2)
+        total = 0
+        for base, (k, ell), window in zip(self.bases, self.pairs, self.windows):
+            corner, frame = _bands(i + 1, v, n, k, ell)
+            count = _in_window(q, window)
+            fields = corner | (corner + frame) << w | (count + frame) << 2 * w | count << 3 * w
+            total |= fields << base
+        return total
+
+    def numbers(self, total: int, p: int) -> tuple[int, int, int]:
+        """``(r, s, count)`` of pair ``p`` from the fields R, X and C."""
+        base, w = self.bases[p], self.width
+        r, x, _, count = ((total >> (base + f * w)) & self.ones for f in range(4))
+        return r, x - r, count
+
+    def theorem_13(self, p: int) -> tuple[int, int, int]:
+        """For n > k+l: r <= k+l, r + s = 2(k+l) and count + s = n; else count = 0."""
+        kl = sum(self.pairs[p])
+        w, base = self.width, self.bases[p]
+        if self.n <= kl:
+            return 0, self.ones << 3 * w << base, 0
+        guard = 1 << (w - 1)
+        mask = guard | self.ones << w | self.ones << 2 * w
+        return (guard - 1 - kl) << base, mask << base, (2 * kl << w | self.n << 2 * w) << base
+
+    def theorem_12(self, p: int) -> tuple[int, int, int]:
+        """The fast count, the n - s points off the frame, equals the match count."""
+        field = 2 * self.width + self.bases[p]
+        return 0, self.ones << field, self.n << field
+
+
+def _joint(rules) -> tuple[int, int, int]:
+    """The one rule that passes a total exactly when every rule of ``rules`` does."""
+    offset, mask, expect = map(sum, zip((0, 0, 0), *rules))
+    return offset, mask, expect
+
+
+def _band_subject(subject, pairs, rule_of, describe, max_n: int) -> VerificationReport:
+    """Check one packed rule per pair on every 123-avoider with n <= max_n.
+
+    Each avoider's total from :func:`avoider_walk` is tested for all pairs
+    at once; the fields are decoded only when some pair fails, and a pair
+    that has failed keeps its first counterexample and leaves the rule.
+    """
     fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
     for n in range(max_n + 1):
-        counter = match_counter([QuadrantSpec(0, k, 0, ell) for k, ell in pairs], n)
-        for sigma in avoiders(n, P123):
-            for (k, ell), slow in zip(pairs, counter(sigma)):
-                if fails[(k, ell)]:
-                    continue
-                fast = _fast_mmp_0k0l(sigma, k, ell)
-                if fast != slow:
-                    fails[(k, ell)].append(f"sigma={sigma}: fast={fast}, direct={slow}")
+        fields = _BandFields(pairs, n)
+        rules = {p: rule_of(fields, p) for p, pair in enumerate(pairs) if not fails[pair]}
+        offset, mask, expect = _joint(rules.values())
+        for word, total in avoider_walk(n, P123.word, fields.entry):
+            if (total + offset) & mask == expect:
+                continue
+            sigma = Permutation(word)
+            for p, (o, m, e) in list(rules.items()):
+                if (total + o) & m != e:
+                    fails[pairs[p]].append(describe(sigma, n, *fields.numbers(total, p)))
+                    del rules[p]
+            offset, mask, expect = _joint(rules.values())
+    cells = _Cells()
     for k, ell in pairs:
         cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
-    return cells.report("theorem-12")
+    return cells.report(subject)
+
+
+def _subject_theorem_12(max_n: int) -> VerificationReport:
+    return _band_subject(
+        "theorem-12",
+        [(k, ell) for k in range(3) for ell in range(3)],
+        _BandFields.theorem_12,
+        lambda sigma, n, r, s, count: f"sigma={sigma}: fast={n - s}, direct={count}",
+        max_n,
+    )
 
 
 def _subject_theorem_13(max_n: int) -> VerificationReport:
-    cells = _Cells()
-    pairs = [(k, ell) for k in range(4) for ell in range(4)]
-    fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
-    for n in range(max_n + 1):
-        counter = match_counter([QuadrantSpec(0, k, 0, ell) for k, ell in pairs], n)
-        frames = corner_frame_counter(pairs, n)
-        for sigma in avoiders(n, P123):
-            for (k, ell), count, (r, s) in zip(pairs, counter(sigma), frames(sigma)):
-                if fails[(k, ell)]:
-                    continue
-                if n > k + ell:
-                    ok = (
-                        0 <= r <= k + ell
-                        and s == 2 * (k + ell) - r
-                        and count == n - 2 * (k + ell) + r
-                    )
-                else:
-                    ok = count == 0
-                if not ok:
-                    fails[(k, ell)].append(f"sigma={sigma}: r={r}, s={s}, count={count}")
-    for k, ell in pairs:
-        cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
-    return cells.report("theorem-13")
+    return _band_subject(
+        "theorem-13",
+        [(k, ell) for k in range(4) for ell in range(4)],
+        _BandFields.theorem_13,
+        lambda sigma, n, r, s, count: f"sigma={sigma}: r={r}, s={s}, count={count}",
+        max_n,
+    )
 
 
 def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> VerificationReport:
@@ -399,8 +465,10 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
     return cells.report(subject)
 
 
-def _first_return_failure(sigma: Permutation) -> str | None:
-    pos_n = sigma.word.index(sigma.n) + 1
+def _first_return_failure(avoider: tuple[tuple[int, ...], int]) -> str | None:
+    word, _ = avoider
+    sigma = Permutation(word)
+    pos_n = word.index(sigma.n) + 1
     first_return = min(dyck.stats(dyck.phi(sigma)).returns)
     if pos_n != first_return:
         return f"sigma={sigma}: position of n is {pos_n}, first return {first_return}"
@@ -434,8 +502,17 @@ def _two_decreasing_failure(word: str) -> str | None:
 _HILL_SPEC = QuadrantSpec(EMPTY, 0, EMPTY, 0)
 
 
-def _hill_failure(sigma: Permutation) -> str | None:
-    count = mmp_count(sigma, _HILL_SPEC)
+def _walk_132(n: int):
+    """The length-n 132-avoiders, each with its (e,0,e,0) match count."""
+    window = _window(_HILL_SPEC, n)
+    return avoider_walk(
+        n, P132.word, lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
+    )
+
+
+def _hill_failure(avoider: tuple[tuple[int, ...], int]) -> str | None:
+    word, count = avoider
+    sigma = Permutation(word)
     hills = dyck.stats(dyck.phi(sigma)).hills
     if count != hills:
         return f"sigma={sigma}: matches={count}, hills={hills}"
@@ -444,14 +521,14 @@ def _hill_failure(sigma: Permutation) -> str | None:
 
 # Per-n subjects: (first n, objects of length n, failure of one object or
 # None).  A cell covers one n and carries its first counterexample.  The
-# lambdas look up ``avoiders`` and the ``dyck`` maps at call time, so a
-# rebinding of those names (as perfbench's span tracer does) is seen.
+# failures look up the ``dyck`` maps at call time, so a rebinding of those
+# names (as perfbench's span tracer does) is seen.
 _PER_N_GRIDS = {
-    "lemma-p1-2": (1, lambda n: avoiders(n, P132), _first_return_failure),
+    "lemma-p1-2": (1, _walk_132, _first_return_failure),
     "lemma-p1-3": (0, _all_path_words, lambda word: _diag_failure(dyck.phi_inv, word)),
     "lemma-p2-3": (0, _all_path_words, lambda word: _diag_failure(dyck.psi_inv, word)),
     "lemma-p2-2": (0, _all_path_words, _two_decreasing_failure),
-    "hill-correspondence": (0, lambda n: avoiders(n, P132), _hill_failure),
+    "hill-correspondence": (0, _walk_132, _hill_failure),
 }
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,11 @@ class Permutation:
         text = text.strip()
         if text == "":
             return cls(())
-        if "," in text:
-            try:
-                values = tuple(int(part) for part in text.split(","))
-            except ValueError as exc:
-                raise ValueError(f"invalid permutation {text!r}: {exc}") from None
-            return cls(values)
-        if not text.isdigit():
+        # str.isdigit and int also take non-ASCII digits such as "²" or "٣"
+        parts = [part.strip() for part in text.split(",")] if "," in text else list(text)
+        if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"invalid permutation {text!r}: expected digits or a comma list")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(int(part) for part in parts))
 
 
 def reduce(word: Sequence[int]) -> Permutation:
@@ -135,14 +132,16 @@ def _occurs3(tau: tuple[int, ...], word: tuple[int, ...]) -> bool:
     return _scan_132(word)
 
 
-_CANONICAL3 = {
-    (1, 2, 3): ("", (1, 2, 3)),
-    (3, 2, 1): ("r", (1, 2, 3)),
-    (1, 3, 2): ("", (1, 3, 2)),
-    (2, 3, 1): ("r", (1, 3, 2)),
-    (3, 1, 2): ("c", (1, 3, 2)),
-    (2, 1, 3): ("rc", (1, 3, 2)),
-}
+_CANONICAL3 = MappingProxyType(
+    {
+        (1, 2, 3): ("", (1, 2, 3)),
+        (3, 2, 1): ("r", (1, 2, 3)),
+        (1, 3, 2): ("", (1, 3, 2)),
+        (2, 3, 1): ("r", (1, 3, 2)),
+        (3, 1, 2): ("c", (1, 3, 2)),
+        (2, 1, 3): ("rc", (1, 3, 2)),
+    }
+)
 
 
 def _scan_123(word: tuple[int, ...]) -> bool:
@@ -209,16 +208,20 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
 
     Enumeration is a prefix-pruned backtracking search: a prefix is abandoned
     as soon as appending a value would complete an occurrence of ``tau``.
-    For 123 and 132 the search also never enters a prefix that has no
-    completion.
+    For 123 and 132 it is :func:`avoider_walk`, which never enters a prefix
+    that has no completion.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if tau.word in ((1, 2, 3), (1, 3, 2)):
-        words = _avoiders_catalan(n, tau.word)
+        words = [word for word, _ in avoider_walk(n, tau.word, _no_entry)]
     else:
         words = _avoiders_generic(n, tau.word)
     return tuple(Permutation(w) for w in words)
+
+
+def _no_entry(i: int, v: int, q2: int) -> int:
+    return 0
 
 
 def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
@@ -241,25 +244,62 @@ def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
     return moves
 
 
-def _avoiders_catalan(n: int, tau_word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+def avoider_walk(
+    n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each length-n avoider of 123 or 132 with a total taken at append time.
+
+    The avoiders come in lexicographic order, as words, from an iterative
+    DFS over :func:`catalan_moves`.  Appending value ``v`` as entry
+    ``i + 1`` after the values in ``used`` adds ``entry(i, v, q2)`` to the
+    running total, where ``q2 = popcount(used >> v)`` is the number of
+    earlier larger values; the rest of the point's quadrant tallies follow
+    from ``(n, i, v, q2)`` (:func:`qmmp.mmp._append_tallies`).  An entry
+    is computed once per move ``(i, v, q2)`` and kept in a table local to
+    the call, so a prefix shared by many avoiders is tallied once and a
+    yielded total is the sum of its entries over the avoider's positions.
+    """
+    if tau_word not in ((1, 2, 3), (1, 3, 2)):
+        raise ValueError(f"the walk takes 123 or 132, not {tau_word!r}")
+    if n == 0:
+        yield (), 0
+        return
     full = ((1 << n) - 1) << 1
-
-    def rec(used: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        moves = catalan_moves(used, full, tau_word)
-        while moves:
-            bit = moves & -moves
-            moves ^= bit
-            prefix.append(bit.bit_length() - 1)
-            rec(used | bit)
-            prefix.pop()
-
-    rec(0)
-    return out
+    bits = (n + 1).bit_length()
+    table: list[int | None] = [None] * (n << 2 * bits)
+    word = [0] * n
+    # per depth i: the values placed before entry i + 1, the total over
+    # them, and the moves from there not yet taken
+    used = [0] * n
+    totals = [0] * n
+    moves = [0] * n
+    moves[0] = catalan_moves(0, full, tau_word)
+    last = n - 1
+    i = 0
+    while i >= 0:
+        m = moves[i]
+        if not m:
+            i -= 1
+            continue
+        bit = m & -m
+        moves[i] = m ^ bit
+        v = bit.bit_length() - 1
+        placed = used[i]
+        q2 = (placed >> v).bit_count()
+        key = (i << bits | v) << bits | q2
+        e = table[key]
+        if e is None:
+            e = table[key] = entry(i, v, q2)
+        word[i] = v
+        if i == last:
+            yield tuple(word), totals[i] + e
+            i -= 1
+            continue
+        i += 1
+        used[i] = placed = placed | bit
+        totals[i] = totals[i - 1] + e
+        # the last entry is the one free value left
+        moves[i] = full ^ placed if i == last else catalan_moves(placed, full, tau_word)
 
 
 def _avoiders_generic(n: int, tau_word: tuple[int, ...]) -> list[tuple[int, ...]]:

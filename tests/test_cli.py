@@ -141,6 +141,9 @@ def test_engine_spec_mismatch_errors(capsys):
 def test_bad_spec_errors(capsys):
     code, _, err = run_cli(capsys, "series", "--avoid", "123", "--spec", "0,1,0", "--max-n", "3")
     assert code == 1 and "invalid quadrant spec" in err
+    code, out, err = run_cli(capsys, "series", "--avoid", "132", "--spec", "0,²,0,0")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: invalid quadrant spec '0,²,0,0': bad slot '²'"
 
 
 def test_max_n_cap(capsys, monkeypatch):

@@ -2,10 +2,11 @@
 
 ``perm`` and ``mmp`` import nothing from ``gf``, ``dyck``, ``oracle`` or
 ``cli``, so a brute-force count never runs engine, router or bijection code;
-``perm``, ``mmp`` and ``oracle`` apply no ``functools`` cache; and ``mmp``,
-where the walks and counters build their lane, mask and tally tables, binds
-no mutable container at module or class level and no mutable default
-argument.  So no oracle result outlives the call that computed it.
+``perm``, ``mmp`` and ``oracle`` apply no ``functools`` cache; and ``perm``
+and ``mmp``, where the walks and counters build their move, lane, mask and
+tally tables, bind no mutable container at module or class level and no
+mutable default argument.  So no oracle result outlives the call that
+computed it.
 """
 
 import ast
@@ -112,13 +113,20 @@ def _lasting_tables(tree):
     return found
 
 
+# The functions that build per-call tables, per module scanned.
+KERNELS = {
+    "perm": {"avoider_walk"},
+    "mmp": {"_packed_histogram", "distributions", "match_counter"},
+}
+
+
 def test_oracle_kernel_tables_live_inside_a_call():
-    tree = _tree("mmp")
-    assert _lasting_tables(tree) == []
-    # the walks and counters that build tables are the ones scanned
-    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    kernels = {"_packed_histogram", "distributions", "match_counter", "corner_frame_counter"}
-    assert kernels <= functions
+    for module, kernels in KERNELS.items():
+        tree = _tree(module)
+        assert _lasting_tables(tree) == [], module
+        # the walks and counters that build tables are the ones scanned
+        functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert kernels <= functions, module
     # the scan does see lasting tables
     probe = ast.parse("T = {}\nclass C:\n    rows: list = list()\ndef f(m=[]):\n    global T\n")
     assert _lasting_tables(probe) == ["T", "C.rows", "default of f", "global T"]

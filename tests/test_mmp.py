@@ -6,8 +6,8 @@ import pytest
 from qmmp.mmp import (
     EMPTY,
     QuadrantSpec,
+    _append_tallies,
     bivariate_distribution,
-    corner_frame_counter,
     corner_frame_counts,
     distribution,
     distributions,
@@ -19,7 +19,16 @@ from qmmp.mmp import (
     quadrants_at,
     report_at,
 )
-from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs
+from qmmp.oracle import _BandFields
+from qmmp.perm import (
+    P123,
+    P132,
+    Permutation,
+    avoider_walk,
+    avoiders,
+    left_to_right_minima,
+    occurs,
+)
 from qmmp.series import BiPoly, IntPoly, catalan
 
 SIGMA = Permutation.parse("471569283")
@@ -47,6 +56,8 @@ def test_spec_parsing():
         QuadrantSpec.parse("1,2,3")
     with pytest.raises(ValueError):
         QuadrantSpec.parse("1,2,x,3")
+    with pytest.raises(ValueError, match="invalid quadrant spec '0,²,0,0': bad slot '²'"):
+        QuadrantSpec.parse("0,²,0,0")
     with pytest.raises(ValueError):
         QuadrantSpec(-1, 0, 0, 0)
 
@@ -271,21 +282,41 @@ def _corner_frame_by_definition(sigma, k, ell):
     return (r, s)
 
 
-def test_corner_frame_counter():
+def test_corner_frame_bands():
+    # corner_frame_counts and the theorem-12/13 walk entries share one band rule
     pairs = [(k, ell) for k in range(5) for ell in range(5)]
     for n in range(9):
-        counter = corner_frame_counter(pairs, n)
-        for sigma in avoiders(n, P123):
-            got = counter(sigma)
-            assert len(got) == len(pairs)
-            for (k, ell), counts in zip(pairs, got):
-                assert counts == corner_frame_counts(sigma, k, ell), (sigma, k, ell)
-                assert counts == _corner_frame_by_definition(sigma, k, ell), (sigma, k, ell)
-    assert corner_frame_counter([], 3)(Permutation((3, 2, 1))) == ()
-    with pytest.raises(ValueError, match="length"):
-        corner_frame_counter(pairs, 4)(Permutation((3, 2, 1)))
+        fields = _BandFields(pairs, n)
+        walk = avoider_walk(n, P123.word, fields.entry)
+        for sigma, (word, total) in zip(avoiders(n, P123), walk, strict=True):
+            assert word == sigma.word
+            for p, (k, ell) in enumerate(pairs):
+                want = _corner_frame_by_definition(sigma, k, ell)
+                assert corner_frame_counts(sigma, k, ell) == want, (sigma, k, ell)
+                r, s, count = fields.numbers(total, p)
+                assert (r, s) == want, (sigma, k, ell)
+                assert count == mmp_count(sigma, QuadrantSpec(0, k, 0, ell)), (sigma, k, ell)
     with pytest.raises(ValueError):
-        corner_frame_counter([(1, -1)], 4)
+        corner_frame_counts(Permutation((3, 2, 1)), 1, -1)
+
+
+def test_avoider_walk():
+    # the words come in the order of avoiders(); a total is the sum of the
+    # entries of the avoider's positions, here a hash of the point and of
+    # its tallies, which the test takes by the definition
+    for tau in (P123, P132):
+        for n in range(10):
+            walk = avoider_walk(
+                n, tau.word, lambda i, v, q2: hash((i, v, *_append_tallies(n, i, v, q2)))
+            )
+            for sigma, (word, total) in zip(avoiders(n, tau), walk, strict=True):
+                assert word == sigma.word
+                points = enumerate(sigma.word, start=1)
+                assert total == sum(hash((j - 1, v, *_tallies(sigma, j))) for j, v in points)
+    assert list(avoider_walk(0, P132.word, lambda i, v, q2: 1)) == [((), 0)]
+    assert list(avoider_walk(1, P123.word, lambda i, v, q2: 1 << (i + v + q2))) == [((1,), 2)]
+    with pytest.raises(ValueError):
+        next(avoider_walk(3, (2, 1, 3), lambda i, v, q2: 0))
 
 
 def test_fast_formula_row_bounds():

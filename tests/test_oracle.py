@@ -117,6 +117,51 @@ def test_failure_carries_counterexample():
     assert "n=" in fail.detail and "zero-slot" in fail.detail
 
 
+def _band_total(fields, numbers):
+    """A walk total built field by field from each pair's (r, s, count)."""
+    total = 0
+    for p, (r, s, count) in enumerate(numbers):
+        for f, x in enumerate((r, r + s, count + s, count)):
+            total += x << (4 * p + f) * fields.width
+    return total
+
+
+def _band_unpack(fields, total, p):
+    r, x, _, count = ((total >> (4 * p + f) * fields.width) & fields.ones for f in range(4))
+    return r, x - r, count
+
+
+def test_band_rules_flag_each_failure_kind():
+    # the theorem-12/13 leaf checks: a total built for each failure kind is
+    # flagged by the joint rule and by the failing pair's rule alone, a total
+    # that holds every identity (r = k+l at the guard's edge) passes, and
+    # every total decodes to the numbers it was built from
+    pairs = [(1, 2), (0, 0), (3, 1)]
+    big, small = oracle._BandFields(pairs, 9), oracle._BandFields(pairs, 3)
+    t12, t13 = oracle._BandFields.theorem_12, oracle._BandFields.theorem_13
+    # (r, s, count) per pair at n = 9
+    holds13 = [(3, 3, 6), (0, 0, 9), (4, 4, 5)]
+    holds12 = [(2, 6, 3), (0, 0, 9), (1, 7, 2)]
+    # each case breaks pair 0, (k, l) = (1, 2)
+    cases = [
+        (big, t13, holds13, (4, 2, 7)),  # r > k+l
+        (big, t13, holds13, (1, 6, 3)),  # s != 2(k+l) - r
+        (big, t13, holds13, (1, 5, 5)),  # count != n - 2(k+l) + r
+        (small, t13, [(2, 3, 0), (0, 0, 3), (1, 3, 0)], (2, 3, 1)),  # count != 0, n <= k+l
+        (big, t12, holds12, (1, 5, 3)),  # fast 4 != direct 3
+    ]
+    for fields, rule_of, holds, bad in cases:
+        rules = [rule_of(fields, p) for p in range(len(pairs))]
+        offset, mask, expect = oracle._joint(rules)
+        for numbers in (holds, [bad] + holds[1:]):
+            total = _band_total(fields, numbers)
+            flagged = [(total + o) & m != e for o, m, e in rules]
+            assert flagged == [numbers[0] == bad, False, False], (rule_of, numbers)
+            assert ((total + offset) & mask != expect) == flagged[0]
+            for p, want in enumerate(numbers):
+                assert fields.numbers(total, p) == _band_unpack(fields, total, p) == want
+
+
 def test_verify_all_shape():
     reports = oracle.verify_all(4)
     assert [r.subject for r in reports] == list(oracle.subject_ids())

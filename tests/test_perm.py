@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,14 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     assert Permutation(()).n == 0
+
+
+def test_parse_takes_ascii_digits_only():
+    # str.isdigit and int() also accept superscripts and other scripts' digits
+    for text in ("1²", "21٣", "2,1,٣", "²,1", "+1,2", "1,,2"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid permutation {text!r}")):
+            Permutation.parse(text)
+    assert Permutation.parse("2, 1,3").word == (2, 1, 3)
 
 
 @given(st.permutations(list(range(1, 9))))
