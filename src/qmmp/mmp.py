@@ -172,7 +172,8 @@ def match_counter(
     int with one field per spec, set to 1 where the tuple matches that spec.
     A field is ``n.bit_length()`` bits wide (at least 1), because a count is
     at most n, so a permutation's counts are the sum of its rows' entries,
-    unpacked once.  The table lives as long as the closure.
+    unpacked once.  The table lives as long as the closure.  A caller that
+    holds ``quadrant_rows(sigma)`` passes it as ``rows`` to skip that pass.
     """
     windows = [_window(spec, n) for spec in specs]
     width = max(1, n.bit_length())
@@ -180,11 +181,11 @@ def match_counter(
     shifts = range(0, width * len(windows), width)
     table: dict[tuple[int, int, int, int], int] = {}
 
-    def counts(sigma: Permutation) -> tuple[int, ...]:
+    def counts(sigma: Permutation, rows=None) -> tuple[int, ...]:
         if sigma.n != n:
             raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
         total = 0
-        for q in quadrant_rows(sigma):
+        for q in quadrant_rows(sigma) if rows is None else rows:
             entry = table.get(q)
             if entry is None:
                 entry = table[q] = sum(

@@ -465,33 +465,25 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
     return cells.report(subject)
 
 
-def _first_return_failure(avoider: tuple[tuple[int, ...], int]) -> str | None:
-    word, _ = avoider
-    sigma = Permutation(word)
-    pos_n = word.index(sigma.n) + 1
-    first_return = min(dyck.stats(dyck.phi(sigma)).returns)
-    if pos_n != first_return:
-        return f"sigma={sigma}: position of n is {pos_n}, first return {first_return}"
-    return None
+# ---------------------------------------------------------------------------
+# The bijection subjects run in two shared passes per n.  A per-n member's
+# cell at n carries its first failure there, after which it checks no more
+# objects of that size.  The ``dyck`` maps are looked up at call time, so a
+# rebinding of them (as perfbench's span tracer does) is seen.
 
 
-def _diag_failure(inverse_map, word: str) -> str | None:
+def _diag_failure(word: str, path_peaks, sigma: Permutation, rows) -> str | None:
     # peak on the k-th diagonal <=> k points in quadrant I at that position
-    path = dyck.DyckPath(word)
-    sigma = inverse_map(path)
-    rows = quadrant_rows(sigma)
-    for col, diag in dyck.stats(path).peaks:
+    for col, diag in path_peaks:
         q1 = rows[col - 1][0]
         if q1 != diag:
             return f"path={word} sigma={sigma} column={col}: diagonal {diag}, quadrant-I {q1}"
     return None
 
 
-def _two_decreasing_failure(word: str) -> str | None:
+def _two_decreasing_failure(word: str, path_peaks, sigma: Permutation, rows) -> str | None:
     # psi-inverse permutations split into two decreasing subsequences:
     # the peaks (empty third quadrant) and the non-peaks.
-    sigma = dyck.psi_inv(dyck.DyckPath(word))
-    rows = quadrant_rows(sigma)
     peaks = [v for v, q in zip(sigma.word, rows) if q[2] == 0]
     nonpeaks = [v for v, q in zip(sigma.word, rows) if q[2] != 0]
     if peaks != sorted(peaks, reverse=True) or nonpeaks != sorted(nonpeaks, reverse=True):
@@ -499,70 +491,118 @@ def _two_decreasing_failure(word: str) -> str | None:
     return None
 
 
-_HILL_SPEC = QuadrantSpec(EMPTY, 0, EMPTY, 0)
+# Per-n members of the path pass: (the inverse image they check, and the
+# failure of one word).
+_PATH_CHECKS = {
+    "lemma-p1-3": ("phi", _diag_failure),
+    "lemma-p2-3": ("psi", _diag_failure),
+    "lemma-p2-2": ("psi", _two_decreasing_failure),
+}
+
+# match-preservation: every path's two preimages match (k,l,EMPTY,m) at the
+# same rate; one cell per spec over all n.
+_MATCH_SPECS = [
+    QuadrantSpec(k, ell, EMPTY, m) for k in range(1, 3) for ell in range(3) for m in range(3)
+]
 
 
-def _walk_132(n: int):
-    """The length-n 132-avoiders, each with its (e,0,e,0) match count."""
-    window = _window(_HILL_SPEC, n)
-    return avoider_walk(
-        n, P132.word, lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
-    )
+def _path_pass(sids, max_n: int) -> dict[str, VerificationReport]:
+    """Reports of the path-pass members ``sids``: one pass per n over the path words.
+
+    A word's path, stats and inverse images with their rows are computed
+    once each, and only where a member in ``sids`` reads them.
+    """
+    checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
+    match = "match-preservation" in sids
+    reads = {image for _, image, _ in checks} | ({"phi", "psi"} if match else set())
+    diag = any(check is _diag_failure for _, _, check in checks)
+    cells = {sid: _Cells() for sid in sids}
+    match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
+    for n in range(max_n + 1):
+        counter = match_counter(_MATCH_SPECS, n)
+        failed: dict[str, list[str]] = {sid: [] for sid, _, _ in checks}
+        for word in _all_path_words(n):
+            path = dyck.DyckPath(word)
+            path_peaks = dyck.stats(path).peaks if diag else ()
+            images = {}
+            if "phi" in reads:
+                sigma = dyck.phi_inv(path)
+                images["phi"] = sigma, quadrant_rows(sigma)
+            if "psi" in reads:
+                sigma = dyck.psi_inv(path)
+                images["psi"] = sigma, quadrant_rows(sigma)
+            for sid, image, check in checks:
+                if not failed[sid] and (failure := check(word, path_peaks, *images[image])):
+                    failed[sid].append(failure)
+            if match:
+                counts = zip(_MATCH_SPECS, counter(*images["phi"]), counter(*images["psi"]))
+                for spec, left, right in counts:
+                    if left != right and not match_fails[spec]:
+                        match_fails[spec].append(f"path={word}: 132-side {left}, 123-side {right}")
+        for sid, failures in failed.items():
+            cells[sid].check(f"n={n}", failures)
+    for spec in _MATCH_SPECS if match else ():
+        cells["match-preservation"].check(f"spec={spec}", match_fails[spec], f"n<={max_n}")
+    return {sid: c.report(sid) for sid, c in cells.items()}
 
 
-def _hill_failure(avoider: tuple[tuple[int, ...], int]) -> str | None:
-    word, count = avoider
-    sigma = Permutation(word)
-    hills = dyck.stats(dyck.phi(sigma)).hills
-    if count != hills:
-        return f"sigma={sigma}: matches={count}, hills={hills}"
+def _first_return_failure(sigma: Permutation, count: int, path_stats) -> str | None:
+    pos_n = sigma.word.index(sigma.n) + 1
+    first_return = min(path_stats.returns)
+    if pos_n != first_return:
+        return f"sigma={sigma}: position of n is {pos_n}, first return {first_return}"
     return None
 
 
-# Per-n subjects: (first n, objects of length n, failure of one object or
-# None).  A cell covers one n and carries its first counterexample.  The
-# failures look up the ``dyck`` maps at call time, so a rebinding of those
-# names (as perfbench's span tracer does) is seen.
-_PER_N_GRIDS = {
-    "lemma-p1-2": (1, _walk_132, _first_return_failure),
-    "lemma-p1-3": (0, _all_path_words, lambda word: _diag_failure(dyck.phi_inv, word)),
-    "lemma-p2-3": (0, _all_path_words, lambda word: _diag_failure(dyck.psi_inv, word)),
-    "lemma-p2-2": (0, _all_path_words, _two_decreasing_failure),
-    "hill-correspondence": (0, _walk_132, _hill_failure),
+def _hill_failure(sigma: Permutation, count: int, path_stats) -> str | None:
+    if count != path_stats.hills:
+        return f"sigma={sigma}: matches={count}, hills={path_stats.hills}"
+    return None
+
+
+_HILL_SPEC = QuadrantSpec(EMPTY, 0, EMPTY, 0)
+
+# Members of the walk pass: (first n, failure of one 132-avoider from its
+# (e,0,e,0) match count and its path's stats).
+_WALK_CHECKS = {
+    "lemma-p1-2": (1, _first_return_failure),
+    "hill-correspondence": (0, _hill_failure),
 }
 
 
-def _per_n_subject(subject: str, max_n: int) -> VerificationReport:
-    start, objects, failure = _PER_N_GRIDS[subject]
-    cells = _Cells()
-    for n in range(start, max_n + 1):
-        first = next(filter(None, map(failure, objects(n))), None)
-        cells.check(f"n={n}", [first] if first else [])
-    return cells.report(subject)
+def _walk_pass(sids, max_n: int) -> dict[str, VerificationReport]:
+    """Reports of the walk-pass members ``sids``: one walk per n over the 132-avoiders.
 
-
-def _subject_match_preservation(max_n: int) -> VerificationReport:
-    # For every path, its two preimages match (k,l,EMPTY,m) at the same rate.
-    cells = _Cells()
-    specs = [
-        QuadrantSpec(k, ell, EMPTY, m)
-        for k in range(1, 3)
-        for ell in range(3)
-        for m in range(3)
-    ]
-    fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in specs}
+    The walk yields only 132-avoiders, so a path is phi's staircase
+    without phi's 132 scan.
+    """
+    cells = {sid: _Cells() for sid in sids}
     for n in range(max_n + 1):
-        counter = match_counter(specs, n)
-        for word in _all_path_words(n):
-            path = dyck.DyckPath(word)
-            counts132 = counter(dyck.phi_inv(path))
-            counts123 = counter(dyck.psi_inv(path))
-            for spec, left, right in zip(specs, counts132, counts123):
-                if left != right and not fails[spec]:
-                    fails[spec].append(f"path={word}: 132-side {left}, 123-side {right}")
-    for spec in specs:
-        cells.check(f"spec={spec}", fails[spec], f"n<={max_n}")
-    return cells.report("match-preservation")
+        window = _window(_HILL_SPEC, n)
+        walk = avoider_walk(
+            n, P132.word, lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
+        )
+        failed: dict[str, list[str]] = {sid: [] for sid in sids if _WALK_CHECKS[sid][0] <= n}
+        for word, count in walk:
+            sigma = Permutation(word)
+            path_stats = dyck.stats(dyck.DyckPath(dyck._staircase(sigma)))
+            for sid, failures in failed.items():
+                if not failures and (failure := _WALK_CHECKS[sid][1](sigma, count, path_stats)):
+                    failures.append(failure)
+        for sid, failures in failed.items():
+            cells[sid].check(f"n={n}", failures)
+    return {sid: c.report(sid) for sid, c in cells.items()}
+
+
+# The shared passes: (pass, its members, their default depth).
+_PASSES = (
+    (_path_pass, (*_PATH_CHECKS, "match-preservation"), 9),
+    (_walk_pass, tuple(_WALK_CHECKS), 9),
+)
+
+
+def _pass_subject(run, sid: str, max_n: int) -> VerificationReport:
+    return run([sid], max_n)[sid]
 
 
 def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
@@ -614,8 +654,11 @@ _SUBJECTS: dict[str, tuple[Callable[[int], VerificationReport], int]] = {
     "theorem-18": (partial(_closed_subject, "theorem-18", 2, 2), 9),
     "lemma-sym": (partial(_sym_subject, "lemma-sym"), 9),
     "lemma-sym2": (partial(_sym_subject, "lemma-sym2"), 8),
-    **{sid: (partial(_per_n_subject, sid), 9) for sid in _PER_N_GRIDS},
-    "match-preservation": (_subject_match_preservation, 9),
+    **{
+        sid: (partial(_pass_subject, run, sid), depth)
+        for run, members, depth in _PASSES
+        for sid in members
+    },
     "conjecture-1": (_subject_conjecture_1, 11),
 }
 
@@ -643,5 +686,9 @@ def verify(subject_id: str, max_n: int | None = None) -> VerificationReport:
 
 
 def verify_all(max_n: int | None = None) -> list[VerificationReport]:
-    """Run every subject; per-subject defaults apply when max_n is None."""
-    return [verify(sid, max_n) for sid in subject_ids()]
+    """Run every subject, each shared pass once for all its members;
+    per-subject defaults apply when max_n is None."""
+    reports: dict[str, VerificationReport] = {}
+    for run, members, depth in _PASSES:
+        reports.update(run(members, depth if max_n is None else max_n))
+    return [reports[sid] if sid in reports else verify(sid, max_n) for sid in subject_ids()]

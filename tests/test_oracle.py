@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from qmmp import oracle
+from qmmp import dyck, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec
-from qmmp.perm import P123, P132
+from qmmp.perm import P123, P132, Permutation
 from qmmp.series import IntPoly, catalan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,3 +179,59 @@ def test_verify_all_matches_pinned_transcript():
     reports = oracle.verify_all()
     lines = [line for report in reports for line in report.lines()]
     assert lines + [report.summary() for report in reports] == pinned["lines"]
+
+
+def test_verify_all_equals_each_subject_alone():
+    # the shared bijection passes of verify_all change no report, the n = 0
+    # cells and lemma-p1-2's missing n = 0 cell included
+    for m in (0, 1, 5):
+        grouped = oracle.verify_all(m)
+        alone = [oracle.verify(sid, m) for sid in oracle.subject_ids()]
+        assert [r.subject for r in grouped] == [r.subject for r in alone]
+        for left, right in zip(grouped, alone):
+            assert left.lines() == right.lines()
+            assert left.summary() == right.summary()
+    assert [c.cell for c in oracle.verify("lemma-p1-2", 1).cells] == ["n=1"]
+    assert [c.cell for c in oracle.verify("lemma-p1-3", 0).cells] == ["n=0"]
+
+
+BIJECTION_SUBJECTS = (
+    "hill-correspondence",
+    "lemma-p1-2",
+    "lemma-p1-3",
+    "lemma-p2-2",
+    "lemma-p2-3",
+    "match-preservation",
+)
+
+
+def _swap_first_two(inverse):
+    def swapped(path):
+        word = inverse(path).word
+        return Permutation(word[1::-1] + word[2:])
+
+    return swapped
+
+
+def _one_peak(_staircase):
+    return lambda sigma: "D" * sigma.n + "R" * sigma.n
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, failing",
+    [
+        ("phi_inv", _swap_first_two, {"lemma-p1-3", "match-preservation"}),
+        ("psi_inv", _swap_first_two, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
+        ("_staircase", _one_peak, {"lemma-p1-2", "hill-correspondence"}),
+    ],
+)
+def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, failing):
+    # a map rebound on the dyck module after import is what every member of
+    # its pass checks, run alone or together with the other members
+    monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
+    alone = {sid: oracle.verify(sid, 6) for sid in BIJECTION_SUBJECTS}
+    grouped = {r.subject: r for r in oracle.verify_all(6) if r.subject in BIJECTION_SUBJECTS}
+    for reports in (alone, grouped):
+        assert {sid for sid, r in reports.items() if not r.passed} == failing
+    for sid in BIJECTION_SUBJECTS:
+        assert alone[sid].lines() == grouped[sid].lines()
