@@ -10,8 +10,9 @@ transcriptions of the staircase pictures they come from.
 Both bijections place a permutation's points on the grid and take the path
 along the south-west boundary of the region north-east of the points; for a
 132-avoider (phi) and for a 123-avoider (psi) that boundary is the staircase
-through the left-to-right minima.  The two inverses differ in how the
-non-minimum values are filled back in.
+through the left-to-right minima.  Both inverses run one left-to-right
+column rule (``_place``) and differ only in how it fills the non-minimum
+values back in.
 """
 
 from __future__ import annotations
@@ -130,66 +131,53 @@ def psi(sigma: Permutation) -> DyckPath:
     return DyckPath(_staircase(sigma))
 
 
-def _column_scan(path: DyckPath) -> tuple[list[int], list[int], list[bool]]:
-    """Column depths and outer corners of ``path``, shared by both inverses.
+def _lowest_free(used: int, level: int, n: int) -> int:
+    """The least value >= ``level`` whose bit is clear in ``used`` (phi's fill)."""
+    free = ~used >> level << level
+    return (free & -free).bit_length() - 1
 
-    Per column: the number of D steps before its R, and the value that an
-    outer corner (a DR peak) places there, 0 in every other column; plus
-    flags marking the placed values as used.
+
+def _highest_free(used: int, level: int, n: int) -> int:
+    """The largest value of 1..n whose bit is clear in ``used`` (psi's fill)."""
+    return ((1 << n + 1) - 2 & ~used).bit_length() - 1
+
+
+def _place(word: str, n: int, fill) -> tuple[int, ...]:
+    """The values that an inverse bijection places in the columns of ``word``, left to right.
+
+    At a column's R step after ``down`` D steps, an outer corner (a DR peak)
+    takes ``n - down + 1``, and any other column takes
+    ``fill(used, n - down + 1, n)``, where ``used`` has bit ``v`` set for
+    each value ``v`` placed so far.  The ``c - 1`` values placed before
+    column ``c`` all lie at or above its level, which has ``down >= c``
+    values, so both fills find a free value there; a corner further right
+    lies deeper, below that level, so no fill takes its value.
+    Raises ValueError unless the placed values are exactly 1..n.
     """
-    n = path.n
-    depths = []
-    word = []
-    used = [False] * (n + 2)
-    down = 0
+    values = []
+    used = down = 0
     prev = ""
-    for ch in path.word:
+    for ch in word:
         if ch == "D":
             down += 1
         else:
-            depths.append(down)
-            if prev == "D":
-                word.append(n - down + 1)
-                used[n - down + 1] = True
-            else:
-                word.append(0)
+            v = n - down + 1 if prev == "D" else fill(used, n - down + 1, n)
+            values.append(v)
+            used |= 1 << v
         prev = ch
-    return depths, word, used
+    if used != (1 << n + 1) - 2:
+        raise ValueError(f"path {word} does not place each of 1..{n} once: {values}")
+    return tuple(values)
 
 
 def phi_inv(path: DyckPath) -> Permutation:
-    """Inverse of phi.
-
-    Phase one places the outer-corner values; phase two scans the remaining
-    columns left to right, dropping each into the lowest free row that stays
-    above the path.
-    """
-    n = path.n
-    depths, word, used = _column_scan(path)
-    for c in range(n):
-        if word[c]:
-            continue
-        for v in range(n - depths[c] + 1, n + 1):
-            if not used[v]:
-                word[c] = v
-                used[v] = True
-                break
-    return Permutation(tuple(word))
+    """Inverse of phi: each non-corner column takes the lowest free row above the path."""
+    return Permutation(_place(path.word, path.n, _lowest_free))
 
 
 def psi_inv(path: DyckPath) -> Permutation:
-    """Inverse of psi.
-
-    Outer corners are placed as in phi; the i-th empty row from the top is
-    then paired with the i-th empty column from the left.
-    """
-    n = path.n
-    _, word, used = _column_scan(path)
-    free_values = [v for v in range(n, 0, -1) if not used[v]]
-    free_columns = [c for c in range(n) if not word[c]]
-    for c, v in zip(free_columns, free_values):
-        word[c] = v
-    return Permutation(tuple(word))
+    """Inverse of psi: each non-corner column takes the highest free value (top free row)."""
+    return Permutation(_place(path.word, path.n, _highest_free))
 
 
 def lift(path: DyckPath) -> DyckPath:

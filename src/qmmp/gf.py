@@ -132,10 +132,20 @@ def _narayana(trunc: int, s0: int = 1, s1: int = 0) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # 132-avoider engines (third slot EMPTY), as cached packed coefficient lists
-#
-# The public entry points clamp every threshold to ``trunc``: a quadrant of a
-# length-n permutation holds at most n - 1 points, so up to t^trunc a
-# threshold of trunc or more never matches and they all give one series.
+
+
+def _clamp(trunc: int, *thresholds: int) -> tuple[int, ...]:
+    """The engine arguments of a public entry point: ``thresholds`` clamped to ``trunc``.
+
+    A quadrant of a length-n permutation holds at most n - 1 points, so up
+    to t^trunc a threshold of trunc or more never matches and they all give
+    one series.  A negative depth or threshold raises ValueError.
+    """
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
+    if min(thresholds) < 0:
+        raise ValueError("thresholds must be nonnegative")
+    return tuple(min(k, trunc) for k in thresholds)
 
 
 def _const(n: int) -> IntPoly:
@@ -216,32 +226,32 @@ def _c_ekel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
 
 def q132_k0e0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, 0, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_k0e0(min(k, trunc), trunc), trunc)
+    return _series(_c_k0e0(*_clamp(trunc, k), trunc), trunc)
 
 
 def q132_0ke0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_0ke0(min(k, trunc), trunc), trunc)
+    return _series(_c_0ke0(*_clamp(trunc, k), trunc), trunc)
 
 
 def q132_kle0(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, ell, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_kle0(min(k, trunc), min(ell, trunc), trunc), trunc)
+    return _series(_c_kle0(*_clamp(trunc, k, ell), trunc), trunc)
 
 
 def q132_0kel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, ell) over 132-avoiders."""
-    return _series(_c_0kel(min(k, trunc), min(ell, trunc), trunc), trunc)
+    return _series(_c_0kel(*_clamp(trunc, k, ell), trunc), trunc)
 
 
 def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (a, k, EMPTY, ell) over 132-avoiders."""
-    return _series(_c_akel(min(a, trunc), min(k, trunc), min(ell, trunc), trunc), trunc)
+    return _series(_c_akel(*_clamp(trunc, a, k, ell), trunc), trunc)
 
 
 def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (EMPTY, k, EMPTY, ell) over 132-avoiders (hills at k = ell = 0)."""
-    return _series(_c_ekel(min(k, trunc), min(ell, trunc), trunc), trunc)
+    return _series(_c_ekel(*_clamp(trunc, k, ell), trunc), trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +311,16 @@ def _c_biv(k1: int, k2: int, trunc: int, image: tuple) -> tuple[int, ...]:
 def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Bivariate series over 123-avoiders: x0 tracks matching peaks (threshold
     k1 on quadrant II), x1 tracks matching non-peaks (threshold k2)."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError("k1, k2 must be nonnegative")
+    k1, k2 = _clamp(trunc, k1, k2)
     if trunc > 255:
         raise ValueError(f"t^{trunc} reaches x0^{trunc}; exponents are limited to 255")
-    return _series(_c_biv(min(k1, trunc), min(k2, trunc), trunc, _XY), trunc, BiPoly)
+    return _series(_c_biv(k1, k2, trunc, _XY), trunc, BiPoly)
 
 
 def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, 0, 0) over 123-avoiders: the peak/non-peak recursion
     of ``q123_bivariate`` run in its x0 = x1 = x image."""
-    k = min(k, trunc)
+    (k,) = _clamp(trunc, k)
     return _series(_c_biv(k, k, trunc, _X), trunc)
 
 
@@ -391,17 +400,21 @@ def extremal_coeff(family: str, k: int, ell: int, m: int, n: int) -> int:
 _CLOSED_0K0L_THRESHOLD = {(1, 0): 2, (2, 0): 4, (1, 1): 4, (2, 1): 5, (2, 2): 7}
 
 
+def _check_closed(k: int, ell: int, n: int) -> None:
+    if (k, ell) not in _CLOSED_0K0L_THRESHOLD:
+        raise ValueError(f"no closed coefficient formula for (0,{k},0,{ell})")
+    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
+    if n < threshold:
+        raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
+
+
 def closed_coeff_0k0l(k: int, ell: int, n: int, r: int) -> int:
     """Coefficient of ``x^(n - 2(k+ell) + r)`` in the (0,k,0,ell) polynomial
     over 123-avoiders, for the five small families with closed formulas.
 
     ``r`` is the number of graph points in the corner area (0..k+ell).
     """
-    if (k, ell) not in _CLOSED_0K0L_THRESHOLD:
-        raise ValueError(f"no closed coefficient formula for (0,{k},0,{ell})")
-    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-    if n < threshold:
-        raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
+    _check_closed(k, ell, n)
     if not 0 <= r <= k + ell:
         raise ValueError(f"r must lie in 0..{k + ell}")
     c = catalan
@@ -437,9 +450,7 @@ def closed_coeff_0k0l(k: int, ell: int, n: int, r: int) -> int:
 
 def closed_poly_0k0l(k: int, ell: int, n: int) -> IntPoly:
     """Full (0,k,0,ell) polynomial at order n from the closed formulas."""
-    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-    if n < threshold:
-        raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
+    _check_closed(k, ell, n)
     coeffs = {}
     for r in range(k + ell + 1):
         e = n - 2 * (k + ell) + r
@@ -479,6 +490,8 @@ def engine_series(
     """
     if avoid not in ("123", "132"):
         raise ValueError(f"unsupported avoidance class {avoid!r}")
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
     if engine not in ENGINE_KINDS:
         raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_KINDS)}")
     a, b, c, d = spec.coords

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .perm import P123, Permutation, catalan_moves, occurs
+from .perm import P123, Permutation, _check_n, catalan_moves, occurs
 from .series import BiPoly, IntPoly, catalan, unpack_fields
 
 
@@ -112,8 +112,8 @@ def _append_tallies(n: int, i: int, v: int, q2: int) -> tuple[int, int, int, int
     return (q1, q2, i - q2, n - 1 - i - q1)
 
 
-def quadrant_rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
-    """Quadrant I-IV tallies at every position of ``sigma``, in one left-to-right pass.
+def quadrant_rows(word: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Quadrant I-IV tallies at every entry of the permutation ``word``, in one left-to-right pass.
 
     ``used`` has bit ``v`` set for each value placed so far, so at entry
     ``i + 1`` with value ``v`` the earlier larger values number
@@ -122,10 +122,10 @@ def quadrant_rows(sigma: Permutation) -> tuple[tuple[int, int, int, int], ...]:
     per position), as in the append-time walks :func:`_packed_histogram`
     and :func:`qmmp.perm.avoider_walk`.
     """
-    n = sigma.n
+    n = len(word)
     used = 0
     rows = []
-    for i, v in enumerate(sigma.word):
+    for i, v in enumerate(word):
         q2 = (used >> v).bit_count()
         q1 = n - v - q2
         rows.append((q1, q2, i - q2, n - 1 - i - q1))
@@ -137,7 +137,7 @@ def quadrants_at(sigma: Permutation, i: int) -> tuple[int, int, int, int]:
     """Counts of graph points in quadrants I-IV relative to position ``i`` (1-based)."""
     if not 1 <= i <= sigma.n:
         raise ValueError(f"position {i} out of range 1..{sigma.n}")
-    return quadrant_rows(sigma)[i - 1]
+    return quadrant_rows(sigma.word)[i - 1]
 
 
 def _window(spec: QuadrantSpec, n: int) -> tuple[tuple[int, int], ...]:
@@ -163,44 +163,10 @@ def report_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> MatchReport:
     return MatchReport(q, _in_window(q, _window(spec, sigma.n)))
 
 
-def match_counter(
-    specs: Sequence[QuadrantSpec], n: int
-) -> Callable[[Permutation], tuple[int, ...]]:
-    """A function from a length-n permutation to its match count under each spec.
-
-    The closure owns a table from each tally tuple seen so far to a packed
-    int with one field per spec, set to 1 where the tuple matches that spec.
-    A field is ``n.bit_length()`` bits wide (at least 1), because a count is
-    at most n, so a permutation's counts are the sum of its rows' entries,
-    unpacked once.  The table lives as long as the closure.  A caller that
-    holds ``quadrant_rows(sigma)`` passes it as ``rows`` to skip that pass.
-    """
-    windows = [_window(spec, n) for spec in specs]
-    width = max(1, n.bit_length())
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(windows), width)
-    table: dict[tuple[int, int, int, int], int] = {}
-
-    def counts(sigma: Permutation, rows=None) -> tuple[int, ...]:
-        if sigma.n != n:
-            raise ValueError(f"{sigma} has length {sigma.n}; this counter takes length {n}")
-        total = 0
-        for q in quadrant_rows(sigma) if rows is None else rows:
-            entry = table.get(q)
-            if entry is None:
-                entry = table[q] = sum(
-                    1 << f for f, window in zip(shifts, windows) if _in_window(q, window)
-                )
-            total += entry
-        return tuple((total >> f) & mask for f in shifts)
-
-    return counts
-
-
 def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
     """Number of positions of ``sigma`` matching ``spec``."""
     window = _window(spec, sigma.n)
-    return sum(1 for q in quadrant_rows(sigma) if _in_window(q, window))
+    return sum(1 for q in quadrant_rows(sigma.word) if _in_window(q, window))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +267,7 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
     move shifts the lanes of the specs it matches up by one field; when it
     matches every spec of the walk, the whole histogram shifts.
     """
+    _check_n(n)
     tau_word = _require_class(tau)
     width = catalan(n).bit_length()
     lane = (n + 1) * width
@@ -350,6 +317,7 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     there.  Setting x0 = x1 = x with k1 = k2 = k recovers
     ``distribution(n, 123, (0, k, 0, 0))``.
     """
+    _check_n(n)
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be nonnegative")
     width = catalan(n).bit_length()

@@ -26,7 +26,6 @@ from .mmp import (
     bivariate_distribution,
     distribution,
     distributions,
-    match_counter,
     quadrant_rows,
 )
 from .perm import P123, P132, Permutation, avoider_walk
@@ -468,25 +467,27 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # The bijection subjects run in two shared passes per n.  A per-n member's
 # cell at n carries its first failure there, after which it checks no more
-# objects of that size.  The ``dyck`` maps are looked up at call time, so a
+# objects of that size.  The ``dyck`` rules are looked up at call time, so a
 # rebinding of them (as perfbench's span tracer does) is seen.
 
 
-def _diag_failure(word: str, path_peaks, sigma: Permutation, rows) -> str | None:
+def _diag_failure(word: str, path_peaks, values, rows) -> str | None:
     # peak on the k-th diagonal <=> k points in quadrant I at that position
     for col, diag in path_peaks:
         q1 = rows[col - 1][0]
         if q1 != diag:
+            sigma = Permutation(values)
             return f"path={word} sigma={sigma} column={col}: diagonal {diag}, quadrant-I {q1}"
     return None
 
 
-def _two_decreasing_failure(word: str, path_peaks, sigma: Permutation, rows) -> str | None:
+def _two_decreasing_failure(word: str, path_peaks, values, rows) -> str | None:
     # psi-inverse permutations split into two decreasing subsequences:
     # the peaks (empty third quadrant) and the non-peaks.
-    peaks = [v for v, q in zip(sigma.word, rows) if q[2] == 0]
-    nonpeaks = [v for v, q in zip(sigma.word, rows) if q[2] != 0]
+    peaks = [v for v, q in zip(values, rows) if q[2] == 0]
+    nonpeaks = [v for v, q in zip(values, rows) if q[2] != 0]
     if peaks != sorted(peaks, reverse=True) or nonpeaks != sorted(nonpeaks, reverse=True):
+        sigma = Permutation(values)
         return f"path={word} sigma={sigma}: peaks={peaks}, non-peaks={nonpeaks}"
     return None
 
@@ -509,36 +510,44 @@ _MATCH_SPECS = [
 def _path_pass(sids, max_n: int) -> dict[str, VerificationReport]:
     """Reports of the path-pass members ``sids``: one pass per n over the path words.
 
-    A word's path, stats and inverse images with their rows are computed
-    once each, and only where a member in ``sids`` reads them.
+    A word's stats and inverse images (from the one column rule
+    ``dyck._place``) with their rows are computed once each, and only where
+    a member in ``sids`` reads them.  Match-preservation compares one total
+    per image, the sum of its rows' entries in ``table``, which have one
+    ``n.bit_length()``-bit field per spec (a count is at most n), and counts
+    per spec only when the totals differ.
     """
     checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
     match = "match-preservation" in sids
-    reads = {image for _, image, _ in checks} | ({"phi", "psi"} if match else set())
+    fills = {"phi": dyck._lowest_free, "psi": dyck._highest_free}
+    reads = [i for i in fills if match or any(image == i for _, image, _ in checks)]
     diag = any(check is _diag_failure for _, _, check in checks)
     cells = {sid: _Cells() for sid in sids}
     match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
     for n in range(max_n + 1):
-        counter = match_counter(_MATCH_SPECS, n)
+        windows = [_window(spec, n) for spec in _MATCH_SPECS]
+        width = max(1, n.bit_length())
+        table = {
+            q: sum(1 << f * width for f, window in enumerate(windows) if _in_window(q, window))
+            for q in itertools.product(range(n), repeat=4)
+            if sum(q) == n - 1
+        }
         failed: dict[str, list[str]] = {sid: [] for sid, _, _ in checks}
         for word in _all_path_words(n):
-            path = dyck.DyckPath(word)
-            path_peaks = dyck.stats(path).peaks if diag else ()
+            path_peaks = dyck.stats(dyck.DyckPath(word)).peaks if diag else ()
             images = {}
-            if "phi" in reads:
-                sigma = dyck.phi_inv(path)
-                images["phi"] = sigma, quadrant_rows(sigma)
-            if "psi" in reads:
-                sigma = dyck.psi_inv(path)
-                images["psi"] = sigma, quadrant_rows(sigma)
+            for image in reads:
+                values = dyck._place(word, n, fills[image])
+                images[image] = values, quadrant_rows(values)
             for sid, image, check in checks:
                 if not failed[sid] and (failure := check(word, path_peaks, *images[image])):
                     failed[sid].append(failure)
             if match:
-                counts = zip(_MATCH_SPECS, counter(*images["phi"]), counter(*images["psi"]))
-                for spec, left, right in counts:
-                    if left != right and not match_fails[spec]:
-                        match_fails[spec].append(f"path={word}: 132-side {left}, 123-side {right}")
+                left, right = (sum(map(table.__getitem__, images[i][1])) for i in fills)
+                for spec, window in zip(_MATCH_SPECS, windows) if left != right else ():
+                    lhs, rhs = (sum(_in_window(q, window) for q in images[i][1]) for i in fills)
+                    if lhs != rhs and not match_fails[spec]:
+                        match_fails[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
         for sid, failures in failed.items():
             cells[sid].check(f"n={n}", failures)
     for spec in _MATCH_SPECS if match else ():
@@ -610,6 +619,8 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
     series, by engines to t^trunc and against brute force to t^min(trunc, 9)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
     ks = range(1, k_max + 1)
     brute_to = min(trunc, 9)
     engines = [(gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)) for k in ks]
@@ -678,8 +689,15 @@ def _canonical_subject(subject_id: str) -> str:
     return sid
 
 
+def _check_depth(max_n: int | None) -> None:
+    # a negative depth checks no object, and a subject would report PASS
+    if max_n is not None and max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+
+
 def verify(subject_id: str, max_n: int | None = None) -> VerificationReport:
     """Run one verification subject over its (possibly capped) default grid."""
+    _check_depth(max_n)
     sid = _canonical_subject(subject_id)
     fn, default_n = _SUBJECTS[sid]
     return fn(default_n if max_n is None else max_n)
@@ -688,6 +706,7 @@ def verify(subject_id: str, max_n: int | None = None) -> VerificationReport:
 def verify_all(max_n: int | None = None) -> list[VerificationReport]:
     """Run every subject, each shared pass once for all its members;
     per-subject defaults apply when max_n is None."""
+    _check_depth(max_n)
     reports: dict[str, VerificationReport] = {}
     for run, members, depth in _PASSES:
         reports.update(run(members, depth if max_n is None else max_n))

@@ -211,13 +211,17 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
     For 123 and 132 it is :func:`avoider_walk`, which never enters a prefix
     that has no completion.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_n(n)
     if tau.word in ((1, 2, 3), (1, 3, 2)):
         words = [word for word, _ in avoider_walk(n, tau.word, _no_entry)]
     else:
         words = _avoiders_generic(n, tau.word)
     return tuple(Permutation(w) for w in words)
+
+
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 def _no_entry(i: int, v: int, q2: int) -> int:
@@ -261,6 +265,7 @@ def avoider_walk(
     """
     if tau_word not in ((1, 2, 3), (1, 3, 2)):
         raise ValueError(f"the walk takes 123 or 132, not {tau_word!r}")
+    _check_n(n)
     if n == 0:
         yield (), 0
         return

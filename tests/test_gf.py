@@ -158,6 +158,34 @@ def test_large_thresholds_clamp_to_the_depth():
         gf.q123_bivariate(1, 1, 256)
 
 
+
+def test_negative_depth_or_threshold_is_rejected():
+    # each public engine entry point validates its thresholds and depth up
+    # front, rather than recursing until it fails
+    engines = {
+        gf.q132_k0e0: 1,
+        gf.q132_0ke0: 1,
+        gf.q132_kle0: 2,
+        gf.q132_0kel: 2,
+        gf.q132_akel: 3,
+        gf.q132_ekel: 2,
+        gf.q123_0k00: 1,
+        gf.q123_bivariate: 2,
+    }
+    for engine, arity in engines.items():
+        for slot in range(arity):
+            thresholds = [1] * arity
+            thresholds[slot] = -1
+            with pytest.raises(ValueError, match="thresholds must be nonnegative"):
+                engine(*thresholds, 5)
+        with pytest.raises(ValueError, match="trunc must be nonnegative"):
+            engine(*[1] * arity, -1)
+    for avoid, spec in (("132", "1,0,e,0"), ("123", "0,0,0,0"), ("123", "0,1,0,1")):
+        for kind in gf.ENGINE_KINDS[:2]:
+            with pytest.raises(ValueError, match="trunc must be nonnegative"):
+                gf.engine_series(avoid, QuadrantSpec.parse(spec), -1, kind)
+    assert gf.q132_ekel(1, 0, 0) == gf.engine_series("132", QuadrantSpec(EMPTY, 1, EMPTY, 0), 0)
+
 def test_mass_is_catalan():
     engines = [
         gf.q132_k0e0(2, 8),
@@ -255,6 +283,9 @@ def test_closed_coeff_0k0l():
         gf.closed_coeff_0k0l(2, 1, 4, 0)
     with pytest.raises(ValueError):
         gf.closed_coeff_0k0l(1, 1, 6, 3)
+    # the whole polynomial of an uncovered pair raises the same ValueError
+    with pytest.raises(ValueError, match=r"no closed coefficient formula for \(0,3,0,3\)"):
+        gf.closed_poly_0k0l(3, 3, 9)
 
 
 def test_closed_coeff_mass_is_catalan():

@@ -2,11 +2,12 @@
 
 ``perm`` and ``mmp`` import nothing from ``gf``, ``dyck``, ``oracle`` or
 ``cli``, so a brute-force count never runs engine, router or bijection code;
-``perm``, ``mmp`` and ``oracle`` apply no ``functools`` cache; and ``perm``
-and ``mmp``, where the walks and counters build their move, lane, mask and
-tally tables, bind no mutable container at module or class level and no
-mutable default argument.  So no oracle result outlives the call that
-computed it.
+``dyck`` imports from ``perm`` only, so the one column rule of both inverse
+maps carries no tally, engine or oracle code; ``perm``, ``mmp`` and
+``oracle`` apply no ``functools`` cache; and ``perm`` and ``mmp``, where the
+walks build their move, lane, mask and tally tables, bind no mutable
+container at module or class level and no mutable default argument.  So no
+oracle result outlives the call that computed it.
 """
 
 import ast
@@ -72,6 +73,7 @@ def test_oracle_layers_import_no_engine_code():
     # the scan does see the imports that are allowed
     assert {"perm", "series"} <= _qmmp_imports(_tree("mmp"))
     assert {"dyck", "gf", "mmp", "perm"} <= _qmmp_imports(_tree("oracle"))
+    assert _qmmp_imports(_tree("dyck")) == {"perm"}
 
 
 def test_oracle_layers_hold_no_functools_cache():
@@ -116,7 +118,7 @@ def _lasting_tables(tree):
 # The functions that build per-call tables, per module scanned.
 KERNELS = {
     "perm": {"avoider_walk"},
-    "mmp": {"_packed_histogram", "distributions", "match_counter"},
+    "mmp": {"_packed_histogram", "distributions"},
 }
 
 
@@ -124,7 +126,7 @@ def test_oracle_kernel_tables_live_inside_a_call():
     for module, kernels in KERNELS.items():
         tree = _tree(module)
         assert _lasting_tables(tree) == [], module
-        # the walks and counters that build tables are the ones scanned
+        # the walks that build tables are the ones scanned
         functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert kernels <= functions, module
     # the scan does see lasting tables

@@ -181,6 +181,18 @@ def test_verify_all_matches_pinned_transcript():
     assert lines + [report.summary() for report in reports] == pinned["lines"]
 
 
+
+def test_negative_depth_is_rejected():
+    # a negative depth checks no object: it must raise, not report PASS
+    # (theorem-3 is refuted) or die inside a subject
+    for sid in ("theorem-3", "theorem-7", "theorem-8", "lemma-p1-3", "conjecture-1"):
+        with pytest.raises(ValueError, match="max_n must be nonnegative"):
+            oracle.verify(sid, -1)
+    with pytest.raises(ValueError, match="max_n must be nonnegative"):
+        oracle.verify_all(-1)
+    with pytest.raises(ValueError, match="trunc must be nonnegative"):
+        oracle.check_conjecture1(4, -1)
+
 def test_verify_all_equals_each_subject_alone():
     # the shared bijection passes of verify_all change no report, the n = 0
     # cells and lemma-p1-2's missing n = 0 cell included
@@ -205,12 +217,22 @@ BIJECTION_SUBJECTS = (
 )
 
 
-def _swap_first_two(inverse):
-    def swapped(path):
-        word = inverse(path).word
-        return Permutation(word[1::-1] + word[2:])
+def _swap_first_two(place, fill):
+    # the column rule's output under ``fill`` only (one of the two inverse
+    # maps), with its first two values swapped
+    def swapped(word, n, f):
+        values = place(word, n, f)
+        return values[1::-1] + values[2:] if f is fill else values
 
     return swapped
+
+
+def _swap_phi(place):
+    return _swap_first_two(place, dyck._lowest_free)
+
+
+def _swap_psi(place):
+    return _swap_first_two(place, dyck._highest_free)
 
 
 def _one_peak(_staircase):
@@ -220,13 +242,13 @@ def _one_peak(_staircase):
 @pytest.mark.parametrize(
     "name, corrupt, failing",
     [
-        ("phi_inv", _swap_first_two, {"lemma-p1-3", "match-preservation"}),
-        ("psi_inv", _swap_first_two, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
+        ("_place", _swap_phi, {"lemma-p1-3", "match-preservation"}),
+        ("_place", _swap_psi, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
         ("_staircase", _one_peak, {"lemma-p1-2", "hill-correspondence"}),
     ],
 )
 def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, failing):
-    # a map rebound on the dyck module after import is what every member of
+    # a rule rebound on the dyck module after import is what every member of
     # its pass checks, run alone or together with the other members
     monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
     alone = {sid: oracle.verify(sid, 6) for sid in BIJECTION_SUBJECTS}
@@ -235,3 +257,13 @@ def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, fail
         assert {sid for sid, r in reports.items() if not r.passed} == failing
     for sid in BIJECTION_SUBJECTS:
         assert alone[sid].lines() == grouped[sid].lines()
+
+
+def test_column_rule_rejects_a_fill_that_reuses_a_value():
+    # a fill that returns a value already placed leaves a value of 1..n
+    # unplaced, and the rule raises instead of passing a non-permutation on
+    assert dyck._place("DDRR", 2, dyck._lowest_free) == (1, 2)
+    with pytest.raises(ValueError, match="each of 1..2 once"):
+        dyck._place("DDRR", 2, lambda used, level, n: 1)
+    with pytest.raises(ValueError, match="each of 1..3 once"):
+        dyck._place("DDDRRR", 3, lambda used, level, n: used.bit_length() - 1)
