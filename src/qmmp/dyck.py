@@ -10,16 +10,15 @@ transcriptions of the staircase pictures they come from.
 Both bijections place a permutation's points on the grid and take the path
 along the south-west boundary of the region north-east of the points; for a
 132-avoider (phi) and for a 123-avoider (psi) that boundary is the staircase
-through the left-to-right minima.  Both inverses run one left-to-right
-column rule (``_place``) and differ only in how it fills the non-minimum
-values back in.
+through the left-to-right minima.  Both inverses run one per-column step
+(``_column``) and differ only in how it fills the non-minimum values back in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import P123, P132, Permutation, left_to_right_minima, occurs
+from .perm import P123, P132, Permutation, occurs
 
 
 def _validate_word(word: str) -> None:
@@ -83,37 +82,34 @@ class PathStats:
 
 
 def stats(path: DyckPath) -> PathStats:
+    return _stats(path.word)
+
+
+def _stats(word: str) -> PathStats:
+    """The stats of a path word that is balanced by construction (not re-validated)."""
     down = 0
-    right = 0
     returns = set()
     peaks = []
-    prev = ""
-    for ch in path.word:
-        if ch == "D":
-            down += 1
-        else:
-            right += 1
-            if prev == "D":
-                peaks.append((right, down - right))
-            if down == right:
-                returns.add(right)
-        prev = ch
+    # the D steps before each R step; the last piece is empty
+    for right, run in enumerate(word.split("R")[:-1], start=1):
+        down += len(run)
+        if run:
+            peaks.append((right, down - right))
+        if down == right:
+            returns.add(right)
     hills = sum(1 for _, diag in peaks if diag == 0)
     return PathStats(frozenset(returns), len(returns), hills, tuple(peaks))
 
 
-def _staircase(p: Permutation) -> str:
-    """Path along the left-to-right-minima staircase of ``p``."""
-    n = p.n
-    minima = left_to_right_minima(p)
+def _staircase(word: tuple[int, ...]) -> str:
+    """Path along the left-to-right-minima staircase of the permutation ``word``."""
     steps = []
-    height = n  # distance of the path above the bottom edge, in grid rows
-    for idx, pos in enumerate(minima):
-        v = p.word[pos - 1]
-        steps.append("D" * (height - (v - 1)))
-        height = v - 1
-        nxt = minima[idx + 1] if idx + 1 < len(minima) else n + 1
-        steps.append("R" * (nxt - pos))
+    height = len(word)  # distance of the path above the bottom edge, in grid rows
+    for v in word:
+        if v <= height:
+            steps.append("D" * (height - v + 1))
+            height = v - 1
+        steps.append("R")
     return "".join(steps)
 
 
@@ -121,14 +117,14 @@ def phi(sigma: Permutation) -> DyckPath:
     """Bijection from 132-avoiders to paths (boundary of the shaded staircase)."""
     if occurs(P132, sigma):
         raise ValueError(f"{sigma} contains a 132 pattern; phi needs a 132-avoider")
-    return DyckPath(_staircase(sigma))
+    return DyckPath(_staircase(sigma.word))
 
 
 def psi(sigma: Permutation) -> DyckPath:
     """Bijection from 123-avoiders to paths (same staircase construction)."""
     if occurs(P123, sigma):
         raise ValueError(f"{sigma} contains a 123 pattern; psi needs a 123-avoider")
-    return DyckPath(_staircase(sigma))
+    return DyckPath(_staircase(sigma.word))
 
 
 def _lowest_free(used: int, level: int, n: int) -> int:
@@ -142,29 +138,32 @@ def _highest_free(used: int, level: int, n: int) -> int:
     return ((1 << n + 1) - 2 & ~used).bit_length() - 1
 
 
-def _place(word: str, n: int, fill) -> tuple[int, ...]:
-    """The values that an inverse bijection places in the columns of ``word``, left to right.
+def _column(used: int, down: int, corner: bool, n: int, fill) -> int:
+    """The value that an inverse bijection places at a column's R step after ``down`` D steps.
 
-    At a column's R step after ``down`` D steps, an outer corner (a DR peak)
-    takes ``n - down + 1``, and any other column takes
-    ``fill(used, n - down + 1, n)``, where ``used`` has bit ``v`` set for
-    each value ``v`` placed so far.  The ``c - 1`` values placed before
+    An outer corner (a DR peak) takes ``n - down + 1``, and any other column
+    takes ``fill(used, n - down + 1, n)``, where ``used`` has bit ``v`` set
+    for each value ``v`` placed so far.  The ``c - 1`` values placed before
     column ``c`` all lie at or above its level, which has ``down >= c``
     values, so both fills find a free value there; a corner further right
     lies deeper, below that level, so no fill takes its value.
+    """
+    level = n - down + 1
+    return level if corner else fill(used, level, n)
+
+
+def _place(word: str, n: int, fill) -> tuple[int, ...]:
+    """The values that :func:`_column` places in the columns of ``word``, left to right.
+
     Raises ValueError unless the placed values are exactly 1..n.
     """
     values = []
     used = down = 0
-    prev = ""
-    for ch in word:
-        if ch == "D":
-            down += 1
-        else:
-            v = n - down + 1 if prev == "D" else fill(used, n - down + 1, n)
-            values.append(v)
-            used |= 1 << v
-        prev = ch
+    for run in word.split("R")[:-1]:  # the D steps before each R step
+        down += len(run)
+        v = _column(used, down, bool(run), n, fill)
+        values.append(v)
+        used |= 1 << v
     if used != (1 << n + 1) - 2:
         raise ValueError(f"path {word} does not place each of 1..{n} once: {values}")
     return tuple(values)

@@ -249,7 +249,9 @@ def _packed_histogram(
         memo[used] = total
         return total
 
-    return suffix(0)
+    total = suffix(0)
+    del suffix  # its closure refers to it: free the memo now, not at the next GC pass
+    return total
 
 
 def _require_class(tau: Permutation) -> tuple[int, ...]:

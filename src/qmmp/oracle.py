@@ -46,28 +46,6 @@ def brute_series(tau: Permutation, spec: QuadrantSpec, trunc: int) -> TSeries:
     return TSeries([distribution(n, tau, spec) for n in range(trunc + 1)])
 
 
-def _all_path_words(n: int) -> tuple[str, ...]:
-    """Every balanced word of semilength n, generated directly (no bijections)."""
-    words: list[str] = []
-    prefix: list[str] = []
-
-    def rec(down: int, right: int) -> None:
-        if down == n and right == n:
-            words.append("".join(prefix))
-            return
-        if down < n:
-            prefix.append("D")
-            rec(down + 1, right)
-            prefix.pop()
-        if right < down:
-            prefix.append("R")
-            rec(down, right + 1)
-            prefix.pop()
-
-    rec(0, 0)
-    return tuple(words)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -470,34 +448,75 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
 # objects of that size.  The ``dyck`` rules are looked up at call time, so a
 # rebinding of them (as perfbench's span tracer does) is seen.
 
+# An image's flags in :func:`_path_walk`, each set by a failed prefix check:
+# an outer corner's quadrant-I tally ``n - v - q2`` is not its diagonal, and a
+# value with an earlier smaller one (``i > q2``) exceeds the last such value.
+_DIAG, _RISE = 1, 2
 
-def _diag_failure(word: str, path_peaks, values, rows) -> str | None:
+
+def _path_walk(n: int, entry):
+    """Each path word of semilength n, D before R, with its phi and psi inverse images.
+
+    A DFS over path prefixes: at a column's R step an image places ``v``
+    from ``dyck._column`` after ``q2`` larger values and adds ``entry(i, v,
+    q2)``, computed once per move in a table local to the call, to its
+    total.  Yields ``(word, images)``, one ``(values, total, flags)`` per
+    image, and raises the column rule's ValueError at an image that does
+    not place each of 1..n once.
+    """
+    fills = (dyck._lowest_free, dyck._highest_free)
+    table: dict[tuple[int, int, int], int] = {}
+    # a prefix, empty or ending with R, its D steps and per image (used, total, last, flags, values)
+    stack = [("", 0, ((0, 0, n + 1, 0, ()),) * 2)]
+    while stack:
+        prefix, down, images = stack.pop()
+        i = len(prefix) - down
+        if i == n:
+            for fill, image in zip(fills, images):
+                if image[0] != (1 << n + 1) - 2:
+                    dyck._place(prefix, n, fill)
+            yield prefix, [(values, total, flags) for _, total, _, flags, values in images]
+        # the next column after d more D steps, fewest pushed first: D comes before R
+        for d in range(max(0, i + 1 - down), n - down + 1):
+            below = down + d
+            stepped = []
+            for fill, (used, total, last, flags, values) in zip(fills, images):
+                v = dyck._column(used, below, d > 0, n, fill)
+                q2 = (used >> v).bit_count()
+                if (e := table.get((i, v, q2))) is None:
+                    e = table[i, v, q2] = entry(i, v, q2)
+                if d and n - v - q2 != below - i - 1:
+                    flags |= _DIAG
+                if i != q2:
+                    flags |= _RISE if v > last else 0
+                    last = v
+                stepped.append((used | 1 << v, total + e, last, flags, values + (v,)))
+            stack.append((prefix + "D" * d + "R", below, tuple(stepped)))
+
+
+def _diag_failure(word: str, values) -> str:
     # peak on the k-th diagonal <=> k points in quadrant I at that position
-    for col, diag in path_peaks:
-        q1 = rows[col - 1][0]
-        if q1 != diag:
-            sigma = Permutation(values)
-            return f"path={word} sigma={sigma} column={col}: diagonal {diag}, quadrant-I {q1}"
-    return None
+    rows = quadrant_rows(values)
+    col, diag = next((c, d) for c, d in dyck._stats(word).peaks if rows[c - 1][0] != d)
+    q1 = rows[col - 1][0]
+    return f"path={word} sigma={Permutation(values)} column={col}: diagonal {diag}, quadrant-I {q1}"
 
 
-def _two_decreasing_failure(word: str, path_peaks, values, rows) -> str | None:
+def _two_decreasing_failure(word: str, values) -> str:
     # psi-inverse permutations split into two decreasing subsequences:
     # the peaks (empty third quadrant) and the non-peaks.
+    rows = quadrant_rows(values)
     peaks = [v for v, q in zip(values, rows) if q[2] == 0]
     nonpeaks = [v for v, q in zip(values, rows) if q[2] != 0]
-    if peaks != sorted(peaks, reverse=True) or nonpeaks != sorted(nonpeaks, reverse=True):
-        sigma = Permutation(values)
-        return f"path={word} sigma={sigma}: peaks={peaks}, non-peaks={nonpeaks}"
-    return None
+    return f"path={word} sigma={Permutation(values)}: peaks={peaks}, non-peaks={nonpeaks}"
 
 
-# Per-n members of the path pass: (the inverse image they check, and the
-# failure of one word).
+# Per-n members of the path pass: (image, 0 for phi and 1 for psi; the flag that fails a
+# word; its failure).  The peaks, left-to-right minima, decrease, so ``_RISE`` checks the rest.
 _PATH_CHECKS = {
-    "lemma-p1-3": ("phi", _diag_failure),
-    "lemma-p2-3": ("psi", _diag_failure),
-    "lemma-p2-2": ("psi", _two_decreasing_failure),
+    "lemma-p1-3": (0, _DIAG, _diag_failure),
+    "lemma-p2-3": (1, _DIAG, _diag_failure),
+    "lemma-p2-2": (1, _RISE, _two_decreasing_failure),
 }
 
 # match-preservation: every path's two preimages match (k,l,EMPTY,m) at the
@@ -508,71 +527,55 @@ _MATCH_SPECS = [
 
 
 def _path_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the path-pass members ``sids``: one pass per n over the path words.
+    """Reports of the path-pass members ``sids``: one :func:`_path_walk` per n.
 
-    A word's stats and inverse images (from the one column rule
-    ``dyck._place``) with their rows are computed once each, and only where
-    a member in ``sids`` reads them.  Match-preservation compares one total
-    per image, the sum of its rows' entries in ``table``, which have one
-    ``n.bit_length()``-bit field per spec (a count is at most n), and counts
-    per spec only when the totals differ.
+    Match-preservation compares the two images' totals, with one
+    ``n.bit_length()``-bit field per spec, and counts only when they differ.
     """
     checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
-    match = "match-preservation" in sids
-    fills = {"phi": dyck._lowest_free, "psi": dyck._highest_free}
-    reads = [i for i in fills if match or any(image == i for _, image, _ in checks)]
-    diag = any(check is _diag_failure for _, _, check in checks)
     cells = {sid: _Cells() for sid in sids}
     match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
     for n in range(max_n + 1):
         windows = [_window(spec, n) for spec in _MATCH_SPECS]
         width = max(1, n.bit_length())
-        table = {
-            q: sum(1 << f * width for f, window in enumerate(windows) if _in_window(q, window))
-            for q in itertools.product(range(n), repeat=4)
-            if sum(q) == n - 1
-        }
-        failed: dict[str, list[str]] = {sid: [] for sid, _, _ in checks}
-        for word in _all_path_words(n):
-            path_peaks = dyck.stats(dyck.DyckPath(word)).peaks if diag else ()
-            images = {}
-            for image in reads:
-                values = dyck._place(word, n, fills[image])
-                images[image] = values, quadrant_rows(values)
-            for sid, image, check in checks:
-                if not failed[sid] and (failure := check(word, path_peaks, *images[image])):
-                    failed[sid].append(failure)
-            if match:
-                left, right = (sum(map(table.__getitem__, images[i][1])) for i in fills)
-                for spec, window in zip(_MATCH_SPECS, windows) if left != right else ():
-                    lhs, rhs = (sum(_in_window(q, window) for q in images[i][1]) for i in fills)
+
+        def entry(i: int, v: int, q2: int) -> int:
+            q = _append_tallies(n, i, v, q2)
+            return sum(1 << f * width for f, window in enumerate(windows) if _in_window(q, window))
+
+        failed: dict[str, list[str]] = {sid: [] for sid, _, _, _ in checks}
+        for word, images in _path_walk(n, entry):
+            for sid, image, flag, failure in checks:
+                values, _, flags = images[image]
+                if flags & flag and not failed[sid]:
+                    failed[sid].append(failure(word, values))
+            if "match-preservation" in cells and images[0][1] != images[1][1]:
+                rows = [quadrant_rows(values) for values, _, _ in images]
+                for spec, window in zip(_MATCH_SPECS, windows):
+                    lhs, rhs = (sum(_in_window(q, window) for q in r) for r in rows)
                     if lhs != rhs and not match_fails[spec]:
                         match_fails[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
         for sid, failures in failed.items():
             cells[sid].check(f"n={n}", failures)
-    for spec in _MATCH_SPECS if match else ():
+    for spec in _MATCH_SPECS if "match-preservation" in cells else ():
         cells["match-preservation"].check(f"spec={spec}", match_fails[spec], f"n<={max_n}")
     return {sid: c.report(sid) for sid, c in cells.items()}
 
 
-def _first_return_failure(sigma: Permutation, count: int, path_stats) -> str | None:
-    pos_n = sigma.word.index(sigma.n) + 1
+def _first_return_failure(word, count: int, path_stats) -> str | None:
+    pos_n = word.index(len(word)) + 1
     first_return = min(path_stats.returns)
     if pos_n != first_return:
-        return f"sigma={sigma}: position of n is {pos_n}, first return {first_return}"
-    return None
+        return f"sigma={Permutation(word)}: position of n is {pos_n}, first return {first_return}"
 
 
-def _hill_failure(sigma: Permutation, count: int, path_stats) -> str | None:
+def _hill_failure(word, count: int, path_stats) -> str | None:
     if count != path_stats.hills:
-        return f"sigma={sigma}: matches={count}, hills={path_stats.hills}"
-    return None
+        return f"sigma={Permutation(word)}: matches={count}, hills={path_stats.hills}"
 
 
-_HILL_SPEC = QuadrantSpec(EMPTY, 0, EMPTY, 0)
-
-# Members of the walk pass: (first n, failure of one 132-avoider from its
-# (e,0,e,0) match count and its path's stats).
+# Members of the walk pass: (first n, failure of one 132-avoider's word from
+# its (e,0,e,0) match count and its path's stats).
 _WALK_CHECKS = {
     "lemma-p1-2": (1, _first_return_failure),
     "hill-correspondence": (0, _hill_failure),
@@ -580,23 +583,19 @@ _WALK_CHECKS = {
 
 
 def _walk_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the walk-pass members ``sids``: one walk per n over the 132-avoiders.
-
-    The walk yields only 132-avoiders, so a path is phi's staircase
-    without phi's 132 scan.
-    """
+    """Reports of the walk-pass members ``sids``: one walk per n over the 132-avoiders,
+    whose paths are phi's staircases without phi's 132 scan or a validation."""
     cells = {sid: _Cells() for sid in sids}
     for n in range(max_n + 1):
-        window = _window(_HILL_SPEC, n)
+        window = _window(QuadrantSpec(EMPTY, 0, EMPTY, 0), n)
         walk = avoider_walk(
             n, P132.word, lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
         )
         failed: dict[str, list[str]] = {sid: [] for sid in sids if _WALK_CHECKS[sid][0] <= n}
         for word, count in walk:
-            sigma = Permutation(word)
-            path_stats = dyck.stats(dyck.DyckPath(dyck._staircase(sigma)))
+            path_stats = dyck._stats(dyck._staircase(word))
             for sid, failures in failed.items():
-                if not failures and (failure := _WALK_CHECKS[sid][1](sigma, count, path_stats)):
+                if not failures and (failure := _WALK_CHECKS[sid][1](word, count, path_stats)):
                     failures.append(failure)
         for sid, failures in failed.items():
             cells[sid].check(f"n={n}", failures)

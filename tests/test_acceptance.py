@@ -36,6 +36,7 @@ from qmmp.mmp import EMPTY, QuadrantSpec, distribution, mmp_count, quadrants_at
 from qmmp.perm import P123, P132, Permutation, avoiders, occurs
 from qmmp.series import catalan, narayana
 
+from path_words import all_path_words
 from reference_series import REFERENCE
 
 
@@ -273,7 +274,7 @@ def test_criterion_9_property_suite():
 
         for n in range(10):
             hist = {}
-            for word in oracle._all_path_words(n):
+            for word in all_path_words(n):
                 p = len(stats(DyckPath(word)).peaks)
                 hist[p] = hist.get(p, 0) + 1
             expect = {0: 1} if n == 0 else {p: narayana(n, p) for p in range(1, n + 1)}

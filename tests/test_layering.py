@@ -5,13 +5,20 @@
 ``dyck`` imports from ``perm`` only, so the one column rule of both inverse
 maps carries no tally, engine or oracle code; ``perm``, ``mmp`` and
 ``oracle`` apply no ``functools`` cache; and ``perm`` and ``mmp``, where the
-walks build their move, lane, mask and tally tables, bind no mutable
-container at module or class level and no mutable default argument.  So no
-oracle result outlives the call that computed it.
+walks build their move, lane, mask and tally tables, and ``dyck``, whose
+column step the oracle's path walk calls, bind no mutable container at
+module or class level and no mutable default argument.  So no oracle result
+outlives the call that computed it; nor does a walk's memo through a
+reference cycle, which would live on until the next cyclic collection.
 """
 
 import ast
+import gc
 from pathlib import Path
+
+from qmmp import oracle
+from qmmp.mmp import QuadrantSpec, distribution
+from qmmp.perm import P132
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -115,10 +122,12 @@ def _lasting_tables(tree):
     return found
 
 
-# The functions that build per-call tables, per module scanned.
+# The functions that build per-call tables or that the walks call per move,
+# per module scanned.
 KERNELS = {
     "perm": {"avoider_walk"},
     "mmp": {"_packed_histogram", "distributions"},
+    "dyck": {"_column"},
 }
 
 
@@ -132,3 +141,16 @@ def test_oracle_kernel_tables_live_inside_a_call():
     # the scan does see lasting tables
     probe = ast.parse("T = {}\nclass C:\n    rows: list = list()\ndef f(m=[]):\n    global T\n")
     assert _lasting_tables(probe) == ["T", "C.rows", "default of f", "global T"]
+
+
+def test_oracle_walks_leave_no_reference_cycle():
+    # a memo held by a cycle outlives its call until the collector runs, so a
+    # run's peak memory would depend on when that happens
+    gc.collect()
+    gc.disable()
+    try:
+        distribution(9, P132, QuadrantSpec(0, 1, 0, 0))
+        oracle.verify_all(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

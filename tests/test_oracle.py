@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from qmmp import dyck, oracle
-from qmmp.mmp import EMPTY, QuadrantSpec
+from qmmp.mmp import EMPTY, QuadrantSpec, quadrant_rows
 from qmmp.perm import P123, P132, Permutation
 from qmmp.series import IntPoly, catalan
+
+from path_words import all_path_words
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,33 +219,37 @@ BIJECTION_SUBJECTS = (
 )
 
 
-def _swap_first_two(place, fill):
-    # the column rule's output under ``fill`` only (one of the two inverse
-    # maps), with its first two values swapped
-    def swapped(word, n, f):
-        values = place(word, n, f)
-        return values[1::-1] + values[2:] if f is fill else values
+def _swap_last_two(column, fill):
+    # the column step under ``fill`` only (one of the two inverse maps), with
+    # the values of the last two columns exchanged: the next-to-last column
+    # takes the value left over for the last, and the last the other one
+    def swapped(used, down, corner, n, f):
+        v = column(used, down, corner, n, f)
+        free = (1 << n + 1) - 2 & ~used
+        if f is fill and used.bit_count() == n - 2:
+            return (free ^ 1 << v).bit_length() - 1
+        return free.bit_length() - 1 if f is fill and used.bit_count() == n - 1 else v
 
     return swapped
 
 
-def _swap_phi(place):
-    return _swap_first_two(place, dyck._lowest_free)
+def _swap_phi(column):
+    return _swap_last_two(column, dyck._lowest_free)
 
 
-def _swap_psi(place):
-    return _swap_first_two(place, dyck._highest_free)
+def _swap_psi(column):
+    return _swap_last_two(column, dyck._highest_free)
 
 
 def _one_peak(_staircase):
-    return lambda sigma: "D" * sigma.n + "R" * sigma.n
+    return lambda word: "D" * len(word) + "R" * len(word)
 
 
 @pytest.mark.parametrize(
     "name, corrupt, failing",
     [
-        ("_place", _swap_phi, {"lemma-p1-3", "match-preservation"}),
-        ("_place", _swap_psi, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
+        ("_column", _swap_phi, {"lemma-p1-3", "match-preservation"}),
+        ("_column", _swap_psi, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
         ("_staircase", _one_peak, {"lemma-p1-2", "hill-correspondence"}),
     ],
 )
@@ -257,6 +263,34 @@ def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, fail
         assert {sid for sid, r in reports.items() if not r.passed} == failing
     for sid in BIJECTION_SUBJECTS:
         assert alone[sid].lines() == grouped[sid].lines()
+    if name == "_column":
+        # the public inverse runs the same corrupted step: (1, 2, 3) and
+        # (1, 3, 2) are phi_inv and psi_inv of DDDRRR
+        phi_side = corrupt is _swap_phi
+        inverse = dyck.phi_inv if phi_side else dyck.psi_inv
+        assert inverse(dyck.DyckPath("DDDRRR")).word == ((1, 3, 2) if phi_side else (1, 2, 3))
+
+
+def test_path_walk_leaves_are_the_path_words_and_their_images():
+    # the prefix walk yields every path word in the order of the direct
+    # generator, each with exactly the column rule's image under both fills,
+    # and (checked to n = 8) the sum of the image's move entries
+    fills = [dyck._lowest_free, dyck._highest_free]
+    for n in range(11):
+        leaves = list(oracle._path_walk(n, lambda i, v, q2: (v * n + q2) << 8 * i))
+        assert [word for word, _ in leaves] == list(all_path_words(n))
+        for word, images in leaves:
+            for fill, (values, total, _) in zip(fills, images):
+                assert values == dyck._place(word, n, fill)
+                if n <= 8:
+                    rows = enumerate(zip(values, quadrant_rows(values)))
+                    assert total == sum((v * n + q[1]) << 8 * i for i, (v, q) in rows)
+
+
+def test_path_walk_raises_on_a_fill_that_reuses_a_value(monkeypatch):
+    monkeypatch.setattr(dyck, "_lowest_free", lambda used, level, n: n)
+    with pytest.raises(ValueError, match="each of 1..3 once"):
+        oracle.verify("lemma-p1-3", 3)
 
 
 def test_column_rule_rejects_a_fill_that_reuses_a_value():
