@@ -7,7 +7,6 @@ harness.
 from .dyck import DyckPath, PathStats, first_return_decompose, lift, phi, phi_inv, psi, psi_inv, stats
 from .mmp import (
     EMPTY,
-    MatchReport,
     QuadrantSpec,
     bivariate_distribution,
     corner_frame_counts,
@@ -16,19 +15,9 @@ from .mmp import (
     matches_at,
     mmp_count,
     quadrants_at,
-    report_at,
 )
 from .perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs, reduce
-from .series import (
-    BiPoly,
-    IntPoly,
-    TSeries,
-    catalan,
-    catalan_series,
-    catalan_xt_series,
-    narayana,
-    solve_quadratic,
-)
+from .series import BiPoly, IntPoly, TSeries, catalan, narayana
 
 __version__ = "0.1.0"
 
@@ -37,7 +26,6 @@ __all__ = [
     "DyckPath",
     "EMPTY",
     "IntPoly",
-    "MatchReport",
     "P123",
     "P132",
     "PathStats",
@@ -47,8 +35,6 @@ __all__ = [
     "avoiders",
     "bivariate_distribution",
     "catalan",
-    "catalan_series",
-    "catalan_xt_series",
     "corner_frame_counts",
     "distribution",
     "fast_mmp_0k0l",
@@ -65,7 +51,5 @@ __all__ = [
     "psi_inv",
     "quadrants_at",
     "reduce",
-    "report_at",
-    "solve_quadratic",
     "stats",
 ]

@@ -29,10 +29,10 @@ def _max_n_cap() -> int:
     raw = os.environ.get("MMP_MAX_N", "").strip()
     if not raw:
         return DEFAULT_MAX_N_CAP
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ValueError(f"MMP_MAX_N must be an integer, got {raw!r}")
+    # int() also takes "-3", "1_0" and non-ASCII digits such as "٣"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"MMP_MAX_N must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _cap_max_n(requested: int) -> int:
@@ -59,38 +59,23 @@ def _compute_series(avoid: str, spec: QuadrantSpec, trunc: int, engine: str) -> 
     return oracle.brute_series(tau, spec, trunc)
 
 
-def _series_rows(series: TSeries) -> list[tuple[int, tuple, int]]:
-    rows = []
-    for n in range(series.trunc + 1):
-        for expo, coeff in series.poly(n).items():
-            rows.append((n, expo if isinstance(expo, tuple) else (expo,), coeff))
-    return rows
-
-
 def _render_series(series: TSeries, fmt: str, avoid: str, spec: QuadrantSpec) -> str:
     if fmt == "table":
         return "\n".join(series.render_lines())
     if fmt == "csv":
-        bivariate = any(len(e) == 2 for _, e, _ in _series_rows(series))
-        header = "n,x0exp,x1exp,coeff" if bivariate else "n,xexp,coeff"
-        lines = [header]
-        for n, expo, coeff in _series_rows(series):
-            lines.append(",".join(str(v) for v in (n, *expo, coeff)))
+        lines = ["n,xexp,coeff"]
+        for n, poly in enumerate(series.coeffs):
+            lines += (f"{n},{expo},{coeff}" for expo, coeff in poly.items())
         return "\n".join(lines)
     payload = {
         "avoid": avoid,
         "spec": str(spec),
         "trunc": series.trunc,
-        "series": [],
+        "series": [
+            {"n": n, "terms": [{"xexp": e, "coeff": str(c)} for e, c in poly.items()]}
+            for n, poly in enumerate(series.coeffs)
+        ],
     }
-    for n in range(series.trunc + 1):
-        terms = []
-        for expo, coeff in series.poly(n).items():
-            if isinstance(expo, tuple):
-                terms.append({"x0exp": expo[0], "x1exp": expo[1], "coeff": str(coeff)})
-            else:
-                terms.append({"xexp": expo, "coeff": str(coeff)})
-        payload["series"].append({"n": n, "terms": terms})
     return json.dumps(payload, indent=2)
 
 

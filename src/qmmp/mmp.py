@@ -93,14 +93,6 @@ class QuadrantSpec:
         return "".join("e" if v is EMPTY else str(v) for v in self.coords)
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    """Quadrant tallies at one position, plus whether the spec matched there."""
-
-    quadrant_counts: tuple[int, int, int, int]
-    matched: bool
-
-
 def _append_tallies(n: int, i: int, v: int, q2: int) -> tuple[int, int, int, int]:
     """Quadrant I-IV tallies of value ``v`` appended as entry ``i + 1`` of a length-n word.
 
@@ -156,11 +148,6 @@ def _in_window(q: tuple[int, int, int, int], window: tuple[tuple[int, int], ...]
 def matches_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> bool:
     """True iff position ``i`` of ``sigma`` satisfies every quadrant condition."""
     return _in_window(quadrants_at(sigma, i), _window(spec, sigma.n))
-
-
-def report_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> MatchReport:
-    q = quadrants_at(sigma, i)
-    return MatchReport(q, _in_window(q, _window(spec, sigma.n)))
 
 
 def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:

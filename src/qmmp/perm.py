@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
@@ -104,17 +103,18 @@ def left_to_right_minima(p: Permutation) -> tuple[int, ...]:
 
 
 def occurs(pattern: Permutation, sigma: Permutation) -> bool:
-    """True iff some subsequence of ``sigma`` standardizes to ``pattern``."""
+    """True iff some subsequence of ``sigma`` standardizes to ``pattern``.
+
+    ``pattern`` has length 0, 1 or 3; any other length raises ValueError.
+    """
     k = pattern.n
-    if k == 0:
-        return True
+    if k not in (0, 1, 3):
+        raise ValueError(f"patterns of length 0, 1 or 3 only, not {pattern.word!r}")
     if k > sigma.n:
         return False
-    if k == 1:
-        return True
     if k == 3:
         return _occurs3(pattern.word, sigma.word)
-    return _occurs_generic(pattern.word, sigma.word)
+    return True
 
 
 def _occurs3(tau: tuple[int, ...], word: tuple[int, ...]) -> bool:
@@ -179,44 +179,17 @@ def _scan_132(word: tuple[int, ...]) -> bool:
     return False
 
 
-def _occurs_generic(tau: tuple[int, ...], word: tuple[int, ...]) -> bool:
-    k = len(tau)
-    n = len(word)
-
-    def extend(start: int, chosen: list[int]) -> bool:
-        depth = len(chosen)
-        if depth == k:
-            return True
-        for p in range(start, n - (k - depth) + 1):
-            v = word[p]
-            if all((v > word[q]) == (tau[depth] > tau[m]) for m, q in enumerate(chosen)):
-                chosen.append(p)
-                if extend(p + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
-
-
 # ---------------------------------------------------------------------------
 # Avoidance classes
 
 
 def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
-    """All permutations of ``{1..n}`` avoiding ``tau``, in lexicographic order.
+    """All permutations of ``{1..n}`` avoiding 123 or 132, in lexicographic order.
 
-    Enumeration is a prefix-pruned backtracking search: a prefix is abandoned
-    as soon as appending a value would complete an occurrence of ``tau``.
-    For 123 and 132 it is :func:`avoider_walk`, which never enters a prefix
-    that has no completion.
+    They come from :func:`avoider_walk`, which never enters a prefix that
+    has no completion, and which raises ValueError for any other ``tau``.
     """
-    _check_n(n)
-    if tau.word in ((1, 2, 3), (1, 3, 2)):
-        words = [word for word, _ in avoider_walk(n, tau.word, _no_entry)]
-    else:
-        words = _avoiders_generic(n, tau.word)
-    return tuple(Permutation(w) for w in words)
+    return tuple(Permutation(word) for word, _ in avoider_walk(n, tau.word, _no_entry))
 
 
 def _check_n(n: int) -> None:
@@ -305,44 +278,6 @@ def avoider_walk(
         totals[i] = totals[i - 1] + e
         # the last entry is the one free value left
         moves[i] = full ^ placed if i == last else catalan_moves(placed, full, tau_word)
-
-
-def _avoiders_generic(n: int, tau_word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    k = len(tau_word)
-
-    def completes_occurrence(v: int) -> bool:
-        # Only occurrences ending at the appended value need checking.
-        m = len(prefix)
-        if k - 1 > m:
-            return False
-        if k == 0:
-            return True
-        for combo in itertools.combinations(range(m), k - 1):
-            values = [prefix[i] for i in combo]
-            values.append(v)
-            ranks = sorted(values)
-            if all(ranks[tau_word[j] - 1] == values[j] for j in range(k)):
-                return True
-        return False
-
-    def rec(used: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit or completes_occurrence(v):
-                continue
-            prefix.append(v)
-            rec(used | bit)
-            prefix.pop()
-
-    if k == 0:
-        return [] if n > 0 else [()]
-    rec(0)
-    return out
 
 
 P123 = Permutation((1, 2, 3))

@@ -154,11 +154,13 @@ def test_max_n_cap(capsys, monkeypatch):
     assert code == 0
     assert "capped to 4" in err
     assert out.strip().splitlines()[-1].startswith("t^4:")
-    monkeypatch.setenv("MMP_MAX_N", "junk")
-    code, _, err = run_cli(
-        capsys, "series", "--avoid", "123", "--spec", "0,1,0,0", "--max-n", "9"
-    )
-    assert code == 1 and "MMP_MAX_N" in err
+    # int() would take all but "junk"; "-3" used to cap every request to 0
+    for bad in ("junk", "٣", "1_0", "-3"):
+        monkeypatch.setenv("MMP_MAX_N", bad)
+        code, out, err = run_cli(
+            capsys, "series", "--avoid", "123", "--spec", "0,1,0,0", "--max-n", "9"
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "MMP_MAX_N" in err
 
 
 def test_bijection_examples(capsys):

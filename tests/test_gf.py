@@ -8,7 +8,9 @@ import pytest
 from qmmp import cli, gf, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution
 from qmmp.perm import P123, P132
-from qmmp.series import BiPoly, IntPoly, TSeries, catalan, solve_quadratic
+from qmmp.series import BiPoly, IntPoly, catalan
+
+from series_arith import add, inverse, mul, one, shift, solve_quadratic, sub, t_power, to_univariate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,15 +115,13 @@ def test_bivariate_images_commute_with_substitution():
         for k2 in range(7):
             biv = gf.q123_bivariate(k1, k2, n)
             if k1 == k2:
-                assert gf.q123_0k00(k1, n).coeffs == tuple(
-                    p.to_univariate() for p in biv.coeffs
-                )
+                assert gf.q123_0k00(k1, n).coeffs == tuple(map(to_univariate, biv.coeffs))
             for keep in ((False, True), (True, False), (False, False)):
                 image = gf._series(gf._c_biv(k1, k2, n, (BiPoly, *keep)), n, BiPoly)
                 assert image.coeffs == tuple(_substitute(p, *keep) for p in biv.coeffs)
                 univariate = gf._series(gf._c_biv(k1, k2, n, (IntPoly, *keep)), n)
                 assert univariate.coeffs == tuple(
-                    _substitute(p, *keep).to_univariate() for p in biv.coeffs
+                    to_univariate(_substitute(p, *keep)) for p in biv.coeffs
                 )
 
 
@@ -355,10 +355,9 @@ def test_narayana_base_is_the_quadratic_root():
     # t F^2 - (1 + t - t x) F + 1 = 0 with F(0) = 1, solved by coefficient
     # recursion, against the Narayana rows the (0,0,e,0) engine is built on.
     n = 20
-    a = TSeries.t_power(1, n)
-    b = TSeries([IntPoly.const(-1), IntPoly({0: -1, 1: 1})] + [IntPoly()] * (n - 1))
-    root = solve_quadratic(a, b, TSeries.one(n), IntPoly.const(1))
-    assert root == gf.q132_series(QuadrantSpec(0, 0, EMPTY, 0), n)
+    b = [IntPoly.const(-1), IntPoly({0: -1, 1: 1})] + [IntPoly()] * (n - 1)
+    root = solve_quadratic(t_power(1, n), b, one(n), IntPoly.const(1))
+    assert tuple(root) == gf.q132_series(QuadrantSpec(0, 0, EMPTY, 0), n).coeffs
 
 
 def test_errata_lines_format():
@@ -381,23 +380,22 @@ def test_errata_theorem_3_first_divergence():
 def test_errata_theorem_7_literal_form_diverges():
     # literal right-hand side at k = l = 1: 1 + (sum is empty) + Q(0,1,e,0)*Q(1,0,e,0)
     n = 4
-    literal = TSeries.one(n) + gf.q132_0ke0(1, n) * gf.q132_k0e0(1, n)
+    literal = add(one(n), mul(gf.q132_0ke0(1, n).coeffs, gf.q132_k0e0(1, n).coeffs))
     record = next(r for r in gf.KNOWN_ERRATA if r.subject == "theorem-7")
-    assert str(literal.coeff(record.n, 0)) == record.stated_value
+    assert str(literal[record.n].coeff(0)) == record.stated_value
     assert str(gf.q132_kle0(1, 1, n).coeff(record.n, 0)) == record.oracle_value
 
 
 def test_errata_theorem_8_literal_form_diverges():
     # literal numerator at k = l = 1, divided by (1 - t)
     n = 4
-    one = TSeries.one(n)
-    q1 = gf.q132_0ke0(1, n)
-    head = TSeries([IntPoly.const(c) for c in (1, 1, 2)] + [IntPoly()] * (n - 2))
-    head = head - TSeries.t_power(1, n)
-    gamma = head + (q1 * (q1 - one)).shift(1)
-    literal = gamma * (one - TSeries.t_power(1, n)).inverse()
+    q1 = list(gf.q132_0ke0(1, n).coeffs)
+    head = [IntPoly.const(c) for c in (1, 1, 2)] + [IntPoly()] * (n - 2)
+    head = sub(head, t_power(1, n))
+    gamma = add(head, shift(mul(q1, sub(q1, one(n)))))
+    literal = mul(gamma, inverse(sub(one(n), t_power(1, n))))
     record = next(r for r in gf.KNOWN_ERRATA if r.subject == "theorem-8")
-    assert str(literal.coeff(record.n, 0)) == record.stated_value
+    assert str(literal[record.n].coeff(0)) == record.stated_value
     assert str(gf.q132_0kel(1, 1, n).coeff(record.n, 0)) == record.oracle_value
 
 

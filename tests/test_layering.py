@@ -16,9 +16,10 @@ import ast
 import gc
 from pathlib import Path
 
+import qmmp
 from qmmp import oracle
 from qmmp.mmp import QuadrantSpec, distribution
-from qmmp.perm import P132
+from qmmp.perm import P132, Permutation, avoiders, occurs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -151,6 +152,17 @@ def test_oracle_walks_leave_no_reference_cycle():
     try:
         distribution(9, P132, QuadrantSpec(0, 1, 0, 0))
         oracle.verify_all(3)
+        sigma = Permutation.parse("471569283")
+        for tau in ("123", "132", "213", "231", "312", "321"):
+            occurs(Permutation.parse(tau), sigma)
+        avoiders(7, P132)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_public_names_resolve():
+    assert all(hasattr(qmmp, name) for name in qmmp.__all__)
+    namespace = {}
+    exec("from qmmp import *", namespace)
+    assert set(qmmp.__all__) <= namespace.keys()
