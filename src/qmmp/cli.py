@@ -144,11 +144,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             print(lift(path).word)
         return 0
     sigma = Permutation.parse(text)
+    path = forward(sigma)  # checks that sigma avoids the map's pattern
     if args.show == "perm":
         print(sigma)
-        return 0
-    path = forward(sigma)
-    if args.show == "path":
+    elif args.show == "path":
         print(path.word)
     elif args.show == "stats":
         print(_stats_text(path))

@@ -71,7 +71,7 @@ def _unpack(cls: type, trunc: int, n: int, packed: int) -> IntPoly | BiPoly:
     if mass != catalan(n):
         raise ArithmeticError(f"t^{n} coefficient has mass {mass}, not C_{n}: a field carried")
     if cls is IntPoly:
-        return IntPoly(fields)
+        return IntPoly._from_keys(fields)
     return BiPoly({divmod(f, trunc + 1): c for f, c in fields.items()})
 
 

@@ -284,7 +284,7 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
         for f, count in unpack_fields(packed, width).items():
             j, m = divmod(f, n + 1)
             polys[j][m] = count
-        out += map(IntPoly, polys)
+        out += map(IntPoly._from_keys, polys)
     return out
 
 

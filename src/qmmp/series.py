@@ -11,161 +11,58 @@ simplification.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 
-class IntPoly:
-    """A polynomial in ``x`` with integer coefficients, stored sparsely."""
+class _Poly:
+    """A polynomial with integer coefficients, stored sparsely.
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if not isinstance(e, int) or e < 0:
-                    raise ValueError(f"bad exponent {e!r}")
-                if v:
-                    c[e] = v
-        self._c = c
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls({0: c})
-
-    @classmethod
-    def x(cls, e: int = 1, c: int = 1) -> "IntPoly":
-        return cls({e: c})
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
-    def mass(self) -> int:
-        """Value at x = 1 (the total coefficient mass)."""
-        return sum(self._c.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __add__(self, other: Union["IntPoly", int]) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = IntPoly()
-        out._c = c
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
-        if isinstance(other, int):
-            out = IntPoly()
-            if other:
-                out._c = {e: v * other for e, v in self._c.items()}
-            return out
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                elif e in c:
-                    del c[e]
-        out = IntPoly()
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        return isinstance(other, IntPoly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        # a constant equals its int, so it must hash like it
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, 0))
-        return hash(self.items())
-
-    def render(self) -> str:
-        """Ascending-power string, e.g. ``1+6x+6x^2+x^3``."""
-        if not self._c:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                parts.append(str(c))
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                if c == 1:
-                    parts.append(xs)
-                elif c == -1:
-                    parts.append(f"-{xs}")
-                else:
-                    parts.append(f"{c}{xs}")
-        text = "+".join(parts)
-        return text.replace("+-", "-")
-
-    def __repr__(self) -> str:
-        return f"IntPoly({dict(self.items())!r})"
-
-
-class BiPoly:
-    """A polynomial in ``x0, x1`` with integer coefficients.
-
-    Exponent pairs are packed into single int keys; exponents are limited to
-    0..255 per variable, far beyond any truncation depth used here.  A
-    product that would exceed the limit raises ValueError.
+    One dict maps packed exponent keys to nonzero coefficients; key 0 is the
+    constant term.  A subclass fixes the variables: ``_key`` packs and checks
+    an exponent, ``_exp`` unpacks a key, and ``_monomial`` prints a nonzero
+    key.  Only polynomials of the same subclass add, multiply or compare.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        c = {}
-        if coeffs:
-            for (e0, e1), v in coeffs.items():
-                if min(e0, e1) < 0 or max(e0, e1) > 255:
-                    raise ValueError(f"bad exponent pair {(e0, e1)!r}")
-                if v:
-                    c[(e0 << 8) | e1] = v
-        self._c = c
+    def __init__(self, coeffs: Mapping | None = None):
+        coeffs = coeffs or {}
+        # every exponent is checked, also those with a zero coefficient
+        self._c = {k: v for k, v in zip(map(self._key, coeffs), coeffs.values()) if v}
 
     @classmethod
-    def const(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
+    def _from_keys(cls, c: dict[int, int]):
+        """Trusted constructor: ``c`` maps valid packed keys to nonzero ints."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
 
-    def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return tuple(((k >> 8, k & 255), v) for k, v in sorted(self._c.items()))
+    @classmethod
+    def const(cls, c: int):
+        return cls._from_keys({0: c} if c else {})
 
-    def coeff(self, e: tuple[int, int]) -> int:
-        return self._c.get((e[0] << 8) | e[1], 0)
+    def items(self) -> tuple:
+        keys = sorted(self._c)
+        return tuple(zip(map(self._exp, keys), map(self._c.__getitem__, keys)))
+
+    def coeff(self, e) -> int:
+        """The coefficient of exponent ``e``; 0 for an exponent out of range."""
+        try:
+            return self._c.get(self._key(e), 0)
+        except ValueError:
+            return 0
 
     def mass(self) -> int:
-        """Value at x0 = x1 = 1."""
+        """Value with every variable at 1 (the total coefficient mass)."""
         return sum(self._c.values())
 
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def __add__(self, other: Union["BiPoly", int]) -> "BiPoly":
+    def __add__(self, other):
         if isinstance(other, int):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
+            other = self.const(other)
+        elif type(other) is not type(self):
             return NotImplemented
         c = dict(self._c)
         for k, v in other._c.items():
@@ -174,27 +71,14 @@ class BiPoly:
                 c[k] = w
             elif k in c:
                 del c[k]
-        out = BiPoly()
-        out._c = c
-        return out
+        return self._from_keys(c)
 
-    __radd__ = __add__
-
-    def __mul__(self, other: Union["BiPoly", int]) -> "BiPoly":
+    def __mul__(self, other):
         if isinstance(other, int):
-            out = BiPoly()
-            if other:
-                out._c = {k: v * other for k, v in self._c.items()}
-            return out
-        if not isinstance(other, BiPoly):
+            return self._from_keys({k: v * other for k, v in self._c.items()} if other else {})
+        if type(other) is not type(self):
             return NotImplemented
-        if self._c and other._c:
-            # Packed exponents add without a carry only while each sum stays
-            # within 0..255; the largest key holds the largest x0 exponent.
-            e0 = (max(self._c) >> 8) + (max(other._c) >> 8)
-            e1 = max(map((255).__and__, self._c)) + max(map((255).__and__, other._c))
-            if max(e0, e1) > 255:
-                raise ValueError(f"product reaches x0^{e0}, x1^{e1}; exponents are limited to 255")
+        self._check_product(other)
         c: dict[int, int] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
@@ -204,16 +88,15 @@ class BiPoly:
                     c[k] = w
                 elif k in c:
                     del c[k]
-        out = BiPoly()
-        out._c = c
-        return out
+        return self._from_keys(c)
 
-    __rmul__ = __mul__
+    def _check_product(self, other) -> None:
+        """Raise ValueError if the product's keys would not unpack."""
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = BiPoly.const(other)
-        return isinstance(other, BiPoly) and self._c == other._c
+            return self._c == ({0: other} if other else {})
+        return type(other) is type(self) and self._c == other._c
 
     def __hash__(self) -> int:
         # a constant equals its int, so it must hash like it
@@ -222,30 +105,90 @@ class BiPoly:
         return hash(tuple(sorted(self._c.items())))
 
     def render(self) -> str:
+        """Ascending-key string, e.g. ``1+6x+6x^2+x^3``."""
         if not self._c:
             return "0"
+        monomial = self._monomial
         parts = []
-        for (e0, e1), c in self.items():
-            vs = ""
-            if e0:
-                vs += "x0" if e0 == 1 else f"x0^{e0}"
-            if e1:
-                vs += "x1" if e1 == 1 else f"x1^{e1}"
-            if not vs:
+        for k, c in sorted(self._c.items()):
+            if not k:
                 parts.append(str(c))
-            elif c == 1:
-                parts.append(vs)
-            elif c == -1:
-                parts.append(f"-{vs}")
             else:
-                parts.append(f"{c}{vs}")
+                xs = monomial(k)
+                if c == 1:
+                    parts.append(xs)
+                elif c == -1:
+                    parts.append(f"-{xs}")
+                else:
+                    parts.append(f"{c}{xs}")
         return "+".join(parts).replace("+-", "-")
 
     def __repr__(self) -> str:
-        return f"BiPoly({dict(self.items())!r})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-Poly = Union[IntPoly, BiPoly]
+def _power(name: str, e: int) -> str:
+    return "" if not e else name if e == 1 else f"{name}^{e}"
+
+
+class IntPoly(_Poly):
+    """A polynomial in ``x``: the key of ``x^e`` is ``e``."""
+
+    __slots__ = ()
+    # perfbench/spans.py wraps each class's own operators and render
+    __add__ = __radd__ = _Poly.__add__; __mul__ = __rmul__ = _Poly.__mul__; render = _Poly.render
+    _exp = int  # a key is its exponent
+
+    @staticmethod
+    def _key(e: int) -> int:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"bad exponent {e!r}")
+        return e
+
+    @staticmethod
+    def _monomial(e: int) -> str:
+        return "x" if e == 1 else f"x^{e}"
+
+    @classmethod
+    def x(cls, e: int = 1, c: int = 1) -> "IntPoly":
+        return cls({e: c})
+
+
+class BiPoly(_Poly):
+    """A polynomial in ``x0, x1``: the key of ``x0^e0 x1^e1`` is ``e0 << 8 | e1``.
+
+    Exponents are limited to 0..255 per variable, far beyond any truncation
+    depth used here.  A product that would exceed the limit raises ValueError.
+    """
+
+    __slots__ = ()
+    # perfbench/spans.py wraps each class's own operators and render
+    __add__ = __radd__ = _Poly.__add__; __mul__ = __rmul__ = _Poly.__mul__; render = _Poly.render
+
+    @staticmethod
+    def _key(e: tuple[int, int]) -> int:
+        e0, e1 = e
+        if min(e0, e1) < 0 or max(e0, e1) > 255:
+            raise ValueError(f"bad exponent pair {(e0, e1)!r}")
+        return e0 << 8 | e1
+
+    _exp = (256).__rdivmod__  # key -> (key >> 8, key & 255)
+
+    @staticmethod
+    def _monomial(k: int) -> str:
+        return _power("x0", k >> 8) + _power("x1", k & 255)
+
+    def _check_product(self, other: "BiPoly") -> None:
+        if self._c and other._c:
+            # Packed exponents add without a carry only while each sum stays
+            # within 0..255; the largest key holds the largest x0 exponent.
+            e0 = (max(self._c) >> 8) + (max(other._c) >> 8)
+            e1 = max(map((255).__and__, self._c)) + max(map((255).__and__, other._c))
+            if max(e0, e1) > 255:
+                raise ValueError(f"product reaches x0^{e0}, x1^{e1}; exponents are limited to 255")
+
+
+Poly = _Poly
 
 
 class TSeries:

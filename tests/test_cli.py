@@ -1,8 +1,14 @@
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
 
 from qmmp import cli, oracle
+from qmmp.dyck import DyckPath
 from qmmp.mmp import QuadrantSpec
+from qmmp.perm import Permutation
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +197,40 @@ def test_bijection_error_diagnostics(capsys):
     assert code == 1 and "123" in err
     code, _, err = run_cli(capsys, "bijection", "--map", "phi", "--input", "1a2")
     assert code == 1 and "invalid permutation" in err
+    # --show perm checks the pattern as the other views do
+    for map_name, text in (("psi", "123"), ("phi", "132")):
+        argv = ("bijection", "--map", map_name, "--input", text, "--show", "perm")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and f"contains a {text} pattern" in err
+    code, out, _ = run_cli(capsys, "bijection", "--map", "phi", "--input", "312", "--show", "perm")
+    assert code == 0 and out == "312\n"
+
+
+# user text: digits, separators, the spec and path letters, whitespace and
+# digits outside ASCII that str.isdigit accepts
+user_text = st.text(
+    st.sampled_from(list("0123456789,eDR \t") + ["\u0663", "\uff15", "\u00b2"]), max_size=12
+)
+maps = st.sampled_from(["phi", "psi"])
+views = st.sampled_from(["path", "perm", "stats", "lift"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(user_text)
+def test_parsers_raise_only_value_error(text):
+    for parse in (QuadrantSpec.parse, Permutation.parse, DyckPath.parse):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(user_text, maps, views)
+def test_bijection_exits_cleanly(text, map_name, show):
+    argv = ["bijection", "--map", map_name, "--input", text, "--show", show]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1)
 
 
 def test_verify_command(capsys):

@@ -10,6 +10,8 @@ column step the oracle's path walk calls, bind no mutable container at
 module or class level and no mutable default argument.  So no oracle result
 outlives the call that computed it; nor does a walk's memo through a
 reference cycle, which would live on until the next cyclic collection.
+``IntPoly`` and ``BiPoly`` differ only in their variables: every operation
+is one function of ``series._Poly``.
 """
 
 import ast
@@ -20,6 +22,7 @@ import qmmp
 from qmmp import oracle
 from qmmp.mmp import QuadrantSpec, distribution
 from qmmp.perm import P132, Permutation, avoiders, occurs
+from qmmp.series import BiPoly, IntPoly, _Poly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -166,3 +169,20 @@ def test_public_names_resolve():
     namespace = {}
     exec("from qmmp import *", namespace)
     assert set(qmmp.__all__) <= namespace.keys()
+
+
+def test_one_polynomial_implementation():
+    # perfbench/spans.py wraps each class's own operators and render, so both
+    # classes bind the base's functions in their own namespace
+    shared = {
+        "__add__": "__add__",
+        "__radd__": "__add__",
+        "__mul__": "__mul__",
+        "__rmul__": "__mul__",
+        "render": "render",
+    }
+    for name, base in shared.items():
+        assert vars(IntPoly)[name] is vars(BiPoly)[name] is vars(_Poly)[base], name
+    for name in ("__eq__", "__hash__", "coeff", "items", "mass"):
+        for cls in (IntPoly, BiPoly):
+            assert name not in vars(cls) and getattr(cls, name) is vars(_Poly)[name], name

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,47 @@ def test_bipoly_product_exponent_limit():
     assert (term(0, 254) * term(0, 1)).render() == "x1^255"
     assert term(254, 0) * term(1, 0) == term(255, 0)
     assert not BiPoly() * term(0, 255)
+
+
+def test_poly_edge_behaviour():
+    # an exponent outside a type's range has coefficient 0, not an error
+    assert IntPoly({1: 1}).coeff(-1) == 0
+    assert BiPoly().coeff((300, 0)) == 0
+    assert BiPoly({(1, 44): 5}).coeff((0, 300)) == 0  # key 300 is x0 x1^44
+    # the two variable sets never mix, though both constants equal their int
+    assert IntPoly.const(3) != BiPoly.const(3)
+    assert IntPoly.const(3) == 3 and BiPoly.const(3) == 3
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(IntPoly.x(), BiPoly.const(1))
+        with pytest.raises(TypeError):
+            op(BiPoly.const(1), IntPoly.x())
+    assert repr(IntPoly({2: 3, 0: -1})) == "IntPoly({0: -1, 2: 3})"
+    assert repr(BiPoly({(1, 2): 3, (0, 0): 1})) == "BiPoly({(0, 0): 1, (1, 2): 3})"
+    assert repr(IntPoly()) == "IntPoly({})"
+    # a bad exponent is refused even with a zero coefficient
+    with pytest.raises(ValueError, match=r"^bad exponent -1$"):
+        IntPoly({-1: 0})
+    with pytest.raises(ValueError, match=r"^bad exponent 'a'$"):
+        IntPoly({"a": 1})
+    with pytest.raises(ValueError, match=r"^bad exponent pair \(0, 256\)$"):
+        BiPoly({(0, 256): 1})
+
+
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 20), st.integers(0, 20)), st.integers(-6, 6), max_size=6
+).map(BiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipolys, bipolys)
+def test_univariate_image_commutes_with_arithmetic(p, q):
+    # x0 = x1 = x maps BiPoly arithmetic onto IntPoly arithmetic, so the one
+    # shared + and * must agree under both key packings
+    assert to_univariate(p + q) == to_univariate(p) + to_univariate(q)
+    assert to_univariate(p * q) == to_univariate(p) * to_univariate(q)
+    assert to_univariate(p).mass() == p.mass()
+    assert to_univariate(p * 3 + 1) == to_univariate(p) * 3 + 1
 
 
 polys = st.dictionaries(
