@@ -87,17 +87,17 @@ def stats(path: DyckPath) -> PathStats:
 
 def _stats(word: str) -> PathStats:
     """The stats of a path word that is balanced by construction (not re-validated)."""
-    down = 0
+    down = hills = 0
     returns = set()
     peaks = []
     # the D steps before each R step; the last piece is empty
     for right, run in enumerate(word.split("R")[:-1], start=1):
-        down += len(run)
         if run:
+            down += len(run)
             peaks.append((right, down - right))
+            hills += down == right
         if down == right:
             returns.add(right)
-    hills = sum(1 for _, diag in peaks if diag == 0)
     return PathStats(frozenset(returns), len(returns), hills, tuple(peaks))
 
 

@@ -48,7 +48,7 @@ Coord = Union[int, _EmptyType]
 def _check_coord(v: Coord) -> None:
     if v is EMPTY:
         return
-    if not isinstance(v, int) or v < 0:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValueError(f"quadrant condition must be a natural number or EMPTY, got {v!r}")
 
 
@@ -297,6 +297,43 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
     return distributions(n, tau, (spec,))[0]
 
 
+def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]:
+    """:func:`bivariate_distribution` of ``k1`` with each of ``k2s``, in order, from one walk.
+
+    The avoiders with ``m0`` peak and ``m1`` non-peak matches for the j-th
+    ``k2`` are counted in field ``(m0 * (n + 1) + m1) * len(k2s) + j`` of
+    one :func:`_packed_histogram` walk: the lanes interleave, so a memo
+    entry is as wide as its largest match counts need.  A peak matches in
+    every lane or in none, since all lanes share ``k1``, and a match shifts
+    the whole histogram by ``n + 1`` steps of ``len(k2s)`` fields; a
+    non-peak match shifts the lanes whose ``k2`` it meets by one step.
+    """
+    _check_n(n)
+    if k1 < 0 or any(k2 < 0 for k2 in k2s):
+        raise ValueError("k1, k2 must be nonnegative")
+    width = catalan(n).bit_length()
+    step = len(k2s) * width
+    # the fields of lane 0, one per step
+    lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))
+    every = sum(lane << j * width for j in range(len(k2s)))
+    # Per quadrant-II tally, the lanes whose k2 it meets.
+    meets = [sum(lane << j * width for j, k2 in enumerate(k2s) if q2 >= k2) for q2 in range(n)]
+    meets = [~step if m == every else m for m in meets]
+
+    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
+        if q3 == 0:
+            return ~(step * (n + 1)) if q2 >= k1 else 0
+        return meets[q2]
+
+    leaf = sum(1 << j * width for j in range(len(k2s)))
+    polys: list[dict[tuple[int, int], int]] = [{} for _ in k2s]
+    packed = _packed_histogram(n, (1, 2, 3), leaf, step, entry)
+    for f, count in unpack_fields(packed, width).items():
+        index, j = divmod(f, len(k2s))
+        polys[j][divmod(index, n + 1)] = count
+    return [BiPoly(poly) for poly in polys]
+
+
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     """Joint distribution over 123-avoiders, split by peak / non-peak positions.
 
@@ -306,21 +343,7 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     there.  Setting x0 = x1 = x with k1 = k2 = k recovers
     ``distribution(n, 123, (0, k, 0, 0))``.
     """
-    _check_n(n)
-    if k1 < 0 or k2 < 0:
-        raise ValueError("k1, k2 must be nonnegative")
-    width = catalan(n).bit_length()
-    # One lane; field m0 * (n + 1) + m1 holds the avoiders with m0 peak and
-    # m1 non-peak matches.
-    peak_width = width * (n + 1)
-
-    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
-        if q3 == 0:
-            return ~peak_width if q2 >= k1 else 0
-        return ~width if q2 >= k2 else 0
-
-    fields = unpack_fields(_packed_histogram(n, (1, 2, 3), 1, width, entry), width)
-    return BiPoly({divmod(index, n + 1): count for index, count in fields.items()})
+    return bivariate_distributions(n, k1, (k2,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class Permutation:
         n = len(word)
         seen = [False] * (n + 1)
         for v in word:
-            if not isinstance(v, int) or v < 1 or v > n or seen[v]:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n or seen[v]:
                 raise ValueError(f"not a permutation of 1..{n}: {word!r}")
             seen[v] = True
 
@@ -221,6 +221,12 @@ def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
     return moves
 
 
+def _check_walk(n: int, tau_word: tuple[int, ...]) -> None:
+    if tau_word not in ((1, 2, 3), (1, 3, 2)):
+        raise ValueError(f"the walk takes 123 or 132, not {tau_word!r}")
+    _check_n(n)
+
+
 def avoider_walk(
     n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -236,9 +242,7 @@ def avoider_walk(
     the call, so a prefix shared by many avoiders is tallied once and a
     yielded total is the sum of its entries over the avoider's positions.
     """
-    if tau_word not in ((1, 2, 3), (1, 3, 2)):
-        raise ValueError(f"the walk takes 123 or 132, not {tau_word!r}")
-    _check_n(n)
+    _check_walk(n, tau_word)
     if n == 0:
         yield (), 0
         return
@@ -278,6 +282,53 @@ def avoider_walk(
         totals[i] = totals[i - 1] + e
         # the last entry is the one free value left
         moves[i] = full ^ placed if i == last else catalan_moves(placed, full, tau_word)
+
+
+def avoider_totals(
+    n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
+) -> set[int]:
+    """The set of the totals that :func:`avoider_walk` yields, from the prefix states alone.
+
+    A prefix's completions depend only on its state, the bitmask ``used``
+    of its values (:func:`catalan_moves`), and so does the set of its
+    suffix totals.  A forward pass lists the reachable states level by
+    level (a level is a prefix length, the popcount of ``used``); a
+    backward pass then takes each state's set from those of the level
+    below, whose sets it drops once the level is done.  Entries are
+    computed once per move ``(i, v, q2)``, as in the walk.
+    """
+    _check_walk(n, tau_word)
+    full = ((1 << n) - 1) << 1
+    levels = [[0]]
+    for _ in range(n):
+        step = set()
+        for used in levels[-1]:
+            moves = catalan_moves(used, full, tau_word)
+            while moves:
+                bit = moves & -moves
+                moves ^= bit
+                step.add(used | bit)
+        levels.append(list(step))
+    below = {full: {0}}
+    for i in range(n - 1, -1, -1):
+        table: dict[tuple[int, int], int] = {}
+        here = {}
+        for used in levels[i]:
+            totals: set[int] = set()
+            moves = catalan_moves(used, full, tau_word)
+            while moves:
+                bit = moves & -moves
+                moves ^= bit
+                v = bit.bit_length() - 1
+                q2 = (used >> v).bit_count()
+                e = table.get((v, q2))
+                if e is None:
+                    e = table[v, q2] = entry(i, v, q2)
+                child = below[used | bit]
+                totals.update({t + e for t in child} if e else child)
+            here[used] = totals
+        below = here
+    return below[0]
 
 
 P123 = Permutation((1, 2, 3))

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from qmmp.dyck import (
     DyckPath,
+    PathStats,
     first_return_decompose,
     lift,
     phi,
@@ -14,6 +15,8 @@ from qmmp.dyck import (
 from qmmp.mmp import quadrants_at
 from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima
 from qmmp.series import catalan
+
+from path_words import all_path_words
 
 GOLDEN = "DDRDDRRRDDRDRDRRDR"
 
@@ -45,6 +48,27 @@ def test_stats_extremes():
     assert stats(block).ret == 1 and stats(block).hills == 0
     empty = stats(DyckPath(""))
     assert empty.ret == 0 and empty.hills == 0 and empty.peaks == ()
+
+
+def test_stats_match_a_step_by_step_reading():
+    # returns, peaks and hills read one step at a time, over every path word
+    # of semilength <= 10
+    for n in range(11):
+        for word in all_path_words(n):
+            down = right = 0
+            returns, peaks = set(), []
+            for prev, step in zip(" " + word, word):
+                if step == "D":
+                    down += 1
+                    continue
+                right += 1
+                if prev == "D":
+                    peaks.append((right, down - right))
+                if down == right:
+                    returns.add(right)
+            hills = sum(1 for _, diag in peaks if diag == 0)
+            want = PathStats(frozenset(returns), len(returns), hills, tuple(peaks))
+            assert stats(DyckPath(word)) == want, word
 
 
 def test_phi_golden():

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import qmmp
 from qmmp import oracle
-from qmmp.mmp import QuadrantSpec, distribution
-from qmmp.perm import P132, Permutation, avoiders, occurs
+from qmmp.mmp import QuadrantSpec, bivariate_distributions, distribution
+from qmmp.perm import P123, P132, Permutation, avoider_totals, avoiders, occurs
 from qmmp.series import BiPoly, IntPoly, _Poly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
@@ -129,7 +129,7 @@ def _lasting_tables(tree):
 # The functions that build per-call tables or that the walks call per move,
 # per module scanned.
 KERNELS = {
-    "perm": {"avoider_walk"},
+    "perm": {"avoider_walk", "avoider_totals"},
     "mmp": {"_packed_histogram", "distributions"},
     "dyck": {"_column"},
 }
@@ -154,6 +154,8 @@ def test_oracle_walks_leave_no_reference_cycle():
     gc.disable()
     try:
         distribution(9, P132, QuadrantSpec(0, 1, 0, 0))
+        bivariate_distributions(9, 1, range(6))
+        avoider_totals(9, P123.word, lambda i, v, q2: v << q2)
         oracle.verify_all(3)
         sigma = Permutation.parse("471569283")
         for tau in ("123", "132", "213", "231", "312", "321"):

@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmmp.mmp import (
     EMPTY,
     QuadrantSpec,
     _append_tallies,
     bivariate_distribution,
+    bivariate_distributions,
     corner_frame_counts,
     distribution,
     distributions,
@@ -22,6 +24,7 @@ from qmmp.perm import (
     P123,
     P132,
     Permutation,
+    avoider_totals,
     avoider_walk,
     avoiders,
     left_to_right_minima,
@@ -60,6 +63,10 @@ def test_spec_parsing():
         QuadrantSpec.parse("0,²,0,0")
     with pytest.raises(ValueError):
         QuadrantSpec(-1, 0, 0, 0)
+    # a bool is an int, but True would render as a slot that parse rejects
+    for slots in ((True, 0, False, 0), (0, 0, 0, False)):
+        with pytest.raises(ValueError, match="natural number or EMPTY, got (True|False)"):
+            QuadrantSpec(*slots)
 
 
 def test_empty_is_not_zero():
@@ -206,6 +213,19 @@ def test_bivariate_distribution_audit():
                 assert bivariate_distribution(n, k1, k2) == BiPoly(hist), (n, k1, k2)
 
 
+def test_bivariate_distributions_lanes():
+    # one walk per k1 holds each k2's distribution in its own lane, in input
+    # order, repeats and thresholds beyond n included
+    for n in range(10):
+        for k1 in range(7):
+            for k2s in (range(7 - k1), [3, 0, 3, 12, 1]):
+                want = [bivariate_distribution(n, k1, k2) for k2 in k2s]
+                assert bivariate_distributions(n, k1, k2s) == want, (n, k1, list(k2s))
+    assert bivariate_distributions(5, 1, []) == []
+    with pytest.raises(ValueError, match="k1, k2 must be nonnegative"):
+        bivariate_distributions(5, 1, [0, -1])
+
+
 def test_bivariate_distribution_examples():
     assert bivariate_distribution(2, 0, 0) == BiPoly({(1, 1): 1, (2, 0): 1})
     for n in range(7):
@@ -309,6 +329,39 @@ def test_avoider_walk():
         next(avoider_walk(3, (2, 1, 3), lambda i, v, q2: 0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([P123, P132]),
+    st.integers(0, 2**32),
+    st.sampled_from([2, 9, 1 << 40]),
+)
+def test_avoider_totals_are_the_walk_totals(n, tau, seed, spread):
+    # a random entry per move (i, v, q2), drawn from a small range so that
+    # many avoiders share a total, or from a wide one so that few do
+    table = {}
+
+    def entry(i, v, q2):
+        if (i, v, q2) not in table:
+            table[i, v, q2] = random.Random(hash((seed, i, v, q2))).randrange(-spread, spread)
+        return table[i, v, q2]
+
+    walk = {total for _, total in avoider_walk(n, tau.word, entry)}
+    assert avoider_totals(n, tau.word, entry) == walk
+
+
+def test_avoider_totals_edges():
+    assert avoider_totals(0, P123.word, lambda i, v, q2: 1) == {0}
+    assert avoider_totals(1, P132.word, lambda i, v, q2: 1 << (i + v + q2)) == {2}
+    # the class and length checks of the walk, with its messages
+    for n, tau_word in ((-1, P123.word), (3, (2, 1, 3)), (-1, (1, 2)), (0, (3, 2, 1))):
+        with pytest.raises(ValueError) as walk:
+            next(avoider_walk(n, tau_word, lambda i, v, q2: 0))
+        with pytest.raises(ValueError) as totals:
+            avoider_totals(n, tau_word, lambda i, v, q2: 0)
+        assert str(totals.value) == str(walk.value)
+
+
 def test_fast_formula_row_bounds():
     # value clause is l < v <= n-k (the k/l swap in the other order is wrong)
     sigma = Permutation.parse("869743251")
@@ -363,6 +416,8 @@ def test_negative_length_is_rejected():
         lambda: distributions(-1, P132, [spec]),
         lambda: distributions(-1, P132, []),
         lambda: bivariate_distribution(-1, 0, 0),
+        lambda: bivariate_distributions(-1, 0, [0, 1]),
+        lambda: avoider_totals(-1, P132.word, lambda i, v, q2: 0),
         lambda: list(avoider_walk(-1, P123.word, lambda i, v, q2: 0)),
         lambda: avoiders(-1, P132),
     ):

@@ -8,6 +8,7 @@ from qmmp.mmp import EMPTY, QuadrantSpec, quadrant_rows
 from qmmp.perm import P123, P132, Permutation
 from qmmp.series import IntPoly, catalan
 
+from band_reference import band_lines
 from path_words import all_path_words
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,6 +165,25 @@ def test_band_rules_flag_each_failure_kind():
                 assert fields.numbers(total, p) == _band_unpack(fields, total, p) == want
 
 
+def _swapped_row_bounds(j, v, n, k, ell):
+    # the theorem-12 erratum's row bands: top ell rows and bottom k rows
+    column = j <= k or j > n - ell
+    row = v > n - ell or v <= k
+    return row and column, row or column
+
+
+@pytest.mark.parametrize("sid, failing", [("theorem-12", 6), ("theorem-13", 12)])
+def test_band_subjects_see_swapped_row_bounds(monkeypatch, sid, failing):
+    # the subjects report what the per-avoider reference does, with the true
+    # bands and with the erratum's, whose first counterexamples come from the
+    # per-avoider walk after the distinct totals fail
+    assert oracle.verify(sid, 8).lines() == band_lines(sid, 8, oracle._bands)
+    monkeypatch.setattr(oracle, "_bands", _swapped_row_bounds)
+    report = oracle.verify(sid, 8)
+    assert report.counts()[1] == failing
+    assert report.lines() == band_lines(sid, 8, _swapped_row_bounds)
+
+
 def test_verify_all_shape():
     reports = oracle.verify_all(4)
     assert [r.subject for r in reports] == list(oracle.subject_ids())
@@ -194,6 +214,8 @@ def test_negative_depth_is_rejected():
         oracle.verify_all(-1)
     with pytest.raises(ValueError, match="trunc must be nonnegative"):
         oracle.check_conjecture1(4, -1)
+    with pytest.raises(ValueError, match="trunc must be nonnegative"):
+        oracle.brute_series(P132, QuadrantSpec(0, 1, 0, 0), -1)
 
 def test_verify_all_equals_each_subject_alone():
     # the shared bijection passes of verify_all change no report, the n = 0

@@ -32,6 +32,10 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     assert Permutation(()).n == 0
+    # a bool is an int, and True == 1
+    for word in ((True,), (2, True), (1, False)):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.\d"):
+            Permutation(word)
 
 
 def test_parse_takes_ascii_digits_only():
