@@ -101,15 +101,22 @@ def _stats(word: str) -> PathStats:
     return PathStats(frozenset(returns), len(returns), hills, tuple(peaks))
 
 
+def _stair(height: int, v: int) -> tuple[int, int]:
+    """The D run before the column of value ``v`` and the path's height after it.
+
+    ``height`` is the path's distance above the bottom edge, in grid rows: a
+    new left-to-right minimum ``v`` takes the path down to ``v - 1``.
+    """
+    return (height - v + 1, v - 1) if v <= height else (0, height)
+
+
 def _staircase(word: tuple[int, ...]) -> str:
     """Path along the left-to-right-minima staircase of the permutation ``word``."""
     steps = []
-    height = len(word)  # distance of the path above the bottom edge, in grid rows
+    height = len(word)
     for v in word:
-        if v <= height:
-            steps.append("D" * (height - v + 1))
-            height = v - 1
-        steps.append("R")
+        run, height = _stair(height, v)
+        steps.append("D" * run + "R")
     return "".join(steps)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from . import dyck, gf
 from .mmp import (
@@ -28,7 +29,7 @@ from .mmp import (
     distributions,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, avoider_totals, avoider_walk
+from .perm import P123, P132, Permutation, avoider_totals, avoider_walk, catalan_moves
 from .series import IntPoly, TSeries
 
 
@@ -196,12 +197,12 @@ def _subject_theorem_3(max_n: int) -> VerificationReport:
     return cells.report("theorem-3")
 
 
-_PAIRS = [(k, ell) for k in range(5) for ell in range(5 - k)]
+_PAIRS = tuple((k, ell) for k in range(5) for ell in range(5 - k))
 
 # Top-degree coefficient subjects: (parameter grid, spec of the parameters).
 # A cell checks x^(n - sum) at every n >= sum + 1, both classes, against
 # gf.extremal_coeff of the subject's family.
-_TOP_COEFF_GRIDS = {
+_TOP_COEFF_GRIDS = MappingProxyType({
     "theorem-4": (_PAIRS, lambda k, ell: QuadrantSpec(0, k, 0, ell)),
     "corollary-4": ([(k,) for k in range(5)], lambda k: QuadrantSpec(0, k, 0, 0)),
     "theorem-04": (_PAIRS, lambda k, ell: QuadrantSpec(0, k, EMPTY, ell)),
@@ -212,7 +213,7 @@ _TOP_COEFF_GRIDS = {
         [(k, ell, m) for k in range(1, 5) for ell in range(5 - k) for m in range(5 - k - ell)],
         lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m),
     ),
-}
+})
 
 
 def _top_coeff_subject(subject: str, max_n: int) -> VerificationReport:
@@ -242,11 +243,11 @@ def _top_coeff_subject(subject: str, max_n: int) -> VerificationReport:
     return cells.report(subject)
 
 
-_POSITIVE_PAIRS = [(k, ell) for k in range(1, 6) for ell in range(1, 7 - k)]
+_POSITIVE_PAIRS = tuple((k, ell) for k in range(1, 6) for ell in range(1, 7 - k))
 
 # Engine-vs-oracle subjects over 132-avoiders: (parameter names, grid, spec of
 # the parameters).  Each cell compares the routed recurrence with brute force.
-_ENGINE_GRIDS = {
+_ENGINE_GRIDS = MappingProxyType({
     "theorem-2": ("k", [(k,) for k in range(7)], lambda k: QuadrantSpec(k, 0, EMPTY, 0)),
     "theorem-6": ("k", [(k,) for k in range(7)], lambda k: QuadrantSpec(0, k, EMPTY, 0)),
     "theorem-7": ("kl", _POSITIVE_PAIRS, lambda k, ell: QuadrantSpec(k, ell, EMPTY, 0)),
@@ -261,7 +262,7 @@ _ENGINE_GRIDS = {
         [(a, k, ell) for a in range(1, 5) for k in range(1, 6 - a) for ell in range(1, 7 - a - k)],
         lambda a, k, ell: QuadrantSpec(a, k, EMPTY, ell),
     ),
-}
+})
 
 
 def _engine_subject(subject: str, max_n: int) -> VerificationReport:
@@ -293,6 +294,20 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
     return cells.report("theorem-11")
 
 
+def _admits(windows, fields, n: int) -> list[list[int]]:
+    """Per slot and tally 0..n-1, the OR of the ``fields`` whose window admits that tally.
+
+    If no two fields share a bit, a move's tallies match window ``f``
+    exactly when field ``f`` survives the AND of its four slots' entries.
+    """
+    admits = [[0] * n for _ in range(4)]
+    for field, window in zip(fields, windows):
+        for admit, (lo, hi) in zip(admits, window):
+            for x in range(lo, min(hi, n - 1) + 1):
+                admit[x] |= field
+    return admits
+
+
 class _BandFields:
     """Walk entries for theorem-12/13 over the length-n 123-avoiders.
 
@@ -306,26 +321,32 @@ class _BandFields:
     ``guard - 1 - (k + l)`` on R carries into the guard exactly when
     ``r > k + l``.  No field carries into the next, so the rules of
     different pairs add up to one rule.
+
+    An entry is the point's R, X and Y band fields, from one sweep of
+    :func:`qmmp.mmp._bands` over the grid points ``(j, v)`` per n, plus its
+    Y and C match fields: per slot, the fields of the pairs whose window
+    admits the tally, ANDed over the four slots.
     """
 
     def __init__(self, pairs: list[tuple[int, int]], n: int) -> None:
         self.pairs = pairs
         self.n = n
-        self.width = (2 * n).bit_length() + 1
-        self.ones = (1 << self.width) - 1
-        self.bases = [4 * self.width * p for p in range(len(pairs))]
-        self.windows = [_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs]
+        self.width = w = (2 * n).bit_length() + 1
+        self.ones = (1 << w) - 1
+        self.bases = [4 * w * p for p in range(len(pairs))]
+        self.bands = [0] * (n + 1) ** 2  # the point (j, v) at j * (n + 1) + v
+        for j, v in itertools.product(range(1, n + 1), repeat=2):
+            for base, (k, ell) in zip(self.bases, pairs):
+                corner, frame = _bands(j, v, n, k, ell)
+                fields = corner | (corner + frame) << w | frame << 2 * w
+                self.bands[j * (n + 1) + v] += fields << base
+        windows = [_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs]
+        self.admits = _admits(windows, [(1 << 2 * w | 1 << 3 * w) << b for b in self.bases], n)
 
     def entry(self, i: int, v: int, q2: int) -> int:
-        n, w = self.n, self.width
-        q = _append_tallies(n, i, v, q2)
-        total = 0
-        for base, (k, ell), window in zip(self.bases, self.pairs, self.windows):
-            corner, frame = _bands(i + 1, v, n, k, ell)
-            count = _in_window(q, window)
-            fields = corner | (corner + frame) << w | (count + frame) << 2 * w | count << 3 * w
-            total |= fields << base
-        return total
+        q1, q2, q3, q4 = _append_tallies(self.n, i, v, q2)
+        a1, a2, a3, a4 = self.admits
+        return self.bands[(i + 1) * (self.n + 1) + v] + (a1[q1] & a2[q2] & a3[q3] & a4[q4])
 
     def numbers(self, total: int, p: int) -> tuple[int, int, int]:
         """``(r, s, count)`` of pair ``p`` from the fields R, X and C."""
@@ -423,10 +444,10 @@ _SYM_COORDS = (0, 1, 2, EMPTY)
 # Symmetry subjects: (class, image of (a, b, c, d), slot loop order, outermost
 # first).  A cell compares a spec with its image and is kept when the spec's
 # key, its slots ranked in _SYM_COORDS order, sorts before the image's key.
-_SYM_GRIDS = {
+_SYM_GRIDS = MappingProxyType({
     "lemma-sym": (P132, lambda a, b, c, d: (a, d, c, b), "acbd"),
     "lemma-sym2": (P123, lambda a, b, c, d: (c, d, a, b), "abcd"),
-}
+})
 
 
 def _sym_subject(subject: str, max_n: int) -> VerificationReport:
@@ -453,13 +474,38 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # The bijection subjects run in two shared passes per n.  A per-n member's
 # cell at n carries its first failure there, after which it checks no more
-# objects of that size.  The ``dyck`` rules are looked up at call time, so a
+# objects of that size.  Each pass first checks every move between the prefix
+# states of an n once (:func:`_levels`); only an n that this does not certify
+# is walked word by word or avoider by avoider, which decides and names the
+# first counterexample.  The ``dyck`` rules are looked up at call time, so a
 # rebinding of them (as perfbench's span tracer does) is seen.
 
 # An image's flags in :func:`_path_walk`, each set by a failed prefix check:
 # an outer corner's quadrant-I tally ``n - v - q2`` is not its diagonal, and a
 # value with an earlier smaller one (``i > q2``) exceeds the last such value.
 _DIAG, _RISE = 1, 2
+
+
+def _levels(n: int, start: int, step) -> bool:
+    """Whether every move of the n levels below the packed state ``start`` passes its checks.
+
+    ``step(i, state)`` lists the states one move after a state at level i,
+    or returns None when one of those moves fails.  Each level is one set
+    of ints, dropped once the next is built.
+    """
+    level = {start}
+    for i in range(n):
+        below: set[int] = set()
+        for state in level:
+            try:
+                children = step(i, state)
+            except ValueError:  # the per-object walk raises it again or names a failure
+                return False
+            if children is None:
+                return False
+            below.update(children)
+        level = below
+    return True
 
 
 def _path_walk(n: int, entry):
@@ -521,50 +567,120 @@ def _two_decreasing_failure(word: str, values) -> str:
 
 # Per-n members of the path pass: (image, 0 for phi and 1 for psi; the flag that fails a
 # word; its failure).  The peaks, left-to-right minima, decrease, so ``_RISE`` checks the rest.
-_PATH_CHECKS = {
+_PATH_CHECKS = MappingProxyType({
     "lemma-p1-3": (0, _DIAG, _diag_failure),
     "lemma-p2-3": (1, _DIAG, _diag_failure),
     "lemma-p2-2": (1, _RISE, _two_decreasing_failure),
-}
+})
 
 # match-preservation: every path's two preimages match (k,l,EMPTY,m) at the
 # same rate; one cell per spec over all n.
-_MATCH_SPECS = [
+_MATCH_SPECS = tuple(
     QuadrantSpec(k, ell, EMPTY, m) for k in range(1, 3) for ell in range(3) for m in range(3)
-]
+)
+
+
+def _match_entry(n: int):
+    """match-preservation's entry: one ``n.bit_length()``-bit field per spec the move matches."""
+    width = max(1, n.bit_length())
+    windows = [_window(spec, n) for spec in _MATCH_SPECS]
+    a1, a2, a3, a4 = _admits(windows, [1 << f * width for f in range(len(windows))], n)
+
+    def entry(i: int, v: int, q2: int) -> int:
+        q1, q2, q3, q4 = _append_tallies(n, i, v, q2)
+        return a1[q1] & a2[q2] & a3[q3] & a4[q4]
+
+    return entry
+
+
+def _path_certified(n: int, sids, entry) -> bool:
+    """Whether every path word of semilength n passes the path-pass members ``sids``.
+
+    A state is a prefix, empty or ending with R, packed into one int: its D
+    steps, each image's ``used`` bitmask and psi's last value with an
+    earlier smaller one (``_RISE`` is checked on psi only), which is all
+    that :func:`_path_walk` reads of a prefix.  Every prefix extends to a
+    path word and every word is a path through the states, so a word fails
+    only at a move: one that places a value outside 1..n or placed before
+    (the walk raises at the leaf), one that sets a flag a member checks, or
+    for match-preservation one whose two entries differ (their sums could
+    still agree; the walk decides).
+    """
+    watch = [0, 0]  # per image, the flags that a member checks
+    for sid in sids:
+        if sid in _PATH_CHECKS:
+            image, flag, _ = _PATH_CHECKS[sid]
+            watch[image] |= flag
+    match = "match-preservation" in sids
+    column, lowest, highest = dyck._column, dyck._lowest_free, dyck._highest_free
+    w, bits = n + 1, (n + 1).bit_length()
+    ones, mask = (1 << bits) - 1, (1 << w) - 1
+
+    def step(i: int, state: int) -> list[int] | None:
+        last, down, used = state & ones, state >> bits & ones, state >> 2 * bits
+        phi, psi = used >> w, used & mask
+        children = []
+        for d in range(max(0, i + 1 - down), n - down + 1):
+            below = down + d
+            v, u = column(phi, below, d > 0, n, lowest), column(psi, below, d > 0, n, highest)
+            if not (0 < v <= n and 0 < u <= n) or phi >> v & 1 or psi >> u & 1:
+                return None
+            q, r = (phi >> v).bit_count(), (psi >> u).bit_count()
+            phi_flags = _DIAG if d and n - v - q != below - i - 1 else 0
+            psi_flags = _DIAG if d and n - u - r != below - i - 1 else 0
+            if i != r and u > last:
+                psi_flags |= _RISE
+            if phi_flags & watch[0] or psi_flags & watch[1]:
+                return None
+            if match and entry(i, v, q) != entry(i, u, r):
+                return None
+            placed = (phi | 1 << v) << w | psi | 1 << u
+            children.append((placed << bits | below) << bits | (u if i != r else last))
+        return children
+
+    return _levels(n, n + 1, step)
+
+
+def _path_failures(n: int, sids, entry):
+    """The path-pass members' first failures at n, from the per-word walk.
+
+    Returns the path checks' failures by subject and match-preservation's
+    by spec; match-preservation compares the two images' totals and counts
+    only when they differ.
+    """
+    checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
+    windows = [_window(spec, n) for spec in _MATCH_SPECS]
+    failed: dict[str, list[str]] = {sid: [] for sid, _, _, _ in checks}
+    matched: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
+    for word, images in _path_walk(n, entry):
+        for sid, image, flag, failure in checks:
+            values, _, flags = images[image]
+            if flags & flag and not failed[sid]:
+                failed[sid].append(failure(word, values))
+        if "match-preservation" in sids and images[0][1] != images[1][1]:
+            rows = [quadrant_rows(values) for values, _, _ in images]
+            for spec, window in zip(_MATCH_SPECS, windows):
+                lhs, rhs = (sum(_in_window(q, window) for q in r) for r in rows)
+                if lhs != rhs and not matched[spec]:
+                    matched[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
+    return failed, matched
 
 
 def _path_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the path-pass members ``sids``: one :func:`_path_walk` per n.
-
-    Match-preservation compares the two images' totals, with one
-    ``n.bit_length()``-bit field per spec, and counts only when they differ.
-    """
-    checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
+    """Reports of the path-pass members ``sids``: per n, :func:`_path_certified`,
+    or the per-word :func:`_path_failures` where that does not certify the n."""
     cells = {sid: _Cells() for sid in sids}
     match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
     for n in range(max_n + 1):
-        windows = [_window(spec, n) for spec in _MATCH_SPECS]
-        width = max(1, n.bit_length())
-
-        def entry(i: int, v: int, q2: int) -> int:
-            q = _append_tallies(n, i, v, q2)
-            return sum(1 << f * width for f, window in enumerate(windows) if _in_window(q, window))
-
-        failed: dict[str, list[str]] = {sid: [] for sid, _, _, _ in checks}
-        for word, images in _path_walk(n, entry):
-            for sid, image, flag, failure in checks:
-                values, _, flags = images[image]
-                if flags & flag and not failed[sid]:
-                    failed[sid].append(failure(word, values))
-            if "match-preservation" in cells and images[0][1] != images[1][1]:
-                rows = [quadrant_rows(values) for values, _, _ in images]
-                for spec, window in zip(_MATCH_SPECS, windows):
-                    lhs, rhs = (sum(_in_window(q, window) for q in r) for r in rows)
-                    if lhs != rhs and not match_fails[spec]:
-                        match_fails[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
+        entry = _match_entry(n)
+        if _path_certified(n, sids, entry):
+            failed, matched = {sid: [] for sid in sids if sid in _PATH_CHECKS}, {}
+        else:
+            failed, matched = _path_failures(n, sids, entry)
         for sid, failures in failed.items():
             cells[sid].check(f"n={n}", failures)
+        for spec, failures in matched.items():
+            match_fails[spec] = match_fails[spec] or failures
     for spec in _MATCH_SPECS if "match-preservation" in cells else ():
         cells["match-preservation"].check(f"spec={spec}", match_fails[spec], f"n<={max_n}")
     return {sid: c.report(sid) for sid, c in cells.items()}
@@ -584,27 +700,84 @@ def _hill_failure(word, count: int, path_stats) -> str | None:
 
 # Members of the walk pass: (first n, failure of one 132-avoider's word from
 # its (e,0,e,0) match count and its path's stats).
-_WALK_CHECKS = {
+_WALK_CHECKS = MappingProxyType({
     "lemma-p1-2": (1, _first_return_failure),
     "hill-correspondence": (0, _hill_failure),
-}
+})
+
+
+def _hill_entry(n: int):
+    """hill-correspondence's entry: whether a move matches ``(e,0,e,0)``."""
+    window = _window(QuadrantSpec(EMPTY, 0, EMPTY, 0), n)
+    return lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
+
+
+def _walk_certified(n: int, sids, entry) -> bool:
+    """Whether every 132-avoider of length n passes the walk-pass members ``sids``.
+
+    A state is a prefix's ``used`` bitmask, the height and the D steps of
+    its staircase so far (from ``dyck._stair``) and whether that has
+    returned to the diagonal, packed into one int: what
+    ``_stats(_staircase(word))`` reads of the prefix.  Under the true step
+    the last three are functions of ``used``.  A move fails lemma-p1-2 when,
+    before the first return, "this column is a return" differs from "this
+    is value n", and hill-correspondence when its ``(e,0,e,0)`` entry
+    differs from its hill bit (their sums could still agree; the
+    per-avoider loop decides).  A step off the grid is left to that loop.
+    """
+    first_return, hills = "lemma-p1-2" in sids, "hill-correspondence" in sids
+    stair = dyck._stair
+    full, bits = (1 << n + 1) - 2, (n + 1).bit_length()
+    ones = (1 << bits) - 1
+
+    def step(i: int, state: int) -> list[int] | None:
+        returned, down, height = state & 1, state >> 1 & ones, state >> 1 + bits & ones
+        used = state >> 1 + 2 * bits
+        children = []
+        moves = catalan_moves(used, full, P132.word)
+        while moves:
+            bit = moves & -moves
+            moves ^= bit
+            v = bit.bit_length() - 1
+            run, after = stair(height, v)
+            below = down + run
+            if not (run >= 0 and 0 <= after <= n and below <= n):
+                return None
+            ret = below == i + 1
+            if first_return and not returned and ret != (v == n):
+                return None
+            if hills and entry(i, v, (used >> v).bit_count()) != (run > 0 and ret):
+                return None
+            child = ((used | bit) << bits | after) << bits | below
+            children.append(child << 1 | (returned or ret))
+        return children
+
+    return _levels(n, n << bits + 1, step)
+
+
+def _walk_failures(n: int, sids, entry) -> dict[str, list[str]]:
+    """The walk-pass members' first failures at n, avoider by avoider, each
+    read through its staircase without phi's 132 scan or a validation."""
+    failed: dict[str, list[str]] = {sid: [] for sid in sids}
+    for word, count in avoider_walk(n, P132.word, entry):
+        path_stats = dyck._stats(dyck._staircase(word))
+        for sid, failures in failed.items():
+            if not failures and (failure := _WALK_CHECKS[sid][1](word, count, path_stats)):
+                failures.append(failure)
+    return failed
 
 
 def _walk_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the walk-pass members ``sids``: one walk per n over the 132-avoiders,
-    whose paths are phi's staircases without phi's 132 scan or a validation."""
+    """Reports of the walk-pass members ``sids``: per n, :func:`_walk_certified`,
+    or the per-avoider :func:`_walk_failures` where that does not certify the n."""
     cells = {sid: _Cells() for sid in sids}
     for n in range(max_n + 1):
-        window = _window(QuadrantSpec(EMPTY, 0, EMPTY, 0), n)
-        walk = avoider_walk(
-            n, P132.word, lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
-        )
-        failed: dict[str, list[str]] = {sid: [] for sid in sids if _WALK_CHECKS[sid][0] <= n}
-        for word, count in walk:
-            path_stats = dyck._stats(dyck._staircase(word))
-            for sid, failures in failed.items():
-                if not failures and (failure := _WALK_CHECKS[sid][1](word, count, path_stats)):
-                    failures.append(failure)
+        members = [sid for sid in sids if _WALK_CHECKS[sid][0] <= n]
+        entry = _hill_entry(n)
+        if _walk_certified(n, members, entry):
+            failed = {sid: [] for sid in members}
+        else:
+            failed = _walk_failures(n, members, entry)
         for sid, failures in failed.items():
             cells[sid].check(f"n={n}", failures)
     return {sid: c.report(sid) for sid, c in cells.items()}
@@ -657,7 +830,7 @@ def _subject_conjecture_1(max_n: int) -> VerificationReport:
 # Registry
 
 
-_SUBJECTS: dict[str, tuple[Callable[[int], VerificationReport], int]] = {
+_SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = MappingProxyType({
     "corollary-1": (_subject_corollary_1, 8),
     "theorem-3": (_subject_theorem_3, 9),
     **{sid: (partial(_top_coeff_subject, sid), 9) for sid in _TOP_COEFF_GRIDS},
@@ -678,7 +851,7 @@ _SUBJECTS: dict[str, tuple[Callable[[int], VerificationReport], int]] = {
         for sid in members
     },
     "conjecture-1": (_subject_conjecture_1, 11),
-}
+})
 
 
 def subject_ids() -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qmmp import dyck
 from qmmp.dyck import (
     DyckPath,
     PathStats,
@@ -187,3 +188,25 @@ def test_random_path_round_trips(word):
     path = DyckPath(word)
     assert phi(phi_inv(path)).word == word
     assert psi(psi_inv(path)).word == word
+
+
+def _staircase_by_words(word):
+    # the word-level staircase that dyck._stair replaced: a new left-to-right
+    # minimum v takes the path down to height v - 1
+    steps = []
+    height = len(word)
+    for v in word:
+        if v <= height:
+            steps.append("D" * (height - v + 1))
+            height = v - 1
+        steps.append("R")
+    return "".join(steps)
+
+
+def test_staircase_steps_match_the_word_level_definition():
+    # phi and psi build their paths from the per-column step; over every
+    # avoider of both classes with n <= 8 it gives the word-level path
+    for n in range(9):
+        for tau in (P123, P132):
+            for sigma in avoiders(n, tau):
+                assert dyck._staircase(sigma.word) == _staircase_by_words(sigma.word)

@@ -5,10 +5,11 @@
 ``dyck`` imports from ``perm`` only, so the one column rule of both inverse
 maps carries no tally, engine or oracle code; ``perm``, ``mmp`` and
 ``oracle`` apply no ``functools`` cache; and ``perm`` and ``mmp``, where the
-walks build their move, lane, mask and tally tables, and ``dyck``, whose
-column step the oracle's path walk calls, bind no mutable container at
-module or class level and no mutable default argument.  So no oracle result
-outlives the call that computed it; nor does a walk's memo through a
+walks build their move, lane, mask and tally tables, ``dyck``, whose column
+and staircase steps the oracle's passes call per move, and ``oracle``, whose
+level passes build one set of states per level, bind no mutable container
+at module or class level and no mutable default argument.  So no oracle
+result outlives the call that computed it; nor does a walk's memo through a
 reference cycle, which would live on until the next cyclic collection.
 ``IntPoly`` and ``BiPoly`` differ only in their variables: every operation
 is one function of ``series._Poly``.
@@ -131,7 +132,8 @@ def _lasting_tables(tree):
 KERNELS = {
     "perm": {"avoider_walk", "avoider_totals"},
     "mmp": {"_packed_histogram", "distributions"},
-    "dyck": {"_column"},
+    "dyck": {"_column", "_stair"},
+    "oracle": {"_levels", "_path_certified", "_walk_certified"},
 }
 
 
@@ -157,6 +159,13 @@ def test_oracle_walks_leave_no_reference_cycle():
         bivariate_distributions(9, 1, range(6))
         avoider_totals(9, P123.word, lambda i, v, q2: v << q2)
         oracle.verify_all(3)
+        for n in (1, 8):
+            entry = oracle._match_entry(n)
+            oracle._path_certified(n, ("lemma-p2-2", "match-preservation"), entry)
+            oracle._path_failures(n, ("lemma-p1-3", "match-preservation"), entry)
+            entry = oracle._hill_entry(n)
+            oracle._walk_certified(n, ("lemma-p1-2", "hill-correspondence"), entry)
+            oracle._walk_failures(n, ("lemma-p1-2", "hill-correspondence"), entry)
         sigma = Permutation.parse("471569283")
         for tau in ("123", "132", "213", "231", "312", "321"):
             occurs(Permutation.parse(tau), sigma)

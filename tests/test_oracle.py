@@ -194,13 +194,28 @@ def test_verify_all_shape():
     assert [r.lines() for r in again] == [r.lines() for r in reports]
 
 
-def test_verify_all_matches_pinned_transcript():
+def _verify_all_matches_pinned_transcript():
     # The benchmark pins every line of `qmmp verify --subject all` at the
     # default depths, cell lines first and subject summaries last.
     pinned = json.loads((ROOT / "perfbench" / "reference" / "verify-all.json").read_text())
     reports = oracle.verify_all()
     lines = [line for report in reports for line in report.lines()]
     assert lines + [report.summary() for report in reports] == pinned["lines"]
+
+
+def test_verify_all_matches_pinned_transcript():
+    _verify_all_matches_pinned_transcript()
+
+
+def test_default_depths_need_no_per_object_walk(monkeypatch):
+    # the level passes certify every n of the bijection passes at the default
+    # depths; a fallback that fired on every n would give the same lines
+    def walked(*args):
+        raise AssertionError("a per-object walk ran")
+
+    monkeypatch.setattr(oracle, "_path_walk", walked)
+    monkeypatch.setattr(oracle, "_walk_failures", walked)
+    _verify_all_matches_pinned_transcript()
 
 
 
@@ -263,8 +278,10 @@ def _swap_psi(column):
     return _swap_last_two(column, dyck._highest_free)
 
 
-def _one_peak(_staircase):
-    return lambda word: "D" * len(word) + "R" * len(word)
+def _one_peak(_stair):
+    # the first column takes every D step and no later column takes any, so
+    # every staircase is D^n R^n
+    return lambda height, v: (height, 0)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +289,7 @@ def _one_peak(_staircase):
     [
         ("_column", _swap_phi, {"lemma-p1-3", "match-preservation"}),
         ("_column", _swap_psi, {"lemma-p2-2", "lemma-p2-3", "match-preservation"}),
-        ("_staircase", _one_peak, {"lemma-p1-2", "hill-correspondence"}),
+        ("_stair", _one_peak, {"lemma-p1-2", "hill-correspondence"}),
     ],
 )
 def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, failing):
@@ -291,6 +308,9 @@ def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, fail
         phi_side = corrupt is _swap_phi
         inverse = dyck.phi_inv if phi_side else dyck.psi_inv
         assert inverse(dyck.DyckPath("DDDRRR")).word == ((1, 3, 2) if phi_side else (1, 2, 3))
+    else:
+        # so does the public forward map
+        assert dyck.phi(Permutation((2, 1, 3))).word == "DDDRRR"
 
 
 def test_path_walk_leaves_are_the_path_words_and_their_images():
@@ -313,6 +333,59 @@ def test_path_walk_raises_on_a_fill_that_reuses_a_value(monkeypatch):
     monkeypatch.setattr(dyck, "_lowest_free", lambda used, level, n: n)
     with pytest.raises(ValueError, match="each of 1..3 once"):
         oracle.verify("lemma-p1-3", 3)
+
+
+def _reuse_top(_lowest_free):
+    # the phi fill of the test above, which takes n every time
+    return lambda used, level, n: n
+
+
+PATH_MEMBERS = ("lemma-p1-3", "lemma-p2-3", "lemma-p2-2", "match-preservation")
+WALK_MEMBERS = ("lemma-p1-2", "hill-correspondence")
+
+
+def _path_found(n, sids, entry):
+    failed, matched = oracle._path_failures(n, sids, entry)
+    return [*failed.values(), *matched.values()]
+
+
+def _walk_found(n, sids, entry):
+    return list(oracle._walk_failures(n, sids, entry).values())
+
+
+def _finds_nothing(found, *args):
+    try:
+        return not any(found(*args))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        (None, None),
+        ("_column", _swap_phi),
+        ("_column", _swap_psi),
+        ("_stair", _one_peak),
+        ("_lowest_free", _reuse_top),
+    ],
+)
+def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corrupt):
+    # for each n <= 7 a level pass certifies n exactly when the per-object
+    # walk of that n finds no failure and raises nothing, for all members of
+    # the pass together and for each alone
+    if name:
+        monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
+    for n in range(8):
+        entry = oracle._match_entry(n)
+        for sids in [PATH_MEMBERS, *[(sid,) for sid in PATH_MEMBERS]]:
+            passes = _finds_nothing(_path_found, n, sids, entry)
+            assert oracle._path_certified(n, sids, entry) == passes, (n, sids)
+        entry = oracle._hill_entry(n)
+        live = [sid for sid in WALK_MEMBERS if oracle._WALK_CHECKS[sid][0] <= n]
+        for sids in [live, *[[sid] for sid in live]]:
+            passes = _finds_nothing(_walk_found, n, sids, entry)
+            assert oracle._walk_certified(n, sids, entry) == passes, (n, sids)
 
 
 def test_column_rule_rejects_a_fill_that_reuses_a_value():
