@@ -145,6 +145,20 @@ def _in_window(q: tuple[int, int, int, int], window: tuple[tuple[int, int], ...]
     return all(lo <= x <= hi for x, (lo, hi) in zip(q, window))
 
 
+def _admits(windows, fields, n: int) -> list[list[int]]:
+    """Per slot and tally 0..n-1, the OR of the ``fields`` whose window admits that tally.
+
+    If no two fields share a bit, a move's tallies match window ``f``
+    exactly when field ``f`` survives the AND of its four slots' entries.
+    """
+    admits = [[0] * n for _ in range(4)]
+    for field, window in zip(fields, windows):
+        for admit, (lo, hi) in zip(admits, window):
+            for x in range(lo, min(hi, n - 1) + 1):
+                admit[x] |= field
+    return admits
+
+
 def matches_at(sigma: Permutation, i: int, spec: QuadrantSpec) -> bool:
     """True iff position ``i`` of ``sigma`` satisfies every quadrant condition."""
     return _in_window(quadrants_at(sigma, i), _window(spec, sigma.n))
@@ -267,12 +281,7 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
         leaf = sum(1 << (j * lane) for j in range(len(windows)))
         every = leaf * ones
         # Per slot and tally, the lanes whose window admits that tally.
-        a1, a2, a3, a4 = admits = [[0] * n for _ in range(4)]
-        for j, window in enumerate(windows):
-            mask = ones << (j * lane)
-            for a, (lo, hi) in zip(admits, window):
-                for x in range(lo, min(hi + 1, n)):
-                    a[x] |= mask
+        a1, a2, a3, a4 = _admits(windows, [ones << j * lane for j in range(len(windows))], n)
 
         # Defaults bind the tables as locals: entry runs once per distinct move.
         def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, width=width):

@@ -20,6 +20,7 @@ from . import dyck, gf
 from .mmp import (
     EMPTY,
     QuadrantSpec,
+    _admits,
     _append_tallies,
     _bands,
     _in_window,
@@ -27,9 +28,10 @@ from .mmp import (
     bivariate_distributions,
     distribution,
     distributions,
+    mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, avoider_totals, avoider_walk, catalan_moves
+from .perm import P123, P132, Permutation, avoider_totals, avoider_walk, avoiders, catalan_moves
 from .series import IntPoly, TSeries
 
 
@@ -294,20 +296,6 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
     return cells.report("theorem-11")
 
 
-def _admits(windows, fields, n: int) -> list[list[int]]:
-    """Per slot and tally 0..n-1, the OR of the ``fields`` whose window admits that tally.
-
-    If no two fields share a bit, a move's tallies match window ``f``
-    exactly when field ``f`` survives the AND of its four slots' entries.
-    """
-    admits = [[0] * n for _ in range(4)]
-    for field, window in zip(fields, windows):
-        for admit, (lo, hi) in zip(admits, window):
-            for x in range(lo, min(hi, n - 1) + 1):
-                admit[x] |= field
-    return admits
-
-
 class _BandFields:
     """Walk entries for theorem-12/13 over the length-n 123-avoiders.
 
@@ -473,17 +461,12 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # The bijection subjects run in two shared passes per n.  A per-n member's
-# cell at n carries its first failure there, after which it checks no more
-# objects of that size.  Each pass first checks every move between the prefix
-# states of an n once (:func:`_levels`); only an n that this does not certify
-# is walked word by word or avoider by avoider, which decides and names the
-# first counterexample.  The ``dyck`` rules are looked up at call time, so a
-# rebinding of them (as perfbench's span tracer does) is seen.
-
-# An image's flags in :func:`_path_walk`, each set by a failed prefix check:
-# an outer corner's quadrant-I tally ``n - v - q2`` is not its diagonal, and a
-# value with an earlier smaller one (``i > q2``) exceeds the last such value.
-_DIAG, _RISE = 1, 2
+# cell at n carries its first failure there.  Each pass first checks every
+# move between the prefix states of an n once (:func:`_levels`), the one
+# incremental encoding of its checks; only an n that this does not certify
+# is checked object by object from the definitions, which decides and names
+# the first counterexample.  The ``dyck`` rules are looked up at call time,
+# so a rebinding of them (as perfbench's span tracer does) is seen.
 
 
 def _levels(n: int, start: int, step) -> bool:
@@ -499,7 +482,7 @@ def _levels(n: int, start: int, step) -> bool:
         for state in level:
             try:
                 children = step(i, state)
-            except ValueError:  # the per-object walk raises it again or names a failure
+            except ValueError:  # the per-object check raises it again or names a failure
                 return False
             if children is None:
                 return False
@@ -508,69 +491,46 @@ def _levels(n: int, start: int, step) -> bool:
     return True
 
 
-def _path_walk(n: int, entry):
-    """Each path word of semilength n, D before R, with its phi and psi inverse images.
-
-    A DFS over path prefixes: at a column's R step an image places ``v``
-    from ``dyck._column`` after ``q2`` larger values and adds ``entry(i, v,
-    q2)``, computed once per move in a table local to the call, to its
-    total.  Yields ``(word, images)``, one ``(values, total, flags)`` per
-    image, and raises the column rule's ValueError at an image that does
-    not place each of 1..n once.
-    """
-    fills = (dyck._lowest_free, dyck._highest_free)
-    table: dict[tuple[int, int, int], int] = {}
-    # a prefix, empty or ending with R, its D steps and per image (used, total, last, flags, values)
-    stack = [("", 0, ((0, 0, n + 1, 0, ()),) * 2)]
+def _path_words(n: int):
+    """Each path word of semilength n, D before R."""
+    stack = [("", 0)]
     while stack:
-        prefix, down, images = stack.pop()
-        i = len(prefix) - down
-        if i == n:
-            for fill, image in zip(fills, images):
-                if image[0] != (1 << n + 1) - 2:
-                    dyck._place(prefix, n, fill)
-            yield prefix, [(values, total, flags) for _, total, _, flags, values in images]
-        # the next column after d more D steps, fewest pushed first: D comes before R
-        for d in range(max(0, i + 1 - down), n - down + 1):
-            below = down + d
-            stepped = []
-            for fill, (used, total, last, flags, values) in zip(fills, images):
-                v = dyck._column(used, below, d > 0, n, fill)
-                q2 = (used >> v).bit_count()
-                if (e := table.get((i, v, q2))) is None:
-                    e = table[i, v, q2] = entry(i, v, q2)
-                if d and n - v - q2 != below - i - 1:
-                    flags |= _DIAG
-                if i != q2:
-                    flags |= _RISE if v > last else 0
-                    last = v
-                stepped.append((used | 1 << v, total + e, last, flags, values + (v,)))
-            stack.append((prefix + "D" * d + "R", below, tuple(stepped)))
+        word, down = stack.pop()
+        right = len(word) - down
+        if right == n:
+            yield word
+            continue
+        if right < down:
+            stack.append((word + "R", down))
+        if down < n:
+            stack.append((word + "D", down + 1))
 
 
-def _diag_failure(word: str, values) -> str:
+def _diag_failure(word: str, values, rows) -> str | None:
     # peak on the k-th diagonal <=> k points in quadrant I at that position
-    rows = quadrant_rows(values)
-    col, diag = next((c, d) for c, d in dyck._stats(word).peaks if rows[c - 1][0] != d)
-    q1 = rows[col - 1][0]
-    return f"path={word} sigma={Permutation(values)} column={col}: diagonal {diag}, quadrant-I {q1}"
+    for col, diag in dyck._stats(word).peaks:
+        if (q1 := rows[col - 1][0]) != diag:
+            sigma = Permutation(values)
+            return f"path={word} sigma={sigma} column={col}: diagonal {diag}, quadrant-I {q1}"
+    return None
 
 
-def _two_decreasing_failure(word: str, values) -> str:
+def _two_decreasing_failure(word: str, values, rows) -> str | None:
     # psi-inverse permutations split into two decreasing subsequences:
     # the peaks (empty third quadrant) and the non-peaks.
-    rows = quadrant_rows(values)
     peaks = [v for v, q in zip(values, rows) if q[2] == 0]
     nonpeaks = [v for v, q in zip(values, rows) if q[2] != 0]
-    return f"path={word} sigma={Permutation(values)}: peaks={peaks}, non-peaks={nonpeaks}"
+    if any(v < w for v, w in zip(nonpeaks, nonpeaks[1:])):
+        return f"path={word} sigma={Permutation(values)}: peaks={peaks}, non-peaks={nonpeaks}"
+    return None
 
 
-# Per-n members of the path pass: (image, 0 for phi and 1 for psi; the flag that fails a
-# word; its failure).  The peaks, left-to-right minima, decrease, so ``_RISE`` checks the rest.
+# Per-n members of the path pass: (image, 0 for phi and 1 for psi; the failure
+# of a word from that image's values and quadrant tallies).
 _PATH_CHECKS = MappingProxyType({
-    "lemma-p1-3": (0, _DIAG, _diag_failure),
-    "lemma-p2-3": (1, _DIAG, _diag_failure),
-    "lemma-p2-2": (1, _RISE, _two_decreasing_failure),
+    "lemma-p1-3": (0, _diag_failure),
+    "lemma-p2-3": (1, _diag_failure),
+    "lemma-p2-2": (1, _two_decreasing_failure),
 })
 
 # match-preservation: every path's two preimages match (k,l,EMPTY,m) at the
@@ -580,38 +540,22 @@ _MATCH_SPECS = tuple(
 )
 
 
-def _match_entry(n: int):
-    """match-preservation's entry: one ``n.bit_length()``-bit field per spec the move matches."""
-    width = max(1, n.bit_length())
-    windows = [_window(spec, n) for spec in _MATCH_SPECS]
-    a1, a2, a3, a4 = _admits(windows, [1 << f * width for f in range(len(windows))], n)
-
-    def entry(i: int, v: int, q2: int) -> int:
-        q1, q2, q3, q4 = _append_tallies(n, i, v, q2)
-        return a1[q1] & a2[q2] & a3[q3] & a4[q4]
-
-    return entry
-
-
-def _path_certified(n: int, sids, entry) -> bool:
-    """Whether every path word of semilength n passes the path-pass members ``sids``.
+def _path_certified(n: int) -> bool:
+    """Whether every path word of semilength n passes every check of the path pass.
 
     A state is a prefix, empty or ending with R, packed into one int: its D
     steps, each image's ``used`` bitmask and psi's last value with an
-    earlier smaller one (``_RISE`` is checked on psi only), which is all
-    that :func:`_path_walk` reads of a prefix.  Every prefix extends to a
-    path word and every word is a path through the states, so a word fails
-    only at a move: one that places a value outside 1..n or placed before
-    (the walk raises at the leaf), one that sets a flag a member checks, or
-    for match-preservation one whose two entries differ (their sums could
-    still agree; the walk decides).
+    earlier smaller one.  Every prefix extends to a path word and every
+    word is a path through the states, so a word fails only at a move: one
+    that places a value outside 1..n or placed before, an outer corner of
+    either image whose quadrant-I tally ``n - v - q2`` is not its diagonal
+    (lemma-p1-3, lemma-p2-3), a psi value with an earlier smaller one
+    (``i > q2``) above the last such value (lemma-p2-2; the peaks, left-to-
+    right minima, decrease), or one whose images match different specs of
+    match-preservation (their sums could still agree; the fallback decides).
     """
-    watch = [0, 0]  # per image, the flags that a member checks
-    for sid in sids:
-        if sid in _PATH_CHECKS:
-            image, flag, _ = _PATH_CHECKS[sid]
-            watch[image] |= flag
-    match = "match-preservation" in sids
+    windows = [_window(spec, n) for spec in _MATCH_SPECS]
+    a1, a2, a3, a4 = _admits(windows, [1 << f for f in range(len(windows))], n)
     column, lowest, highest = dyck._column, dyck._lowest_free, dyck._highest_free
     w, bits = n + 1, (n + 1).bit_length()
     ones, mask = (1 << bits) - 1, (1 << w) - 1
@@ -625,14 +569,13 @@ def _path_certified(n: int, sids, entry) -> bool:
             v, u = column(phi, below, d > 0, n, lowest), column(psi, below, d > 0, n, highest)
             if not (0 < v <= n and 0 < u <= n) or phi >> v & 1 or psi >> u & 1:
                 return None
-            q, r = (phi >> v).bit_count(), (psi >> u).bit_count()
-            phi_flags = _DIAG if d and n - v - q != below - i - 1 else 0
-            psi_flags = _DIAG if d and n - u - r != below - i - 1 else 0
-            if i != r and u > last:
-                psi_flags |= _RISE
-            if phi_flags & watch[0] or psi_flags & watch[1]:
+            r = (psi >> u).bit_count()
+            p1, p2, p3, p4 = _append_tallies(n, i, v, (phi >> v).bit_count())
+            s1, s2, s3, s4 = _append_tallies(n, i, u, r)
+            # a corner off its diagonal, or a rise among psi's non-peaks
+            if d and not p1 == s1 == below - i - 1 or i != r and u > last:
                 return None
-            if match and entry(i, v, q) != entry(i, u, r):
+            if a1[p1] & a2[p2] & a3[p3] & a4[p4] != a1[s1] & a2[s2] & a3[s3] & a4[s4]:
                 return None
             placed = (phi | 1 << v) << w | psi | 1 << u
             children.append((placed << bits | below) << bits | (u if i != r else last))
@@ -641,47 +584,44 @@ def _path_certified(n: int, sids, entry) -> bool:
     return _levels(n, n + 1, step)
 
 
-def _path_failures(n: int, sids, entry):
-    """The path-pass members' first failures at n, from the per-word walk.
+def _path_failures(n: int):
+    """The path-pass members' first failures at n, word by word from the definitions.
 
-    Returns the path checks' failures by subject and match-preservation's
-    by spec; match-preservation compares the two images' totals and counts
-    only when they differ.
+    Each word's two images come from ``dyck._place``, which raises the
+    column rule's ValueError at the first word whose image is not exactly
+    1..n.  Returns the path checks' failures by subject and
+    match-preservation's by spec.
     """
-    checks = [(sid, *_PATH_CHECKS[sid]) for sid in sids if sid in _PATH_CHECKS]
     windows = [_window(spec, n) for spec in _MATCH_SPECS]
-    failed: dict[str, list[str]] = {sid: [] for sid, _, _, _ in checks}
+    failed: dict[str, list[str]] = {sid: [] for sid in _PATH_CHECKS}
     matched: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
-    for word, images in _path_walk(n, entry):
-        for sid, image, flag, failure in checks:
-            values, _, flags = images[image]
-            if flags & flag and not failed[sid]:
-                failed[sid].append(failure(word, values))
-        if "match-preservation" in sids and images[0][1] != images[1][1]:
-            rows = [quadrant_rows(values) for values, _, _ in images]
-            for spec, window in zip(_MATCH_SPECS, windows):
-                lhs, rhs = (sum(_in_window(q, window) for q in r) for r in rows)
-                if lhs != rhs and not matched[spec]:
-                    matched[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
+    for word in _path_words(n):
+        images = []
+        for fill in (dyck._lowest_free, dyck._highest_free):
+            values = dyck._place(word, n, fill)
+            images.append((values, quadrant_rows(values)))
+        for sid, (image, failure) in _PATH_CHECKS.items():
+            if not failed[sid] and (text := failure(word, *images[image])):
+                failed[sid].append(text)
+        for spec, window in zip(_MATCH_SPECS, windows):
+            lhs, rhs = (sum(_in_window(q, window) for q in rows) for _, rows in images)
+            if lhs != rhs and not matched[spec]:
+                matched[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
     return failed, matched
 
 
-def _path_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the path-pass members ``sids``: per n, :func:`_path_certified`,
-    or the per-word :func:`_path_failures` where that does not certify the n."""
-    cells = {sid: _Cells() for sid in sids}
+def _path_pass(max_n: int) -> dict[str, VerificationReport]:
+    """Reports of the path-pass members: per n, :func:`_path_certified`, or
+    the per-word :func:`_path_failures` where that does not certify the n."""
+    cells = {sid: _Cells() for sid in (*_PATH_CHECKS, "match-preservation")}
     match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
     for n in range(max_n + 1):
-        entry = _match_entry(n)
-        if _path_certified(n, sids, entry):
-            failed, matched = {sid: [] for sid in sids if sid in _PATH_CHECKS}, {}
-        else:
-            failed, matched = _path_failures(n, sids, entry)
-        for sid, failures in failed.items():
-            cells[sid].check(f"n={n}", failures)
+        failed, matched = ({}, {}) if _path_certified(n) else _path_failures(n)
+        for sid in _PATH_CHECKS:
+            cells[sid].check(f"n={n}", failed.get(sid, []))
         for spec, failures in matched.items():
             match_fails[spec] = match_fails[spec] or failures
-    for spec in _MATCH_SPECS if "match-preservation" in cells else ():
+    for spec in _MATCH_SPECS:
         cells["match-preservation"].check(f"spec={spec}", match_fails[spec], f"n<={max_n}")
     return {sid: c.report(sid) for sid, c in cells.items()}
 
@@ -705,15 +645,11 @@ _WALK_CHECKS = MappingProxyType({
     "hill-correspondence": (0, _hill_failure),
 })
 
-
-def _hill_entry(n: int):
-    """hill-correspondence's entry: whether a move matches ``(e,0,e,0)``."""
-    window = _window(QuadrantSpec(EMPTY, 0, EMPTY, 0), n)
-    return lambda i, v, q2: _in_window(_append_tallies(n, i, v, q2), window)
+_HILL_SPEC = QuadrantSpec(EMPTY, 0, EMPTY, 0)
 
 
-def _walk_certified(n: int, sids, entry) -> bool:
-    """Whether every 132-avoider of length n passes the walk-pass members ``sids``.
+def _walk_certified(n: int) -> bool:
+    """Whether every 132-avoider of length n passes every check of the walk pass.
 
     A state is a prefix's ``used`` bitmask, the height and the D steps of
     its staircase so far (from ``dyck._stair``) and whether that has
@@ -721,11 +657,11 @@ def _walk_certified(n: int, sids, entry) -> bool:
     ``_stats(_staircase(word))`` reads of the prefix.  Under the true step
     the last three are functions of ``used``.  A move fails lemma-p1-2 when,
     before the first return, "this column is a return" differs from "this
-    is value n", and hill-correspondence when its ``(e,0,e,0)`` entry
-    differs from its hill bit (their sums could still agree; the
-    per-avoider loop decides).  A step off the grid is left to that loop.
+    is value n", and hill-correspondence when whether it matches
+    ``(e,0,e,0)`` differs from its hill bit (their sums could still agree;
+    the per-avoider loop decides).  A step off the grid is left to that loop.
     """
-    first_return, hills = "lemma-p1-2" in sids, "hill-correspondence" in sids
+    window = _window(_HILL_SPEC, n)
     stair = dyck._stair
     full, bits = (1 << n + 1) - 2, (n + 1).bit_length()
     ones = (1 << bits) - 1
@@ -744,9 +680,10 @@ def _walk_certified(n: int, sids, entry) -> bool:
             if not (run >= 0 and 0 <= after <= n and below <= n):
                 return None
             ret = below == i + 1
-            if first_return and not returned and ret != (v == n):
+            if not returned and ret != (v == n):
                 return None
-            if hills and entry(i, v, (used >> v).bit_count()) != (run > 0 and ret):
+            tallies = _append_tallies(n, i, v, (used >> v).bit_count())
+            if _in_window(tallies, window) != (run > 0 and ret):
                 return None
             child = ((used | bit) << bits | after) << bits | below
             children.append(child << 1 | (returned or ret))
@@ -755,31 +692,31 @@ def _walk_certified(n: int, sids, entry) -> bool:
     return _levels(n, n << bits + 1, step)
 
 
-def _walk_failures(n: int, sids, entry) -> dict[str, list[str]]:
-    """The walk-pass members' first failures at n, avoider by avoider, each
-    read through its staircase without phi's 132 scan or a validation."""
-    failed: dict[str, list[str]] = {sid: [] for sid in sids}
-    for word, count in avoider_walk(n, P132.word, entry):
-        path_stats = dyck._stats(dyck._staircase(word))
-        for sid, failures in failed.items():
-            if not failures and (failure := _WALK_CHECKS[sid][1](word, count, path_stats)):
-                failures.append(failure)
+def _walk_failures(n: int) -> dict[str, list[str]]:
+    """The walk-pass members' first failures at n, avoider by avoider from the
+    definitions: its (e,0,e,0) matches from its quadrant tallies and its
+    path's stats from its staircase, without phi's 132 scan."""
+    checks = {sid: failure for sid, (first, failure) in _WALK_CHECKS.items() if first <= n}
+    failed: dict[str, list[str]] = {sid: [] for sid in checks}
+    for sigma in avoiders(n, P132):
+        count = mmp_count(sigma, _HILL_SPEC)
+        path_stats = dyck._stats(dyck._staircase(sigma.word))
+        for sid, failure in checks.items():
+            if not failed[sid] and (text := failure(sigma.word, count, path_stats)):
+                failed[sid].append(text)
     return failed
 
 
-def _walk_pass(sids, max_n: int) -> dict[str, VerificationReport]:
-    """Reports of the walk-pass members ``sids``: per n, :func:`_walk_certified`,
-    or the per-avoider :func:`_walk_failures` where that does not certify the n."""
-    cells = {sid: _Cells() for sid in sids}
+def _walk_pass(max_n: int) -> dict[str, VerificationReport]:
+    """Reports of the walk-pass members, each from its first n on: per n,
+    :func:`_walk_certified`, or the per-avoider :func:`_walk_failures` where
+    that does not certify the n."""
+    cells = {sid: _Cells() for sid in _WALK_CHECKS}
     for n in range(max_n + 1):
-        members = [sid for sid in sids if _WALK_CHECKS[sid][0] <= n]
-        entry = _hill_entry(n)
-        if _walk_certified(n, members, entry):
-            failed = {sid: [] for sid in members}
-        else:
-            failed = _walk_failures(n, members, entry)
-        for sid, failures in failed.items():
-            cells[sid].check(f"n={n}", failures)
+        failed = {} if _walk_certified(n) else _walk_failures(n)
+        for sid, (first, _) in _WALK_CHECKS.items():
+            if first <= n:
+                cells[sid].check(f"n={n}", failed.get(sid, []))
     return {sid: c.report(sid) for sid, c in cells.items()}
 
 
@@ -791,7 +728,7 @@ _PASSES = (
 
 
 def _pass_subject(run, sid: str, max_n: int) -> VerificationReport:
-    return run([sid], max_n)[sid]
+    return run(max_n)[sid]
 
 
 def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
@@ -889,5 +826,5 @@ def verify_all(max_n: int | None = None) -> list[VerificationReport]:
     _check_depth(max_n)
     reports: dict[str, VerificationReport] = {}
     for run, members, depth in _PASSES:
-        reports.update(run(members, depth if max_n is None else max_n))
+        reports.update(run(depth if max_n is None else max_n))
     return [reports[sid] if sid in reports else verify(sid, max_n) for sid in subject_ids()]

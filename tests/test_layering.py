@@ -133,7 +133,7 @@ KERNELS = {
     "perm": {"avoider_walk", "avoider_totals"},
     "mmp": {"_packed_histogram", "distributions"},
     "dyck": {"_column", "_stair"},
-    "oracle": {"_levels", "_path_certified", "_walk_certified"},
+    "oracle": {"_levels", "_path_words", "_path_certified", "_walk_certified"},
 }
 
 
@@ -160,12 +160,10 @@ def test_oracle_walks_leave_no_reference_cycle():
         avoider_totals(9, P123.word, lambda i, v, q2: v << q2)
         oracle.verify_all(3)
         for n in (1, 8):
-            entry = oracle._match_entry(n)
-            oracle._path_certified(n, ("lemma-p2-2", "match-preservation"), entry)
-            oracle._path_failures(n, ("lemma-p1-3", "match-preservation"), entry)
-            entry = oracle._hill_entry(n)
-            oracle._walk_certified(n, ("lemma-p1-2", "hill-correspondence"), entry)
-            oracle._walk_failures(n, ("lemma-p1-2", "hill-correspondence"), entry)
+            oracle._path_certified(n)
+            oracle._path_failures(n)
+            oracle._walk_certified(n)
+            oracle._walk_failures(n)
         sigma = Permutation.parse("471569283")
         for tau in ("123", "132", "213", "231", "312", "321"):
             occurs(Permutation.parse(tau), sigma)

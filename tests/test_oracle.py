@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from qmmp import dyck, oracle
-from qmmp.mmp import EMPTY, QuadrantSpec, quadrant_rows
-from qmmp.perm import P123, P132, Permutation
+from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
+from qmmp.perm import P123, P132, Permutation, avoiders
 from qmmp.series import IntPoly, catalan
 
 from band_reference import band_lines
@@ -211,9 +211,9 @@ def test_default_depths_need_no_per_object_walk(monkeypatch):
     # the level passes certify every n of the bijection passes at the default
     # depths; a fallback that fired on every n would give the same lines
     def walked(*args):
-        raise AssertionError("a per-object walk ran")
+        raise AssertionError("a per-object check ran")
 
-    monkeypatch.setattr(oracle, "_path_walk", walked)
+    monkeypatch.setattr(oracle, "_path_failures", walked)
     monkeypatch.setattr(oracle, "_walk_failures", walked)
     _verify_all_matches_pinned_transcript()
 
@@ -313,20 +313,48 @@ def test_bijection_subjects_see_a_corrupted_map(monkeypatch, name, corrupt, fail
         assert dyck.phi(Permutation((2, 1, 3))).word == "DDDRRR"
 
 
-def test_path_walk_leaves_are_the_path_words_and_their_images():
-    # the prefix walk yields every path word in the order of the direct
-    # generator, each with exactly the column rule's image under both fills,
-    # and (checked to n = 8) the sum of the image's move entries
-    fills = [dyck._lowest_free, dyck._highest_free]
+def test_path_words_are_the_direct_generator():
+    # the fallback's words, D before R, in the order of the reference
     for n in range(11):
-        leaves = list(oracle._path_walk(n, lambda i, v, q2: (v * n + q2) << 8 * i))
-        assert [word for word, _ in leaves] == list(all_path_words(n))
-        for word, images in leaves:
-            for fill, (values, total, _) in zip(fills, images):
-                assert values == dyck._place(word, n, fill)
-                if n <= 8:
-                    rows = enumerate(zip(values, quadrant_rows(values)))
-                    assert total == sum((v * n + q[1]) << 8 * i for i, (v, q) in rows)
+        assert tuple(oracle._path_words(n)) == all_path_words(n)
+
+
+def test_definitional_failures_pass_every_true_image():
+    # every path word's true images pass each path check, and every
+    # 132-avoider passes each walk check from its first n on, n <= 7
+    for n in range(8):
+        for word in all_path_words(n):
+            path = dyck.DyckPath(word)
+            images = [
+                (p.word, quadrant_rows(p.word)) for p in (dyck.phi_inv(path), dyck.psi_inv(path))
+            ]
+            for image, failure in oracle._PATH_CHECKS.values():
+                assert failure(word, *images[image]) is None, (word, failure)
+        for sigma in avoiders(n, P132):
+            count = mmp_count(sigma, QuadrantSpec(EMPTY, 0, EMPTY, 0))
+            path_stats = dyck.stats(dyck.phi(sigma))
+            for first, failure in oracle._WALK_CHECKS.values():
+                if first <= n:
+                    assert failure(sigma.word, count, path_stats) is None, (sigma, failure)
+
+
+def test_definitional_failures_name_a_bad_input():
+    rows = quadrant_rows((1, 2, 3))
+    # (1, 2, 3) is no psi image: its non-peaks 2 and 3 increase
+    assert oracle._two_decreasing_failure("DDDRRR", (1, 2, 3), rows) == (
+        "path=DDDRRR sigma=123: peaks=[1], non-peaks=[2, 3]"
+    )
+    # DRDDRR's first peak is a hill, but 1 has 2 points in quadrant I
+    assert oracle._diag_failure("DRDDRR", (1, 2, 3), rows) == (
+        "path=DRDDRR sigma=123 column=1: diagonal 0, quadrant-I 2"
+    )
+    # its first return is at column 1 and its one hill there, which the
+    # 132-avoider 231 and a count of no matches do not meet
+    path_stats = dyck.stats(dyck.DyckPath("DRDDRR"))
+    assert oracle._first_return_failure((2, 3, 1), 0, path_stats) == (
+        "sigma=231: position of n is 2, first return 1"
+    )
+    assert oracle._hill_failure((2, 3, 1), 0, path_stats) == "sigma=231: matches=0, hills=1"
 
 
 def test_path_walk_raises_on_a_fill_that_reuses_a_value(monkeypatch):
@@ -340,22 +368,36 @@ def _reuse_top(_lowest_free):
     return lambda used, level, n: n
 
 
-PATH_MEMBERS = ("lemma-p1-3", "lemma-p2-3", "lemma-p2-2", "match-preservation")
-WALK_MEMBERS = ("lemma-p1-2", "hill-correspondence")
+def _all_highest(column):
+    # every column of both images takes the highest free value: only the
+    # corners' diagonals are wrong
+    return lambda used, down, corner, n, fill: dyck._highest_free(used, n - down + 1, n)
 
 
-def _path_found(n, sids, entry):
-    failed, matched = oracle._path_failures(n, sids, entry)
+def _phi_fill_both(column):
+    # both images take phi's fill, so the psi image is the phi image: only
+    # lemma-p2-2's decreasing non-peaks fail
+    return lambda used, down, corner, n, fill: column(used, down, corner, n, dyck._lowest_free)
+
+
+def _short_at_three(_stair):
+    # at height 3 the new minimum 1 takes the path down two rows, not three:
+    # only first returns are wrong
+    return lambda height, v: (2, 1) if (height, v) == (3, 1) else _stair(height, v)
+
+
+def _path_found(n):
+    failed, matched = oracle._path_failures(n)
     return [*failed.values(), *matched.values()]
 
 
-def _walk_found(n, sids, entry):
-    return list(oracle._walk_failures(n, sids, entry).values())
+def _walk_found(n):
+    return list(oracle._walk_failures(n).values())
 
 
-def _finds_nothing(found, *args):
+def _finds_nothing(found, n):
     try:
-        return not any(found(*args))
+        return not any(found(n))
     except ValueError:
         return False
 
@@ -368,24 +410,31 @@ def _finds_nothing(found, *args):
         ("_column", _swap_psi),
         ("_stair", _one_peak),
         ("_lowest_free", _reuse_top),
+        ("_column", _all_highest),
+        ("_column", _phi_fill_both),
+        ("_stair", _short_at_three),
     ],
 )
 def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corrupt):
-    # for each n <= 7 a level pass certifies n exactly when the per-object
-    # walk of that n finds no failure and raises nothing, for all members of
-    # the pass together and for each alone
+    # for each n <= 7 a level pass certifies n exactly when the definitional
+    # check of every object of that n finds no failure and raises nothing; the
+    # last three rules each break one check alone (corner diagonals, psi's
+    # decreasing non-peaks, first returns), so a certificate without it fails
     if name:
         monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
     for n in range(8):
-        entry = oracle._match_entry(n)
-        for sids in [PATH_MEMBERS, *[(sid,) for sid in PATH_MEMBERS]]:
-            passes = _finds_nothing(_path_found, n, sids, entry)
-            assert oracle._path_certified(n, sids, entry) == passes, (n, sids)
-        entry = oracle._hill_entry(n)
-        live = [sid for sid in WALK_MEMBERS if oracle._WALK_CHECKS[sid][0] <= n]
-        for sids in [live, *[[sid] for sid in live]]:
-            passes = _finds_nothing(_walk_found, n, sids, entry)
-            assert oracle._walk_certified(n, sids, entry) == passes, (n, sids)
+        assert oracle._path_certified(n) == _finds_nothing(_path_found, n), n
+        assert oracle._walk_certified(n) == _finds_nothing(_walk_found, n), n
+
+
+def test_walk_certificate_checks_each_move_for_a_hill(monkeypatch):
+    # with (e,0,e,0) rebound to (e,0,0,0), the values with no later larger
+    # one, only hill-correspondence fails (from n = 2), so only the walk
+    # certificate's hill check can see it
+    monkeypatch.setattr(oracle, "_HILL_SPEC", QuadrantSpec(EMPTY, 0, 0, 0))
+    for n in range(8):
+        assert oracle._walk_certified(n) == _finds_nothing(_walk_found, n) == (n < 2), n
+    assert [r.passed for r in oracle._walk_pass(7).values()] == [True, False]
 
 
 def test_column_rule_rejects_a_fill_that_reuses_a_value():
