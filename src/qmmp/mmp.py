@@ -112,7 +112,7 @@ def quadrant_rows(word: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     ``q2 = popcount(used >> v)``, and the other tallies follow by the
     formula of :func:`_append_tallies` (inlined here, where it runs once
     per position), as in the append-time walks :func:`_packed_histogram`
-    and :func:`qmmp.perm.avoider_walk`.
+    and :func:`qmmp.perm.avoider_totals`.
     """
     n = len(word)
     used = 0

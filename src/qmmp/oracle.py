@@ -16,22 +16,22 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from . import dyck, gf
+from . import dyck, gf, mmp
 from .mmp import (
     EMPTY,
     QuadrantSpec,
     _admits,
     _append_tallies,
-    _bands,
     _in_window,
     _window,
     bivariate_distributions,
+    corner_frame_counts,
     distribution,
     distributions,
     mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, avoider_totals, avoider_walk, avoiders, catalan_moves
+from .perm import P123, P132, Permutation, avoider_totals, avoiders, catalan_moves
 from .series import IntPoly, TSeries
 
 
@@ -299,126 +299,111 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
 class _BandFields:
     """Walk entries for theorem-12/13 over the length-n 123-avoiders.
 
-    Each ``(k, l)`` pair has four fields, in order R, X, Y, C, that sum over
-    a permutation to ``r``, ``r + s``, ``count + s`` and ``count``: ``r`` and
-    ``s`` are its corner and frame counts (:func:`qmmp.mmp._bands`) and
-    ``count`` its ``(0,k,0,l)`` match count.  A field is
-    ``(2n).bit_length() + 1`` bits wide, so every sum (at most 2n) leaves the
-    field's top bit, the *guard*, clear.  A *rule* ``(offset, mask, expect)``
-    passes a total when ``(total + offset) & mask == expect``; an offset of
-    ``guard - 1 - (k + l)`` on R carries into the guard exactly when
-    ``r > k + l``.  No field carries into the next, so the rules of
-    different pairs add up to one rule.
+    Each ``(k, l)`` pair p has three fields from bit ``3 * width * p`` on,
+    in order R, S, C, that sum over a permutation to ``r``, ``s`` and
+    ``count``: its corner and frame counts (:func:`qmmp.mmp._bands`) and
+    its ``(0,k,0,l)`` match count.  Each sum is at most n, so a field is
+    ``width = n.bit_length()`` bits wide and none carries into the next.
 
-    An entry is the point's R, X and Y band fields, from one sweep of
-    :func:`qmmp.mmp._bands` over the grid points ``(j, v)`` per n, plus its
-    Y and C match fields: per slot, the fields of the pairs whose window
-    admits the tally, ANDed over the four slots.
+    An entry is the point's R and S fields, from one sweep of ``mmp._bands``
+    (looked up at call time) over the grid points ``(j, v)`` per n, plus
+    its C fields: per slot, the fields of the pairs whose window admits the
+    tally, ANDed over the four slots.
     """
 
-    def __init__(self, pairs: list[tuple[int, int]], n: int) -> None:
-        self.pairs = pairs
+    def __init__(self, pairs: tuple[tuple[int, int], ...], n: int) -> None:
         self.n = n
-        self.width = w = (2 * n).bit_length() + 1
+        self.width = w = n.bit_length()
         self.ones = (1 << w) - 1
-        self.bases = [4 * w * p for p in range(len(pairs))]
         self.bands = [0] * (n + 1) ** 2  # the point (j, v) at j * (n + 1) + v
         for j, v in itertools.product(range(1, n + 1), repeat=2):
-            for base, (k, ell) in zip(self.bases, pairs):
-                corner, frame = _bands(j, v, n, k, ell)
-                fields = corner | (corner + frame) << w | frame << 2 * w
-                self.bands[j * (n + 1) + v] += fields << base
+            for p, (k, ell) in enumerate(pairs):
+                corner, frame = mmp._bands(j, v, n, k, ell)
+                self.bands[j * (n + 1) + v] += (corner | frame << w) << 3 * w * p
         windows = [_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs]
-        self.admits = _admits(windows, [(1 << 2 * w | 1 << 3 * w) << b for b in self.bases], n)
+        self.admits = _admits(windows, [1 << (3 * p + 2) * w for p in range(len(pairs))], n)
 
     def entry(self, i: int, v: int, q2: int) -> int:
         q1, q2, q3, q4 = _append_tallies(self.n, i, v, q2)
         a1, a2, a3, a4 = self.admits
         return self.bands[(i + 1) * (self.n + 1) + v] + (a1[q1] & a2[q2] & a3[q3] & a4[q4])
 
-    def numbers(self, total: int, p: int) -> tuple[int, int, int]:
-        """``(r, s, count)`` of pair ``p`` from the fields R, X and C."""
-        base, w = self.bases[p], self.width
-        r, x, _, count = ((total >> (base + f * w)) & self.ones for f in range(4))
-        return r, x - r, count
-
-    def theorem_13(self, p: int) -> tuple[int, int, int]:
-        """For n > k+l: r <= k+l, r + s = 2(k+l) and count + s = n; else count = 0."""
-        kl = sum(self.pairs[p])
-        w, base = self.width, self.bases[p]
-        if self.n <= kl:
-            return 0, self.ones << 3 * w << base, 0
-        guard = 1 << (w - 1)
-        mask = guard | self.ones << w | self.ones << 2 * w
-        return (guard - 1 - kl) << base, mask << base, (2 * kl << w | self.n << 2 * w) << base
-
-    def theorem_12(self, p: int) -> tuple[int, int, int]:
-        """The fast count, the n - s points off the frame, equals the match count."""
-        field = 2 * self.width + self.bases[p]
-        return 0, self.ones << field, self.n << field
+    def numbers(self, totals: set[int], p: int) -> set[tuple[int, int, int]]:
+        """The distinct ``(r, s, count)`` of pair ``p`` over ``totals``."""
+        base, w, ones = 3 * self.width * p, self.width, self.ones
+        # the pair's three fields of each total, masked in place by map's C loop
+        slices = set(map(((1 << 3 * w) - 1 << base).__and__, totals))
+        return {(x >> base & ones, x >> base + w & ones, x >> base + 2 * w) for x in slices}
 
 
-def _joint(rules) -> tuple[int, int, int]:
-    """The one rule that passes a total exactly when every rule of ``rules`` does."""
-    offset, mask, expect = map(sum, zip((0, 0, 0), *rules))
-    return offset, mask, expect
+def _theorem_12_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> bool:
+    """The fast count, the n - s points off the frame, equals the match count."""
+    return n - s == count
 
 
-def _band_subject(subject, pairs, rule_of, describe, max_n: int) -> VerificationReport:
-    """Check one packed rule per pair on every 123-avoider with n <= max_n.
+def _theorem_13_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> bool:
+    """For n > k+l: r <= k+l, r + s = 2(k+l) and count + s = n; else count = 0."""
+    kl = k + ell
+    return count == 0 if n <= kl else r <= kl and r + s == 2 * kl and count + s == n
 
-    All pairs are tested at once on each distinct total of the length-n
-    avoiders (:func:`avoider_totals`).  Only when some total fails is each
-    avoider's total from :func:`avoider_walk` tested in lexicographic
-    order; the fields are decoded only when some pair fails, and a pair
-    that has failed keeps its first counterexample and leaves the rule.
+
+# Band subjects: (pairs, the theorem's predicate holds(n, k, l, r, s, count),
+# the failure text from (sigma, n, r, s, count)).
+_BAND_GRIDS = MappingProxyType({
+    "theorem-12": (
+        tuple((k, ell) for k in range(3) for ell in range(3)),
+        _theorem_12_holds,
+        lambda sigma, n, r, s, count: f"sigma={sigma}: fast={n - s}, direct={count}",
+    ),
+    "theorem-13": (
+        tuple((k, ell) for k in range(4) for ell in range(4)),
+        _theorem_13_holds,
+        lambda sigma, n, r, s, count: f"sigma={sigma}: r={r}, s={s}, count={count}",
+    ),
+})
+
+
+def _band_subject(subject: str, max_n: int) -> VerificationReport:
+    """Check ``holds(n, k, l, r, s, count)`` for every pair on every 123-avoider with n <= max_n.
+
+    Each pair is tested on the distinct ``(r, s, count)`` of the length-n
+    avoiders (:func:`avoider_totals`), which is still a check of every
+    avoider, since the set is the image of the per-avoider numbers.  Only a
+    pair that fails there is checked avoider by avoider in lexicographic
+    order, from :func:`qmmp.mmp.corner_frame_counts` and ``mmp_count``, to
+    name its first counterexample; a pair that has failed is not tested
+    again.
     """
-    fails: dict[tuple[int, int], list[str]] = {p: [] for p in pairs}
+    pairs, holds, describe = _BAND_GRIDS[subject]
+    fails: dict[tuple[int, int], list[str]] = {pair: [] for pair in pairs}
     for n in range(max_n + 1):
         fields = _BandFields(pairs, n)
-        rules = {p: rule_of(fields, p) for p, pair in enumerate(pairs) if not fails[pair]}
-        offset, mask, expect = _joint(rules.values())
         totals = avoider_totals(n, P123.word, fields.entry)
-        if all((total + offset) & mask == expect for total in totals):
-            continue
-        for word, total in avoider_walk(n, P123.word, fields.entry):
-            if (total + offset) & mask == expect:
-                continue
-            sigma = Permutation(word)
-            for p, (o, m, e) in list(rules.items()):
-                if (total + o) & m != e:
-                    fails[pairs[p]].append(describe(sigma, n, *fields.numbers(total, p)))
-                    del rules[p]
-            offset, mask, expect = _joint(rules.values())
+        failing = [
+            pair
+            for p, pair in enumerate(pairs)
+            if not fails[pair] and not all(holds(n, *pair, *xs) for xs in fields.numbers(totals, p))
+        ]
+        for sigma in avoiders(n, P123) if failing else ():
+            for k, ell in failing:
+                r, s = corner_frame_counts(sigma, k, ell)
+                count = mmp_count(sigma, QuadrantSpec(0, k, 0, ell))
+                if not holds(n, k, ell, r, s, count):
+                    fails[k, ell].append(describe(sigma, n, r, s, count))
+            failing = [pair for pair in failing if not fails[pair]]
+            if not failing:
+                break
     cells = _Cells()
     for k, ell in pairs:
         cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
     return cells.report(subject)
 
 
-def _subject_theorem_12(max_n: int) -> VerificationReport:
-    return _band_subject(
-        "theorem-12",
-        [(k, ell) for k in range(3) for ell in range(3)],
-        _BandFields.theorem_12,
-        lambda sigma, n, r, s, count: f"sigma={sigma}: fast={n - s}, direct={count}",
-        max_n,
-    )
-
-
-def _subject_theorem_13(max_n: int) -> VerificationReport:
-    return _band_subject(
-        "theorem-13",
-        [(k, ell) for k in range(4) for ell in range(4)],
-        _BandFields.theorem_13,
-        lambda sigma, n, r, s, count: f"sigma={sigma}: r={r}, s={s}, count={count}",
-        max_n,
-    )
-
-
 def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> VerificationReport:
     cells = _Cells()
     threshold = gf._CLOSED_0K0L_THRESHOLD[(k, ell)]
+    if threshold > max_n:
+        cells.skip(f"k={k},l={ell}", f"threshold n>={threshold} exceeds max_n={max_n}")
     spec = QuadrantSpec(0, k, 0, ell)
     for n in range(threshold, max_n + 1):
         failures: list[str] = []
@@ -773,8 +758,8 @@ _SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = Mappi
     **{sid: (partial(_top_coeff_subject, sid), 9) for sid in _TOP_COEFF_GRIDS},
     **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
     "theorem-11": (_subject_theorem_11, 9),
-    "theorem-12": (_subject_theorem_12, 8),
-    "theorem-13": (_subject_theorem_13, 10),
+    "theorem-12": (partial(_band_subject, "theorem-12"), 8),
+    "theorem-13": (partial(_band_subject, "theorem-13"), 10),
     "theorem-14": (partial(_closed_subject, "theorem-14", 1, 0), 9),
     "theorem-15": (partial(_closed_subject, "theorem-15", 2, 0), 9),
     "theorem-16": (partial(_closed_subject, "theorem-16", 1, 1), 9),

@@ -186,19 +186,42 @@ def _scan_132(word: tuple[int, ...]) -> bool:
 def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
     """All permutations of ``{1..n}`` avoiding 123 or 132, in lexicographic order.
 
-    They come from :func:`avoider_walk`, which never enters a prefix that
-    has no completion, and which raises ValueError for any other ``tau``.
+    An iterative DFS over :func:`catalan_moves`, least value first, so no
+    dead branch is ever entered.  Any other ``tau`` raises ValueError.
     """
-    return tuple(Permutation(word) for word, _ in avoider_walk(n, tau.word, _no_entry))
+    tau_word = tau.word
+    _check_walk(n, tau_word)
+    if n == 0:
+        return (Permutation(()),)
+    full = ((1 << n) - 1) << 1
+    out = []
+    word = [0] * n
+    # per depth i: the values placed before entry i + 1, and the moves from
+    # there not yet taken
+    used = [0] * n
+    moves = [0] * n
+    moves[0] = catalan_moves(0, full, tau_word)
+    i = 0
+    while i >= 0:
+        m = moves[i]
+        if not m:
+            i -= 1
+            continue
+        bit = m & -m
+        moves[i] = m ^ bit
+        word[i] = bit.bit_length() - 1
+        if i == n - 1:
+            out.append(Permutation(tuple(word)))
+        else:
+            i += 1
+            used[i] = used[i - 1] | bit
+            moves[i] = catalan_moves(used[i], full, tau_word)
+    return tuple(out)
 
 
 def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-
-def _no_entry(i: int, v: int, q2: int) -> int:
-    return 0
 
 
 def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
@@ -227,94 +250,28 @@ def _check_walk(n: int, tau_word: tuple[int, ...]) -> None:
     _check_n(n)
 
 
-def avoider_walk(
-    n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each length-n avoider of 123 or 132 with a total taken at append time.
-
-    The avoiders come in lexicographic order, as words, from an iterative
-    DFS over :func:`catalan_moves`.  Appending value ``v`` as entry
-    ``i + 1`` after the values in ``used`` adds ``entry(i, v, q2)`` to the
-    running total, where ``q2 = popcount(used >> v)`` is the number of
-    earlier larger values; the rest of the point's quadrant tallies follow
-    from ``(n, i, v, q2)`` (:func:`qmmp.mmp._append_tallies`).  An entry
-    is computed once per move ``(i, v, q2)`` and kept in a table local to
-    the call, so a prefix shared by many avoiders is tallied once and a
-    yielded total is the sum of its entries over the avoider's positions.
-    """
-    _check_walk(n, tau_word)
-    if n == 0:
-        yield (), 0
-        return
-    full = ((1 << n) - 1) << 1
-    bits = (n + 1).bit_length()
-    table: list[int | None] = [None] * (n << 2 * bits)
-    word = [0] * n
-    # per depth i: the values placed before entry i + 1, the total over
-    # them, and the moves from there not yet taken
-    used = [0] * n
-    totals = [0] * n
-    moves = [0] * n
-    moves[0] = catalan_moves(0, full, tau_word)
-    last = n - 1
-    i = 0
-    while i >= 0:
-        m = moves[i]
-        if not m:
-            i -= 1
-            continue
-        bit = m & -m
-        moves[i] = m ^ bit
-        v = bit.bit_length() - 1
-        placed = used[i]
-        q2 = (placed >> v).bit_count()
-        key = (i << bits | v) << bits | q2
-        e = table[key]
-        if e is None:
-            e = table[key] = entry(i, v, q2)
-        word[i] = v
-        if i == last:
-            yield tuple(word), totals[i] + e
-            i -= 1
-            continue
-        i += 1
-        used[i] = placed = placed | bit
-        totals[i] = totals[i - 1] + e
-        # the last entry is the one free value left
-        moves[i] = full ^ placed if i == last else catalan_moves(placed, full, tau_word)
-
-
 def avoider_totals(
     n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
 ) -> set[int]:
-    """The set of the totals that :func:`avoider_walk` yields, from the prefix states alone.
+    """The distinct totals of the length-n avoiders of 123 or 132, from the prefix states alone.
 
-    A prefix's completions depend only on its state, the bitmask ``used``
-    of its values (:func:`catalan_moves`), and so does the set of its
-    suffix totals.  A forward pass lists the reachable states level by
-    level (a level is a prefix length, the popcount of ``used``); a
-    backward pass then takes each state's set from those of the level
-    below, whose sets it drops once the level is done.  Entries are
-    computed once per move ``(i, v, q2)``, as in the walk.
+    An avoider's total is the sum of ``entry(i, v, q2)`` over its entries,
+    where value ``v`` is appended as entry ``i + 1`` after ``q2`` larger
+    values (``popcount(used >> v)``; the rest of the point's quadrant
+    tallies follow from ``(n, i, v, q2)``, :func:`qmmp.mmp._append_tallies`).
+    A prefix's moves depend only on its state, the bitmask ``used`` of its
+    values (:func:`catalan_moves`), so one pass level by level (a level is
+    a prefix length) keeps the set of prefix totals per state and drops a
+    level once the next is built.  Entries are computed once per move
+    ``(i, v, q2)`` of a level.
     """
     _check_walk(n, tau_word)
     full = ((1 << n) - 1) << 1
-    levels = [[0]]
-    for _ in range(n):
-        step = set()
-        for used in levels[-1]:
-            moves = catalan_moves(used, full, tau_word)
-            while moves:
-                bit = moves & -moves
-                moves ^= bit
-                step.add(used | bit)
-        levels.append(list(step))
-    below = {full: {0}}
-    for i in range(n - 1, -1, -1):
+    level = {0: {0}}
+    for i in range(n):
         table: dict[tuple[int, int], int] = {}
-        here = {}
-        for used in levels[i]:
-            totals: set[int] = set()
+        below: dict[int, set[int]] = {}
+        for used, totals in level.items():
             moves = catalan_moves(used, full, tau_word)
             while moves:
                 bit = moves & -moves
@@ -324,11 +281,9 @@ def avoider_totals(
                 e = table.get((v, q2))
                 if e is None:
                     e = table[v, q2] = entry(i, v, q2)
-                child = below[used | bit]
-                totals.update({t + e for t in child} if e else child)
-            here[used] = totals
-        below = here
-    return below[0]
+                below.setdefault(used | bit, set()).update({t + e for t in totals} if e else totals)
+        level = below
+    return level[full]
 
 
 P123 = Permutation((1, 2, 3))

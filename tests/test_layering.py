@@ -130,7 +130,7 @@ def _lasting_tables(tree):
 # The functions that build per-call tables or that the walks call per move,
 # per module scanned.
 KERNELS = {
-    "perm": {"avoider_walk", "avoider_totals"},
+    "perm": {"avoiders", "avoider_totals"},
     "mmp": {"_packed_histogram", "distributions"},
     "dyck": {"_column", "_stair"},
     "oracle": {"_levels", "_path_words", "_path_certified", "_walk_certified"},

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qmmp.mmp import (
     EMPTY,
     QuadrantSpec,
-    _append_tallies,
     bivariate_distribution,
     bivariate_distributions,
     corner_frame_counts,
@@ -25,7 +24,6 @@ from qmmp.perm import (
     P132,
     Permutation,
     avoider_totals,
-    avoider_walk,
     avoiders,
     left_to_right_minima,
     occurs,
@@ -292,41 +290,31 @@ def _corner_frame_by_definition(sigma, k, ell):
     return (r, s)
 
 
+def _walk_total(sigma, entry):
+    """The sum of ``entry(i, v, q2)`` over the entries of ``sigma``, q2 its quadrant-II tally."""
+    rows = quadrant_rows(sigma.word)
+    return sum(entry(i, v, q[1]) for i, (v, q) in enumerate(zip(sigma.word, rows)))
+
+
 def test_corner_frame_bands():
-    # corner_frame_counts and the theorem-12/13 walk entries share one band rule
-    pairs = [(k, ell) for k in range(5) for ell in range(5)]
+    # corner_frame_counts and the theorem-12/13 walk entries share one band
+    # rule: each avoider's total, summed here from its entries, decodes to
+    # its corner and frame counts by definition and to its match count
+    pairs = tuple((k, ell) for k in range(5) for ell in range(5))
     for n in range(9):
         fields = _BandFields(pairs, n)
-        walk = avoider_walk(n, P123.word, fields.entry)
-        for sigma, (word, total) in zip(avoiders(n, P123), walk, strict=True):
-            assert word == sigma.word
+        totals = set()
+        for sigma in avoiders(n, P123):
+            total = _walk_total(sigma, fields.entry)
+            totals.add(total)
             for p, (k, ell) in enumerate(pairs):
                 want = _corner_frame_by_definition(sigma, k, ell)
                 assert corner_frame_counts(sigma, k, ell) == want, (sigma, k, ell)
-                r, s, count = fields.numbers(total, p)
-                assert (r, s) == want, (sigma, k, ell)
-                assert count == mmp_count(sigma, QuadrantSpec(0, k, 0, ell)), (sigma, k, ell)
+                count = mmp_count(sigma, QuadrantSpec(0, k, 0, ell))
+                assert fields.numbers({total}, p) == {(*want, count)}, (sigma, k, ell)
+        assert avoider_totals(n, P123.word, fields.entry) == totals
     with pytest.raises(ValueError):
         corner_frame_counts(Permutation((3, 2, 1)), 1, -1)
-
-
-def test_avoider_walk():
-    # the words come in the order of avoiders(); a total is the sum of the
-    # entries of the avoider's positions, here a hash of the point and of
-    # its tallies, which the test takes by the definition
-    for tau in (P123, P132):
-        for n in range(10):
-            walk = avoider_walk(
-                n, tau.word, lambda i, v, q2: hash((i, v, *_append_tallies(n, i, v, q2)))
-            )
-            for sigma, (word, total) in zip(avoiders(n, tau), walk, strict=True):
-                assert word == sigma.word
-                points = enumerate(sigma.word, start=1)
-                assert total == sum(hash((j - 1, v, *_tallies(sigma, j))) for j, v in points)
-    assert list(avoider_walk(0, P132.word, lambda i, v, q2: 1)) == [((), 0)]
-    assert list(avoider_walk(1, P123.word, lambda i, v, q2: 1 << (i + v + q2))) == [((1,), 2)]
-    with pytest.raises(ValueError):
-        next(avoider_walk(3, (2, 1, 3), lambda i, v, q2: 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,20 +334,20 @@ def test_avoider_totals_are_the_walk_totals(n, tau, seed, spread):
             table[i, v, q2] = random.Random(hash((seed, i, v, q2))).randrange(-spread, spread)
         return table[i, v, q2]
 
-    walk = {total for _, total in avoider_walk(n, tau.word, entry)}
+    walk = {_walk_total(sigma, entry) for sigma in avoiders(n, tau)}
     assert avoider_totals(n, tau.word, entry) == walk
 
 
 def test_avoider_totals_edges():
     assert avoider_totals(0, P123.word, lambda i, v, q2: 1) == {0}
     assert avoider_totals(1, P132.word, lambda i, v, q2: 1 << (i + v + q2)) == {2}
-    # the class and length checks of the walk, with its messages
+    # the class and length checks of avoiders, with its messages
     for n, tau_word in ((-1, P123.word), (3, (2, 1, 3)), (-1, (1, 2)), (0, (3, 2, 1))):
-        with pytest.raises(ValueError) as walk:
-            next(avoider_walk(n, tau_word, lambda i, v, q2: 0))
+        with pytest.raises(ValueError) as listed:
+            avoiders(n, Permutation(tau_word))
         with pytest.raises(ValueError) as totals:
             avoider_totals(n, tau_word, lambda i, v, q2: 0)
-        assert str(totals.value) == str(walk.value)
+        assert str(totals.value) == str(listed.value)
 
 
 def test_fast_formula_row_bounds():
@@ -409,7 +397,7 @@ def test_fast_mmp_0k0l():
 
 
 def test_negative_length_is_rejected():
-    # the distributions and the avoider walk give the message of avoiders
+    # the distributions and the avoider totals give the message of avoiders
     spec = QuadrantSpec(0, 0, 0, 0)
     for call in (
         lambda: distribution(-1, P123, spec),
@@ -418,7 +406,6 @@ def test_negative_length_is_rejected():
         lambda: bivariate_distribution(-1, 0, 0),
         lambda: bivariate_distributions(-1, 0, [0, 1]),
         lambda: avoider_totals(-1, P132.word, lambda i, v, q2: 0),
-        lambda: list(avoider_walk(-1, P123.word, lambda i, v, q2: 0)),
         lambda: avoiders(-1, P132),
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):

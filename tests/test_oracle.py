@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qmmp import dyck, oracle
+from qmmp import dyck, mmp, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
 from qmmp.perm import P123, P132, Permutation, avoiders
 from qmmp.series import IntPoly, catalan
@@ -97,6 +97,21 @@ def test_skip_cells_carry_reasons():
     report = oracle.verify("theorem-0004", 3)
     skipped = [c for c in report.cells if c.status == "skip"]
     assert skipped and all("threshold" in c.detail for c in skipped)
+    # a closed-formula subject below its threshold checks nothing, and says so
+    for sid, label, threshold in (
+        ("theorem-14", "k=1,l=0", 2),
+        ("theorem-15", "k=2,l=0", 4),
+        ("theorem-16", "k=1,l=1", 4),
+        ("theorem-17", "k=2,l=1", 5),
+        ("theorem-18", "k=2,l=2", 7),
+    ):
+        for max_n in (0, threshold - 1):
+            report = oracle.verify(sid, max_n)
+            detail = f"threshold n>={threshold} exceeds max_n={max_n}"
+            assert report.lines() == [f"{sid}; {label}; skip; {detail}"]
+            assert report.summary() == f"{sid}: PASS (0 pass, 0 fail, 1 skipped)"
+        report = oracle.verify(sid, threshold)
+        assert report.counts() == (1, 0, 0), report.lines()
 
 
 def test_conjecture_small():
@@ -122,47 +137,38 @@ def test_failure_carries_counterexample():
 
 def _band_total(fields, numbers):
     """A walk total built field by field from each pair's (r, s, count)."""
-    total = 0
-    for p, (r, s, count) in enumerate(numbers):
-        for f, x in enumerate((r, r + s, count + s, count)):
-            total += x << (4 * p + f) * fields.width
-    return total
-
-
-def _band_unpack(fields, total, p):
-    r, x, _, count = ((total >> (4 * p + f) * fields.width) & fields.ones for f in range(4))
-    return r, x - r, count
+    return sum(
+        x << (3 * p + f) * fields.width for p, xs in enumerate(numbers) for f, x in enumerate(xs)
+    )
 
 
 def test_band_rules_flag_each_failure_kind():
-    # the theorem-12/13 leaf checks: a total built for each failure kind is
-    # flagged by the joint rule and by the failing pair's rule alone, a total
-    # that holds every identity (r = k+l at the guard's edge) passes, and
-    # every total decodes to the numbers it was built from
-    pairs = [(1, 2), (0, 0), (3, 1)]
-    big, small = oracle._BandFields(pairs, 9), oracle._BandFields(pairs, 3)
-    t12, t13 = oracle._BandFields.theorem_12, oracle._BandFields.theorem_13
+    # each theorem's predicate fails on the numbers built for each failure
+    # kind and holds on numbers that meet every identity (r = k+l at the
+    # edge), and numbers() decodes the distinct (r, s, count) of each pair
+    # from the totals they are packed into
+    pairs = ((1, 2), (0, 0), (3, 1))
+    t12, t13 = oracle._theorem_12_holds, oracle._theorem_13_holds
     # (r, s, count) per pair at n = 9
-    holds13 = [(3, 3, 6), (0, 0, 9), (4, 4, 5)]
-    holds12 = [(2, 6, 3), (0, 0, 9), (1, 7, 2)]
-    # each case breaks pair 0, (k, l) = (1, 2)
+    good13 = [(3, 3, 6), (0, 0, 9), (4, 4, 5)]
+    good12 = [(2, 6, 3), (0, 0, 9), (1, 7, 2)]
+    # each case breaks one clause for pair 0, (k, l) = (1, 2)
     cases = [
-        (big, t13, holds13, (4, 2, 7)),  # r > k+l
-        (big, t13, holds13, (1, 6, 3)),  # s != 2(k+l) - r
-        (big, t13, holds13, (1, 5, 5)),  # count != n - 2(k+l) + r
-        (small, t13, [(2, 3, 0), (0, 0, 3), (1, 3, 0)], (2, 3, 1)),  # count != 0, n <= k+l
-        (big, t12, holds12, (1, 5, 3)),  # fast 4 != direct 3
+        (9, t13, good13, (4, 2, 7)),  # r > k+l
+        (9, t13, good13, (1, 6, 3)),  # s != 2(k+l) - r
+        (9, t13, good13, (1, 5, 5)),  # count != n - 2(k+l) + r
+        (3, t13, [(2, 3, 0), (0, 0, 3), (1, 3, 0)], (2, 3, 1)),  # count != 0, n <= k+l
+        (9, t12, good12, (1, 5, 3)),  # fast 4 != direct 3
     ]
-    for fields, rule_of, holds, bad in cases:
-        rules = [rule_of(fields, p) for p in range(len(pairs))]
-        offset, mask, expect = oracle._joint(rules)
-        for numbers in (holds, [bad] + holds[1:]):
-            total = _band_total(fields, numbers)
-            flagged = [(total + o) & m != e for o, m, e in rules]
-            assert flagged == [numbers[0] == bad, False, False], (rule_of, numbers)
-            assert ((total + offset) & mask != expect) == flagged[0]
-            for p, want in enumerate(numbers):
-                assert fields.numbers(total, p) == _band_unpack(fields, total, p) == want
+    for n, holds, good, bad in cases:
+        broken = [bad] + good[1:]
+        for numbers in (good, broken):
+            flagged = [not holds(n, k, ell, *xs) for (k, ell), xs in zip(pairs, numbers)]
+            assert flagged == [numbers is broken, False, False], (holds, n, numbers)
+        fields = oracle._BandFields(pairs, n)
+        totals = {_band_total(fields, good), _band_total(fields, broken)}
+        for p in range(len(pairs)):
+            assert fields.numbers(totals, p) == {good[p], broken[p]}
 
 
 def _swapped_row_bounds(j, v, n, k, ell):
@@ -177,8 +183,10 @@ def test_band_subjects_see_swapped_row_bounds(monkeypatch, sid, failing):
     # the subjects report what the per-avoider reference does, with the true
     # bands and with the erratum's, whose first counterexamples come from the
     # per-avoider walk after the distinct totals fail
-    assert oracle.verify(sid, 8).lines() == band_lines(sid, 8, oracle._bands)
-    monkeypatch.setattr(oracle, "_bands", _swapped_row_bounds)
+    assert oracle.verify(sid, 8).lines() == band_lines(sid, 8, mmp._bands)
+    # the distinct totals and the per-avoider fallback (corner_frame_counts)
+    # both read the rebound rule
+    monkeypatch.setattr(mmp, "_bands", _swapped_row_bounds)
     report = oracle.verify(sid, 8)
     assert report.counts()[1] == failing
     assert report.lines() == band_lines(sid, 8, _swapped_row_bounds)
