@@ -56,6 +56,13 @@ def _compute_series(avoid: str, spec: QuadrantSpec, trunc: int, engine: str) -> 
         except gf.NoEngineError:
             if engine != "auto":
                 raise
+    if trunc > DEFAULT_MAX_N_CAP:
+        # the walk of row n keeps up to 2^n prefix states
+        print(
+            f"note: brute force to t^{trunc} (above the default cap {DEFAULT_MAX_N_CAP}) "
+            f"walks up to 2^{trunc} = {1 << trunc} prefix states per row",
+            file=sys.stderr,
+        )
     return oracle.brute_series(tau, spec, trunc)
 
 

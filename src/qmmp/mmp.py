@@ -270,12 +270,17 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
     move shifts the lanes of the specs it matches up by one field; when it
     matches every spec of the walk, the whole histogram shifts.
     """
+    return _lane_polys(n, _lane_walks(n, tau, specs), len(specs))
+
+
+def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[int]:
+    """The packed histograms of :func:`distributions`, one walk per group of up to 24 specs."""
     _check_n(n)
     tau_word = _require_class(tau)
     width = catalan(n).bit_length()
     lane = (n + 1) * width
     ones = (1 << lane) - 1
-    out: list[IntPoly] = []
+    walks = []
     for start in range(0, len(specs), _LANES):
         windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
         leaf = sum(1 << (j * lane) for j in range(len(windows)))
@@ -288,11 +293,19 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
             m = a1[q1] & a2[q2] & a3[q3] & a4[q4]
             return ~width if m == every else m
 
-        packed = _packed_histogram(n, tau_word, leaf, width, entry)
-        polys: list[dict[int, int]] = [{} for _ in windows]
-        for f, count in unpack_fields(packed, width).items():
+        walks.append(_packed_histogram(n, tau_word, leaf, width, entry))
+    return walks
+
+
+def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
+    """The ``count`` polynomials packed in the lanes of :func:`_lane_walks`' walks, in order."""
+    width = catalan(n).bit_length()
+    out: list[IntPoly] = []
+    for start, packed in zip(range(0, count, _LANES), walks):
+        polys: list[dict[int, int]] = [{} for _ in range(min(_LANES, count - start))]
+        for f, c in unpack_fields(packed, width).items():
             j, m = divmod(f, n + 1)
-            polys[j][m] = count
+            polys[j][m] = c
         out += map(IntPoly._from_keys, polys)
     return out
 

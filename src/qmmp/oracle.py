@@ -6,6 +6,14 @@ engine code paths, which is what makes an engine-vs-oracle pass meaningful
 evidence.  Each verification *subject* checks one implemented identity over
 an explicit parameter grid and reports one cell per grid point, carrying a
 concrete counterexample whenever a cell fails.
+
+The subjects that compare oracle distributions with one another or with a
+formula (corollary-1, theorem-3, the top-coefficient subjects, theorem-14..18
+and lemma-sym/lemma-sym2) ask for them instead of fetching them:
+:func:`_drive` serves all of their length-n requests from one deduplicated
+set of lane-packed walks per class.  The engine-vs-oracle subjects keep
+their own walks (suspended, each would hold its engine series), as do
+theorem-11's bivariate rows, the band subjects and the two bijection passes.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Generator, Mapping
 
 from . import dyck, gf, mmp
 from .mmp import (
@@ -113,18 +121,53 @@ def _poly_eq(failures: list[str], label: str, got, want) -> None:
 # ---------------------------------------------------------------------------
 # Subjects
 
+# A distribution subject, run by _drive.
+_Subject = Generator[tuple[int, list], dict, VerificationReport]
+
 
 def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly]:
     """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
 
-    All of a class's specs go to one :func:`distributions` call, so they
-    share its walks.
+    Each class's distinct specs share lane-packed walks, as in
+    :func:`distributions`, and every walk of both classes runs before any
+    polynomial is unpacked, so no unpacked polynomial is held through a walk.
     """
+    specs = {tau: list(dict.fromkeys(s for t, s in wanted if t == tau)) for tau in (P123, P132)}
+    walks = {tau: mmp._lane_walks(n, tau, group) for tau, group in specs.items()}
     out = {}
-    for tau in (P123, P132):
-        specs = [spec for t, spec in wanted if t == tau]
-        out.update(zip([(tau, spec) for spec in specs], distributions(n, tau, specs)))
+    for tau, group in specs.items():
+        out.update(zip([(tau, s) for s in group], mmp._lane_polys(n, walks[tau], len(group))))
     return out
+
+
+def _drive(subjects: list) -> list[VerificationReport]:
+    """The reports of the distribution subjects ``subjects``, run together, in order.
+
+    A subject is a generator that yields ``(n, [(class, spec), ...])`` once
+    per n, n rising, is sent the mapping from each of those ``(class,
+    spec)`` to its length-n distribution, and returns its report.  Each
+    step serves every subject waiting at the smallest n, in order, from one
+    :func:`_oracle_at` call, so a spec that several subjects ask for is
+    walked once.  The mapping is cleared after the step: a suspended
+    subject keeps no earlier n's polynomials alive through the next walks.
+    """
+    reports: list = [None] * len(subjects)
+    asks: dict[int, tuple[int, list]] = {}
+    due = list(range(len(subjects)))
+    polys = None
+    while True:
+        for i in due:
+            try:
+                asks[i] = subjects[i].send(polys)
+            except StopIteration as done:
+                reports[i] = done.value
+        if polys is not None:
+            polys.clear()
+        if not asks:
+            return reports
+        n = min(n for n, _ in asks.values())
+        due = [i for i, (m, _) in sorted(asks.items()) if m == n]
+        polys = _oracle_at(n, [key for i in due for key in asks.pop(i)[1]])
 
 
 def _engine_failures(tau: Permutation, cells, max_n: int) -> list[list[str]]:
@@ -154,15 +197,16 @@ _COROLLARY_1_SPECS = (
 )
 
 
-def _subject_corollary_1(max_n: int) -> VerificationReport:
+def _subject_corollary_1(max_n: int) -> _Subject:
     grid = [(k, ell, m) for k in range(1, 3) for ell in range(3) for m in range(3)]
     rows = [
         [(label, (tau, spec_of(*params))) for label, tau, spec_of in _COROLLARY_1_SPECS]
         for params in grid
     ]
+    wanted = [key for row in rows for _, key in row]
     fails: list[list[str]] = [[] for _ in grid]
     for n in range(max_n + 1):
-        polys = _oracle_at(n, [key for row in rows for _, key in row])
+        polys = yield n, wanted
         for ((_, base), *variants), failures in zip(rows, fails):
             for label, key in variants:
                 _poly_eq(failures, f"n={n} {label}", polys[key], polys[base])
@@ -172,7 +216,7 @@ def _subject_corollary_1(max_n: int) -> VerificationReport:
     return cells.report("corollary-1")
 
 
-def _subject_theorem_3(max_n: int) -> VerificationReport:
+def _subject_theorem_3(max_n: int) -> _Subject:
     # The x^0 and x^1 agreement claims get separate cells; each failing cell
     # carries its first counterexample.  Over 132-avoiders, for all k, l, m:
     # (i) every empty-slot match is a zero-slot match, and the smallest entry
@@ -182,11 +226,13 @@ def _subject_theorem_3(max_n: int) -> VerificationReport:
     # n < k+l+m+2; (iii) they differ at n = k+l+m+2, so every x^1 cell fails
     # there (see gf.KNOWN_ERRATA).
     grid = [(k, ell, m) for k in range(3) for ell in range(3) for m in range(3)]
-    specs = [QuadrantSpec(k, ell, slot, m) for k, ell, m in grid for slot in (EMPTY, 0)]
+    pairs = [[(P132, QuadrantSpec(k, ell, slot, m)) for slot in (EMPTY, 0)] for k, ell, m in grid]
+    wanted = [key for pair in pairs for key in pair]
     fails: list[dict[int, list[str]]] = [{0: [], 1: []} for _ in grid]
     for n in range(max_n + 1):
-        polys = distributions(n, P132, specs)
-        for empty3, zero3, per_exp in zip(polys[0::2], polys[1::2], fails):
+        polys = yield n, wanted
+        for (empty, zero), per_exp in zip(pairs, fails):
+            empty3, zero3 = polys[empty], polys[zero]
             for e in (0, 1):
                 if empty3.coeff(e) != zero3.coeff(e):
                     per_exp[e].append(
@@ -218,14 +264,14 @@ _TOP_COEFF_GRIDS = MappingProxyType({
 })
 
 
-def _top_coeff_subject(subject: str, max_n: int) -> VerificationReport:
+def _top_coeff_subject(subject: str, max_n: int) -> _Subject:
     grid, spec_of = _TOP_COEFF_GRIDS[subject]
     specs = [spec_of(*params) for params in grid]
     fails: list[list[str]] = [[] for _ in grid]
     for n in range(max_n + 1):
         # the top degree is n - sum(params), from n = sum(params) + 1 on
         live = [row for row in zip(grid, specs, fails) if sum(row[0]) < n]
-        polys = _oracle_at(n, [(tau, spec) for _, spec, _ in live for tau in (P123, P132)])
+        polys = yield n, [(tau, spec) for _, spec, _ in live for tau in (P123, P132)]
         for params, spec, failures in live:
             expo = n - sum(params)
             k, ell, m = (*params, 0, 0)[:3]
@@ -399,15 +445,16 @@ def _band_subject(subject: str, max_n: int) -> VerificationReport:
     return cells.report(subject)
 
 
-def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> VerificationReport:
+def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> _Subject:
     cells = _Cells()
     threshold = gf._CLOSED_0K0L_THRESHOLD[(k, ell)]
     if threshold > max_n:
         cells.skip(f"k={k},l={ell}", f"threshold n>={threshold} exceeds max_n={max_n}")
-    spec = QuadrantSpec(0, k, 0, ell)
+    key = (P123, QuadrantSpec(0, k, 0, ell))
     for n in range(threshold, max_n + 1):
+        polys = yield n, [key]
         failures: list[str] = []
-        _poly_eq(failures, f"n={n}", gf.closed_poly_0k0l(k, ell, n), distribution(n, P123, spec))
+        _poly_eq(failures, f"n={n}", gf.closed_poly_0k0l(k, ell, n), polys[key])
         cells.check(f"n={n}", failures)
     return cells.report(subject)
 
@@ -423,7 +470,7 @@ _SYM_GRIDS = MappingProxyType({
 })
 
 
-def _sym_subject(subject: str, max_n: int) -> VerificationReport:
+def _sym_subject(subject: str, max_n: int) -> _Subject:
     tau, image_of, loop_order = _SYM_GRIDS[subject]
     rank = {v: i for i, v in enumerate(_SYM_COORDS)}
     pairs = []
@@ -432,12 +479,12 @@ def _sym_subject(subject: str, max_n: int) -> VerificationReport:
         image = QuadrantSpec(*image_of(*spec.coords))
         if [rank[v] for v in spec.coords] < [rank[v] for v in image.coords]:
             pairs.append((spec, image))
-    specs = [spec for pair in pairs for spec in pair]
+    wanted = [(tau, spec) for pair in pairs for spec in pair]
     fails: list[list[str]] = [[] for _ in pairs]
     for n in range(max_n + 1):
-        polys = distributions(n, tau, specs)
-        for left, right, failures in zip(polys[0::2], polys[1::2], fails):
-            _poly_eq(failures, f"n={n}", left, right)
+        polys = yield n, wanted
+        for (spec, image), failures in zip(pairs, fails):
+            _poly_eq(failures, f"n={n}", polys[tau, spec], polys[tau, image])
     cells = _Cells()
     for (spec, _), failures in zip(pairs, fails):
         cells.check(f"spec={spec}", failures, f"n<={max_n}")
@@ -752,14 +799,12 @@ def _subject_conjecture_1(max_n: int) -> VerificationReport:
 # Registry
 
 
-_SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = MappingProxyType({
+# The distribution subjects, run together by _drive: (generator function of
+# max_n, default depth).
+_POOLED: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyType({
     "corollary-1": (_subject_corollary_1, 8),
     "theorem-3": (_subject_theorem_3, 9),
     **{sid: (partial(_top_coeff_subject, sid), 9) for sid in _TOP_COEFF_GRIDS},
-    **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
-    "theorem-11": (_subject_theorem_11, 9),
-    "theorem-12": (partial(_band_subject, "theorem-12"), 8),
-    "theorem-13": (partial(_band_subject, "theorem-13"), 10),
     "theorem-14": (partial(_closed_subject, "theorem-14", 1, 0), 9),
     "theorem-15": (partial(_closed_subject, "theorem-15", 2, 0), 9),
     "theorem-16": (partial(_closed_subject, "theorem-16", 1, 1), 9),
@@ -767,6 +812,19 @@ _SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = Mappi
     "theorem-18": (partial(_closed_subject, "theorem-18", 2, 2), 9),
     "lemma-sym": (partial(_sym_subject, "lemma-sym"), 9),
     "lemma-sym2": (partial(_sym_subject, "lemma-sym2"), 8),
+})
+
+
+def _alone(subject: Callable[[int], _Subject], max_n: int) -> VerificationReport:
+    return _drive([subject(max_n)])[0]
+
+
+_SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = MappingProxyType({
+    **{sid: (partial(_alone, fn), depth) for sid, (fn, depth) in _POOLED.items()},
+    **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
+    "theorem-11": (_subject_theorem_11, 9),
+    "theorem-12": (partial(_band_subject, "theorem-12"), 8),
+    "theorem-13": (partial(_band_subject, "theorem-13"), 10),
     **{
         sid: (partial(_pass_subject, run, sid), depth)
         for run, members, depth in _PASSES
@@ -806,10 +864,12 @@ def verify(subject_id: str, max_n: int | None = None) -> VerificationReport:
 
 
 def verify_all(max_n: int | None = None) -> list[VerificationReport]:
-    """Run every subject, each shared pass once for all its members;
-    per-subject defaults apply when max_n is None."""
+    """Run every subject, each shared pass once for all its members and the
+    distribution subjects together; per-subject defaults apply when max_n is None."""
     _check_depth(max_n)
     reports: dict[str, VerificationReport] = {}
     for run, members, depth in _PASSES:
         reports.update(run(depth if max_n is None else max_n))
+    pooled = _drive([fn(depth if max_n is None else max_n) for fn, depth in _POOLED.values()])
+    reports.update(zip(_POOLED, pooled))
     return [reports[sid] if sid in reports else verify(sid, max_n) for sid in subject_ids()]

@@ -211,12 +211,20 @@ def avoiders(n: int, tau: Permutation) -> tuple[Permutation, ...]:
         moves[i] = m ^ bit
         word[i] = bit.bit_length() - 1
         if i == n - 1:
-            out.append(Permutation(tuple(word)))
+            out.append(_generated(tuple(word)))
         else:
             i += 1
             used[i] = used[i - 1] | bit
             moves[i] = catalan_moves(used[i], full, tau_word)
     return tuple(out)
+
+
+def _generated(word: tuple[int, ...]) -> Permutation:
+    """The Permutation of a word that :func:`avoiders` built, without the
+    range and duplicate check: its moves place each value of 1..n once."""
+    sigma = object.__new__(Permutation)
+    object.__setattr__(sigma, "word", word)
+    return sigma
 
 
 def _check_n(n: int) -> None:

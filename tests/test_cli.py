@@ -9,6 +9,7 @@ from qmmp import cli, oracle
 from qmmp.dyck import DyckPath
 from qmmp.mmp import QuadrantSpec
 from qmmp.perm import Permutation
+from qmmp.series import IntPoly, TSeries
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,36 @@ def test_brute_fallback_at_default_cap(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert len(lines) == 17
     assert lines[-1].startswith("t^16:")
+
+
+def test_brute_fallback_past_default_cap_notes_its_states(capsys, monkeypatch):
+    # above the default cap the brute path says what it walks before it
+    # starts; the series is stubbed, so no 2^17-state walk runs
+    def stub(tau, spec, trunc):
+        return TSeries([IntPoly({0: 1})] * (trunc + 1))
+
+    monkeypatch.setattr(oracle, "brute_series", stub)
+    monkeypatch.setenv("MMP_MAX_N", "17")
+    want = "\n".join(stub(None, None, 17).render_lines()) + "\n"
+    note = (
+        "note: brute force to t^17 (above the default cap 16) "
+        "walks up to 2^17 = 131072 prefix states per row\n"
+    )
+    for engine in ("auto", "brute"):
+        code, out, err = run_cli(
+            capsys, "series", "--avoid", "132", "--spec", "0,1,0,0", "--max-n", "17",
+            "--engine", engine,
+        )
+        assert (code, out, err) == (0, want, note), engine
+    # no note at the default cap, nor when an engine answers
+    code, out, err = run_cli(
+        capsys, "series", "--avoid", "132", "--spec", "0,1,0,0", "--max-n", "16"
+    )
+    assert (code, err) == (0, "") and out.count("\n") == 17
+    code, out, err = run_cli(
+        capsys, "series", "--avoid", "132", "--spec", "0,1,e,0", "--max-n", "17"
+    )
+    assert (code, err) == (0, "") and out.count("\n") == 18
 
 
 def test_large_slots_give_the_brute_force_series(capsys):

@@ -226,6 +226,64 @@ def test_default_depths_need_no_per_object_walk(monkeypatch):
     _verify_all_matches_pinned_transcript()
 
 
+def test_drive_pools_each_n_and_releases_it(monkeypatch):
+    # every subject waiting at the smallest n is served by one oracle call,
+    # and the mapping a subject was sent is empty once the next step runs
+    calls, kept = [], []
+    oracle_at = oracle._oracle_at
+
+    def recorded(n, wanted):
+        calls.append((n, list(wanted)))
+        return oracle_at(n, wanted)
+
+    def subject(name, ns, spec):
+        for n in ns:
+            polys = yield n, [(P132, spec)]
+            assert polys[P132, spec] == mmp.distribution(n, P132, spec)
+            kept.append(polys)
+        return name
+
+    monkeypatch.setattr(oracle, "_oracle_at", recorded)
+    a, b = QuadrantSpec(0, 1, 0, 0), QuadrantSpec(1, 0, EMPTY, 0)
+    got = oracle._drive([subject("a", (2, 3), a), subject("none", (), a), subject("b", (3, 5), b)])
+    assert got == ["a", "none", "b"]
+    assert calls == [(2, [(P132, a)]), (3, [(P132, a), (P132, b)]), (5, [(P132, b)])]
+    assert len(kept) == 4 and not any(kept)
+
+
+def test_verify_all_walks_each_pooled_request_once(monkeypatch):
+    # the distribution subjects' requests of an n are pooled into one lane
+    # walk per class and group of specs, each (n, class, spec) once; the
+    # engine-vs-oracle subjects keep their own walks through distributions
+    walks, pooled, engine_calls, open_calls = [], [], [], []
+    packed, lane_walks, distributions = mmp._packed_histogram, mmp._lane_walks, mmp.distributions
+
+    def counted(*args):
+        walks.append(args[0])
+        return packed(*args)
+
+    def requested(n, tau, specs):
+        if not open_calls:
+            pooled.extend((n, tau.word, spec) for spec in specs)
+        return lane_walks(n, tau, specs)
+
+    def engine_side(*args):
+        engine_calls.append(args[0])
+        open_calls.append(args[0])
+        try:
+            return distributions(*args)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(mmp, "_packed_histogram", counted)
+    monkeypatch.setattr(mmp, "_lane_walks", requested)
+    monkeypatch.setattr(oracle, "distributions", engine_side)
+    _verify_all_matches_pinned_transcript()
+    assert len(pooled) == len(set(pooled)) > 0
+    assert engine_calls
+    # 548 walks when each distribution subject walked on its own
+    assert len(walks) <= 361
+
 
 def test_negative_depth_is_rejected():
     # a negative depth checks no object: it must raise, not report PASS
@@ -241,9 +299,10 @@ def test_negative_depth_is_rejected():
         oracle.brute_series(P132, QuadrantSpec(0, 1, 0, 0), -1)
 
 def test_verify_all_equals_each_subject_alone():
-    # the shared bijection passes of verify_all change no report, the n = 0
-    # cells and lemma-p1-2's missing n = 0 cell included
-    for m in (0, 1, 5):
+    # the shared bijection passes and the pooled distribution walks of
+    # verify_all change no report, at the default depths (None) too, the
+    # n = 0 cells and lemma-p1-2's missing n = 0 cell included
+    for m in (None, 0, 1, 3, 5, 6):
         grouped = oracle.verify_all(m)
         alone = [oracle.verify(sid, m) for sid in oracle.subject_ids()]
         assert [r.subject for r in grouped] == [r.subject for r in alone]

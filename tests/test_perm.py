@@ -121,6 +121,26 @@ def test_avoiders_examples():
     assert all(not occurs(P132, p) for p in listed)
 
 
+def test_generated_avoiders_are_valid_permutations():
+    # avoiders builds its permutations without the public check; each equals
+    # the checked Permutation of its word, in lexicographic order, and the
+    # C_n distinct avoiders of the class are exactly that class
+    for tau in (P123, P132):
+        for n in range(11):
+            listed = avoiders(n, tau)
+            checked = [Permutation(list(sigma.word)) for sigma in listed]
+            assert list(listed) == checked
+            assert [hash(s) for s in listed] == [hash(s) for s in checked]
+            assert all(type(s.word) is tuple for s in listed)
+            assert [s.word for s in listed] == sorted({s.word for s in listed})
+            assert len(listed) == catalan(n)
+            assert not any(occurs(tau, s) for s in listed)
+    # the public constructor still checks range and duplicates
+    for word in ((1, 1), (0, 1)):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            Permutation(word)
+
+
 def test_avoiders_reject_other_patterns():
     for tau in ((), (1,), (2, 1), (2, 1, 3), (3, 2, 1), (2, 1, 4, 3)):
         with pytest.raises(ValueError, match="123 or 132"):
