@@ -17,6 +17,8 @@ distinction is load-bearing everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Sequence, Union
 
 from .perm import P123, Permutation, _check_n, catalan_moves, occurs
@@ -150,12 +152,25 @@ def _admits(windows, fields, n: int) -> list[list[int]]:
 
     If no two fields share a bit, a move's tallies match window ``f``
     exactly when field ``f`` survives the AND of its four slots' entries.
+    A :func:`_window` range is ``(0, 0)`` or ``(k, n)``, so each field is
+    ORed once, into tally 0 or into the start ``k`` of its run, and one
+    running OR over the tallies fills in the rest; a run starting at
+    ``k >= n`` admits no tally.
     """
-    admits = [[0] * n for _ in range(4)]
-    for field, window in zip(fields, windows):
-        for admit, (lo, hi) in zip(admits, window):
-            for x in range(lo, min(hi, n - 1) + 1):
-                admit[x] |= field
+    admits = []
+    for slot in range(4):
+        starts = [0] * (n + 1)
+        empty = 0
+        for field, window in zip(fields, windows):
+            lo, hi = window[slot]
+            if hi:
+                starts[min(lo, n)] |= field
+            else:
+                empty |= field
+        admit = list(accumulate(starts[:n], or_))
+        if admit:
+            admit[0] |= empty
+        admits.append(admit)
     return admits
 
 
@@ -173,10 +188,11 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # ---------------------------------------------------------------------------
 # Distributions over avoidance classes (the brute-force ground truth)
 
-# Specs per walk of :func:`distributions`.  Every lane widens every memo
-# entry of a walk, so this bounds a walk's memory as well as its speed-up;
-# verify-all peaks lower at 24 lanes than at 16 or 32.
-_LANES = 24
+# Specs per walk of :func:`distributions`.  A walk holds two levels of
+# states, not one entry per state, so a lane costs little memory: at 96 lanes
+# verify-all runs 208 walks (361 at 24) and its traced peak is 0.86 MB (0.78
+# at 24-64, 1.02 at 128), and more lanes no longer make it faster.
+_LANES = 96
 
 
 def _packed_histogram(
@@ -188,10 +204,10 @@ def _packed_histogram(
 ) -> int:
     """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
 
-    The avoiders are built left to right by a DFS whose state is the bitmask
-    ``used`` of the values placed so far (bit ``v`` for value ``v``); the
-    running minimum is its lowest set bit.  From a state the moves
-    (:func:`qmmp.perm.catalan_moves`) are:
+    The avoiders are built left to right, one level per entry; a state is
+    the bitmask ``used`` of the values placed so far (bit ``v`` for value
+    ``v``), and the running minimum is its lowest set bit.  From a state
+    the moves (:func:`qmmp.perm.catalan_moves`) are:
 
     - any free value below the running minimum, which starts no occurrence;
     - one ascent: to the largest free value for 123, to the least free value
@@ -201,58 +217,61 @@ def _packed_histogram(
     later value above ``v`` completes a 123, and a later value strictly
     between ``lowest`` and ``v`` completes a 132, so a free value left there
     can never be placed.  Conversely each allowed move keeps every free value
-    placeable, so the completions of a prefix, and with them the suffix
-    histogram, depend on ``used`` alone; the memo is keyed by it, is local
-    to the call, and holds at most 2^n entries.  ``leaf`` is the histogram
-    of a complete permutation.
+    placeable, so every prefix that reaches a state completes to an avoider
+    in the same ways, and the avoiders are the paths from ``0`` to the
+    state with bits 1..n.
+
+    Level ``i`` maps each state of ``i`` values to the histogram of the
+    prefixes that reach it, starting from ``leaf`` at the empty prefix.  A
+    move adds its parent's histogram, transformed, into its child on level
+    ``i + 1``.  Each state is taken off its level as its moves are added,
+    so at most two levels are live; the answer is the last level's one
+    state.
 
     A value ``v`` appended as entry ``i + 1`` has its quadrant tallies fixed
     at once: ``q2 = popcount(used >> v)``, ``q1 = n - v - q2``,
     ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.  ``entry(q1, q2, q3, q4)``
-    says what a match there does to the suffix histogram ``child``: entry 0
-    leaves it as it is, a negative entry ``~s`` moves all of it up by ``s``
-    bits, and a positive entry ``m`` moves the bits under mask ``m`` up by
-    ``width``.  Entries are kept per move ``(i, v, q2)`` in a table local to
-    the call.  Histograms merge by integer addition, so a field must never
-    carry into the next.
+    says what a match there does to a histogram: entry 0 leaves it as it
+    is, a negative entry ``~s`` moves all of it up by ``s`` bits, and a
+    positive entry ``m`` moves the bits under mask ``m`` up by ``width``.
+    Each is a shift of whole lanes, so the transforms commute with each
+    other and with addition, and summing over prefixes gives the ints that
+    summing over suffixes would.  Entries are kept per move ``(i, v, q2)``
+    in a table local to the call.  Histograms merge by integer addition,
+    so a field must never carry into the next.
     """
     full = ((1 << n) - 1) << 1
-    memo = {full: leaf}
     bits = (n + 1).bit_length()
     table: list[int | None] = [None] * (n << 2 * bits)
-
-    def suffix(used: int) -> int:
-        got = memo.get(used)
-        if got is not None:
-            return got
-        i = used.bit_count()
+    level = {0: leaf}
+    for i in range(n):
         row = i << 2 * bits
-        moves = catalan_moves(used, full, tau_word)
-        total = 0
-        while moves:
-            bit = moves & -moves
-            moves ^= bit
-            v = bit.bit_length() - 1
-            q2 = (used >> v).bit_count()
-            key = row | v << bits | q2
-            m = table[key]
-            if m is None:
-                q1 = n - v - q2
-                m = table[key] = entry(q1, q2, i - q2, n - 1 - i - q1)
-            child = suffix(used | bit)
-            if not m:
-                total += child
-            elif m < 0:
-                total += child << ~m
-            else:
-                low = child & m
-                total += child - low + (low << width)
-        memo[used] = total
-        return total
-
-    total = suffix(0)
-    del suffix  # its closure refers to it: free the memo now, not at the next GC pass
-    return total
+        after: dict[int, int] = {}
+        while level:
+            used, prefix = level.popitem()
+            moves = catalan_moves(used, full, tau_word)
+            while moves:
+                bit = moves & -moves
+                moves ^= bit
+                v = bit.bit_length() - 1
+                q2 = (used >> v).bit_count()
+                key = row | v << bits | q2
+                m = table[key]
+                if m is None:
+                    q1 = n - v - q2
+                    m = table[key] = entry(q1, q2, i - q2, n - 1 - i - q1)
+                if not m:
+                    moved = prefix
+                elif m < 0:
+                    moved = prefix << ~m
+                else:
+                    low = prefix & m
+                    moved = prefix - low + (low << width)
+                child = used | bit
+                got = after.get(child)
+                after[child] = moved if got is None else got + moved
+        level = after
+    return level[full]
 
 
 def _require_class(tau: Permutation) -> tuple[int, ...]:
@@ -264,7 +283,7 @@ def _require_class(tau: Permutation) -> tuple[int, ...]:
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
-    Up to 24 specs share one walk of :func:`_packed_histogram`, each in its
+    Up to 96 specs share one walk of :func:`_packed_histogram`, each in its
     own *lane* of ``n + 1`` fields, one per match count.  A field is
     ``catalan(n).bit_length()`` bits wide, since a count is at most C_n.  A
     move shifts the lanes of the specs it matches up by one field; when it
@@ -274,7 +293,7 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
 
 
 def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[int]:
-    """The packed histograms of :func:`distributions`, one walk per group of up to 24 specs."""
+    """The packed histograms of :func:`distributions`, one walk per group of up to 96 specs."""
     _check_n(n)
     tau_word = _require_class(tau)
     width = catalan(n).bit_length()
@@ -324,10 +343,10 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
 
     The avoiders with ``m0`` peak and ``m1`` non-peak matches for the j-th
     ``k2`` are counted in field ``(m0 * (n + 1) + m1) * len(k2s) + j`` of
-    one :func:`_packed_histogram` walk: the lanes interleave, so a memo
-    entry is as wide as its largest match counts need.  A peak matches in
-    every lane or in none, since all lanes share ``k1``, and a match shifts
-    the whole histogram by ``n + 1`` steps of ``len(k2s)`` fields; a
+    one :func:`_packed_histogram` walk: the lanes interleave, so a state's
+    histogram is as wide as its largest match counts need.  A peak matches
+    in every lane or in none, since all lanes share ``k1``, and a match
+    shifts the whole histogram by ``n + 1`` steps of ``len(k2s)`` fields; a
     non-peak match shifts the lanes whose ``k2`` it meets by one step.
     """
     _check_n(n)

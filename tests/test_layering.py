@@ -9,8 +9,10 @@ walks build their move, lane, mask and tally tables, ``dyck``, whose column
 and staircase steps the oracle's passes call per move, and ``oracle``, whose
 level passes build one set of states per level, bind no mutable container
 at module or class level and no mutable default argument.  So no oracle
-result outlives the call that computed it; nor does a walk's memo through a
-reference cycle, which would live on until the next cyclic collection.
+result outlives the call that computed it; nor does a walk's table or level
+of states through a reference cycle, which would live on until the next
+cyclic collection.  No function of ``perm``, ``mmp`` or ``oracle`` calls
+itself: every walk runs level by level or on an explicit stack.
 ``IntPoly`` and ``BiPoly`` differ only in their variables: every operation
 is one function of ``series._Poly``.
 """
@@ -95,6 +97,24 @@ def test_oracle_layers_hold_no_functools_cache():
     assert "@lru_cache on _narayana" in _cache_uses(_tree("gf"))
 
 
+def _self_calls(tree):
+    """Functions, at any depth, that call themselves by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = (c for c in ast.walk(node) if isinstance(c, ast.Call))
+            if any(isinstance(c.func, ast.Name) and c.func.id == node.name for c in calls):
+                found.append(node.name)
+    return found
+
+
+def test_oracle_walks_are_not_recursive():
+    for module in ("perm", "mmp", "oracle"):
+        assert _self_calls(_tree(module)) == [], module
+    # the scan does see the engines' recursions
+    assert "_c_k0e0" in _self_calls(_tree("gf"))
+
+
 def _mutable(value):
     if isinstance(value, CONTAINERS):
         return True
@@ -150,8 +170,8 @@ def test_oracle_kernel_tables_live_inside_a_call():
 
 
 def test_oracle_walks_leave_no_reference_cycle():
-    # a memo held by a cycle outlives its call until the collector runs, so a
-    # run's peak memory would depend on when that happens
+    # a table held by a cycle outlives its call until the collector runs, so
+    # a run's peak memory would depend on when that happens
     gc.collect()
     gc.disable()
     try:

@@ -1,12 +1,16 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmmp.mmp import (
+    _LANES,
     EMPTY,
     QuadrantSpec,
+    _admits,
+    _window,
     bivariate_distribution,
     bivariate_distributions,
     corner_frame_counts,
@@ -144,7 +148,7 @@ SPECS_012E = [QuadrantSpec(*coords) for coords in itertools.product((0, 1, 2, EM
 
 def test_distribution_audit_over_symmetric_group():
     # every spec with slots in {0, 1, 2, e}, both classes: the packed kernel
-    # one spec at a time and all 256 specs in one call (11 walks of up to 24 lanes),
+    # one spec at a time and all 256 specs in one call (3 walks of up to 96 lanes),
     # and mmp_count, against per-permutation counts from tallies taken by
     # the definition
     specs = SPECS_012E
@@ -193,6 +197,46 @@ def test_distributions_lanes():
     with pytest.raises(ValueError):
         distributions(3, Permutation((2, 1, 3)), SPECS_012E[:1])
 
+
+def test_distributions_walk_group_boundaries():
+    # one spec short of a full walk, a full walk, and a full walk plus a
+    # one-lane walk, against one walk per spec; at n = 0 every lane is leaf
+    specs = SPECS_012E[: _LANES + 1]
+    for tau in (P123, P132):
+        for n in (0, 1, 2, 9):
+            alone = [distribution(n, tau, spec) for spec in specs]
+            for count in (_LANES - 1, _LANES, _LANES + 1):
+                assert distributions(n, tau, specs[:count]) == alone[:count], (tau, n, count)
+        assert distributions(0, tau, specs) == [IntPoly({0: 1})] * len(specs)
+
+
+def test_admits_is_the_per_tally_rule():
+    # the running OR against the definition: per slot and tally, the OR of
+    # the fields whose window admits that tally; thresholds k >= n admit none
+    specs = [QuadrantSpec(*c) for c in itertools.product((0, 1, 2, 3, EMPTY), repeat=4)]
+    for n in (0, 1, 2, 5, 9):
+        windows = [_window(spec, n) for spec in specs]
+        fields = [0b11 << 2 * f for f in range(len(windows))]
+        want = [[0] * n for _ in range(4)]
+        for field, window in zip(fields, windows):
+            for admit, (lo, hi) in zip(want, window):
+                for x in range(n):
+                    if lo <= x <= hi:
+                        admit[x] |= field
+        assert _admits(windows, fields, n) == want, n
+    window = _window(QuadrantSpec(2, 1, 0, EMPTY), 2)
+    assert _admits([window], [1], 2) == [[0, 0], [0, 1], [1, 1], [1, 0]]
+
+
+def test_distribution_walk_memory():
+    # a walk holds two levels of prefix states, not an entry for each state
+    tracemalloc.start()
+    try:
+        distribution(15, P132, QuadrantSpec(1, EMPTY, 2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_bivariate_distribution_audit():
