@@ -575,45 +575,41 @@ _MATCH_SPECS = tuple(
 def _path_certified(n: int) -> bool:
     """Whether every path word of semilength n passes every check of the path pass.
 
-    A state is a prefix, empty or ending with R, packed into one int: its D
-    steps, each image's ``used`` bitmask and psi's last value with an
-    earlier smaller one.  Every prefix extends to a path word and every
-    word is a path through the states, so a word fails only at a move: one
-    that places a value outside 1..n or placed before, an outer corner of
-    either image whose quadrant-I tally ``n - v - q2`` is not its diagonal
-    (lemma-p1-3, lemma-p2-3), a psi value with an earlier smaller one
-    (``i > q2``) above the last such value (lemma-p2-2; the peaks, left-to-
-    right minima, decrease), or one whose images match different specs of
-    match-preservation (their sums could still agree; the fallback decides).
-    """
-    windows = [_window(spec, n) for spec in _MATCH_SPECS]
-    a1, a2, a3, a4 = _admits(windows, [1 << f for f in range(len(windows))], n)
-    column, lowest, highest = dyck._column, dyck._lowest_free, dyck._highest_free
-    w, bits = n + 1, (n + 1).bit_length()
-    ones, mask = (1 << bits) - 1, (1 << w) - 1
+    Each image has its own level pass over the prefixes, empty or ending
+    with R: a state packs the D steps, the image's ``used`` bitmask and, for
+    psi, its last non-corner value.  Every prefix extends to a path word and
+    every word is a path through the states, so a word fails only at a move:
+    a value outside 1..n or placed before, a corner (entry ``i + 1``, after
+    ``below`` D steps) whose q2, q1 are not ``i, below - i - 1`` (lemma-p1-3,
+    lemma-p2-3), another column with q2 = i, or a psi non-corner above the
+    last one (lemma-p2-2).
 
-    def step(i: int, state: int) -> list[int] | None:
+    That proves match-preservation: every ``_MATCH_SPECS`` spec has c = EMPTY,
+    so only a point with q3 = 0 can match.  A corner's tallies are
+    ``(below - i - 1, i, 0, n - below)`` on both images, fixed by
+    ``(n, i, below)``, and any other column has q3 >= 1 and matches nothing,
+    so on every word the two images match each spec equally often.
+    """
+    column, bits = dyck._column, (n + 1).bit_length()
+    ones = (1 << bits) - 1
+
+    def step(fill, rises: bool, i: int, state: int) -> list[int] | None:
         last, down, used = state & ones, state >> bits & ones, state >> 2 * bits
-        phi, psi = used >> w, used & mask
         children = []
         for d in range(max(0, i + 1 - down), n - down + 1):
             below = down + d
-            v, u = column(phi, below, d > 0, n, lowest), column(psi, below, d > 0, n, highest)
-            if not (0 < v <= n and 0 < u <= n) or phi >> v & 1 or psi >> u & 1:
+            v = column(used, below, d > 0, n, fill)
+            if not 0 < v <= n or used >> v & 1:
                 return None
-            r = (psi >> u).bit_count()
-            p1, p2, p3, p4 = _append_tallies(n, i, v, (phi >> v).bit_count())
-            s1, s2, s3, s4 = _append_tallies(n, i, u, r)
-            # a corner off its diagonal, or a rise among psi's non-peaks
-            if d and not p1 == s1 == below - i - 1 or i != r and u > last:
+            q2 = (used >> v).bit_count()
+            if (q2, n - v - q2) != (i, below - i - 1) if d else q2 == i or rises and v > last:
                 return None
-            if a1[p1] & a2[p2] & a3[p3] & a4[p4] != a1[s1] & a2[s2] & a3[s3] & a4[s4]:
-                return None
-            placed = (phi | 1 << v) << w | psi | 1 << u
-            children.append((placed << bits | below) << bits | (u if i != r else last))
+            placed = (used | 1 << v) << bits | below
+            children.append(placed << bits | (v if rises and not d else last))
         return children
 
-    return _levels(n, n + 1, step)
+    fills = ((dyck._lowest_free, False), (dyck._highest_free, True))
+    return all(_levels(n, n + 1, partial(step, fill, rises)) for fill, rises in fills)
 
 
 def _path_failures(n: int):

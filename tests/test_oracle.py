@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,8 +282,8 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     _verify_all_matches_pinned_transcript()
     assert len(pooled) == len(set(pooled)) > 0
     assert engine_calls
-    # 548 walks when each distribution subject walked on its own, 361 at up
-    # to 24 lanes a walk
+    # 548 walks when each distribution subject walked on its own, 208 at up
+    # to 96 lanes a walk
     assert len(walks) <= 208
 
 
@@ -406,6 +407,24 @@ def test_definitional_failures_pass_every_true_image():
                     assert failure(sigma.word, count, path_stats) is None, (sigma, failure)
 
 
+def test_path_images_take_corners_as_their_left_to_right_minima():
+    # the premise of the path certificate's match-preservation proof, from
+    # the definitions: on both images of every path word, n <= 10, the column
+    # at entry i + 1 after `below` D steps has q2 = i and q1 = below - i - 1
+    # if it is a corner, and q2 < i otherwise
+    for n in range(11):
+        for word in all_path_words(n):
+            runs = [len(run) for run in word.split("R")[:-1]]
+            for fill in (dyck._lowest_free, dyck._highest_free):
+                below = 0
+                for i, (run, q) in enumerate(zip(runs, quadrant_rows(dyck._place(word, n, fill)))):
+                    below += run
+                    if run:
+                        assert q[:2] == (below - i - 1, i), (word, fill, i)
+                    else:
+                        assert q[1] < i, (word, fill, i)
+
+
 def test_definitional_failures_name_a_bad_input():
     rows = quadrant_rows((1, 2, 3))
     # (1, 2, 3) is no psi image: its non-peaks 2 and 3 increase
@@ -493,6 +512,54 @@ def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corru
     for n in range(8):
         assert oracle._path_certified(n) == _finds_nothing(_path_found, n), n
         assert oracle._walk_certified(n) == _finds_nothing(_walk_found, n), n
+
+
+def _first_at_one(column):
+    # phi's first column takes 1 and every later column phi's fill, so each
+    # value is placed once and no later column is a left-to-right minimum:
+    # only the corners' tallies are wrong
+    def rule(used, down, corner, n, fill):
+        if fill is not dyck._lowest_free:
+            return column(used, down, corner, n, fill)
+        return fill(used, n - down + 1, n) if used else 1
+
+    return rule
+
+
+def _past_n(column):
+    # phi's last column, when it is not a corner, takes n + 1, a value that
+    # is unused and not a left-to-right minimum: only the range is wrong
+    def rule(used, down, corner, n, fill):
+        if fill is dyck._lowest_free and not corner and used.bit_count() == n - 1:
+            return n + 1
+        return column(used, down, corner, n, fill)
+
+    return rule
+
+
+@pytest.mark.parametrize("corrupt", [_first_at_one, _past_n])
+def test_path_certificate_needs_its_corner_and_range_checks(monkeypatch, corrupt):
+    # each rule breaks one check of the path certificate's step alone (the
+    # corner's q2 and q1 together, the range 1..n), so a certificate without
+    # it would certify n >= 2; the corner's q2 check alone, its q1 check
+    # alone and the non-corner check each follow from the other checks at
+    # the same n, so no rule breaks one of them alone
+    monkeypatch.setattr(dyck, "_column", corrupt(dyck._column))
+    for n in range(8):
+        assert oracle._path_certified(n) == _finds_nothing(_path_found, n) == (n < 2), n
+
+
+def test_path_certificate_reaches_depth_14_in_little_memory():
+    # each image's level pass holds one image's prefix states, not the joint
+    # states of both, so the largest level stays small
+    assert all(oracle._path_certified(n) for n in range(15))
+    tracemalloc.start()
+    try:
+        oracle._path_certified(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_walk_certificate_checks_each_move_for_a_hill(monkeypatch):
