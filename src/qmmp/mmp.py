@@ -189,9 +189,10 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # Distributions over avoidance classes (the brute-force ground truth)
 
 # Specs per walk of :func:`distributions`.  A walk holds two levels of
-# states, not one entry per state, so a lane costs little memory: at 96 lanes
-# verify-all runs 208 walks (361 at 24) and its traced peak is 0.86 MB (0.78
-# at 24-64, 1.02 at 128), and more lanes no longer make it faster.
+# states, and a state's histogram only the match counts it has reached, so a
+# lane costs little memory: at 96 lanes verify-all runs 208 walks (361 at 24,
+# 193 at 128) and its traced peak is 0.53 MB, as at 24-64 lanes (0.70 at
+# 128), and more lanes no longer make it faster.
 _LANES = 96
 
 
@@ -199,79 +200,82 @@ def _packed_histogram(
     n: int,
     tau_word: tuple[int, ...],
     leaf: int,
-    width: int,
+    step: int,
     entry: Callable[[int, int, int, int], int],
 ) -> int:
     """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
 
     The avoiders are built left to right, one level per entry; a state is
     the bitmask ``used`` of the values placed so far (bit ``v`` for value
-    ``v``), and the running minimum is its lowest set bit.  From a state
-    the moves (:func:`qmmp.perm.catalan_moves`) are:
+    ``v``).  Its moves (:func:`qmmp.perm.catalan_moves`) are the free values
+    below the running minimum, its lowest set bit, called *descents*, and
+    one ascent.  Each move keeps every free value placeable, so every prefix
+    that reaches a state completes to an avoider in the same ways, and the
+    avoiders are the paths from ``0`` to the state with bits 1..n.
 
-    - any free value below the running minimum, which starts no occurrence;
-    - one ascent: to the largest free value for 123, to the least free value
-      above the minimum for 132.
+    Slot ``used >> 1`` of one list of ``2**n`` holds the histogram of the
+    prefixes that reach ``used``, from ``leaf`` at the empty prefix, and
+    each level lists its states' slots in the order first reached.  A
+    move adds its parent's histogram, transformed, into its child's slot;
+    the parent's slot is cleared as its moves are added, so at most two
+    levels are live.
 
-    Every other ascent is a dead branch.  After an ascent ``lowest < v``, a
-    later value above ``v`` completes a 123, and a later value strictly
-    between ``lowest`` and ``v`` completes a 132, so a free value left there
-    can never be placed.  Conversely each allowed move keeps every free value
-    placeable, so every prefix that reaches a state completes to an avoider
-    in the same ways, and the avoiders are the paths from ``0`` to the
-    state with bits 1..n.
-
-    Level ``i`` maps each state of ``i`` values to the histogram of the
-    prefixes that reach it, starting from ``leaf`` at the empty prefix.  A
-    move adds its parent's histogram, transformed, into its child on level
-    ``i + 1``.  Each state is taken off its level as its moves are added,
-    so at most two levels are live; the answer is the last level's one
-    state.
-
-    A value ``v`` appended as entry ``i + 1`` has its quadrant tallies fixed
-    at once: ``q2 = popcount(used >> v)``, ``q1 = n - v - q2``,
-    ``q3 = i - q2`` and ``q4 = n - 1 - i - q1``.  ``entry(q1, q2, q3, q4)``
-    says what a match there does to a histogram: entry 0 leaves it as it
-    is, a negative entry ``~s`` moves all of it up by ``s`` bits, and a
-    positive entry ``m`` moves the bits under mask ``m`` up by ``width``.
-    Each is a shift of whole lanes, so the transforms commute with each
-    other and with addition, and summing over prefixes gives the ints that
-    summing over suffixes would.  Entries are kept per move ``(i, v, q2)``
-    in a table local to the call.  Histograms merge by integer addition,
-    so a field must never carry into the next.
+    A value ``v`` appended as entry ``i + 1`` has its tallies fixed at once
+    (:func:`_append_tallies`, with ``q2 = popcount(used >> v)``), and
+    ``entry(q1, q2, q3, q4)`` says what a match there does to a histogram:
+    0 leaves it as it is, ``~s`` moves all of it up by ``s`` bits, and a
+    mask ``m > 0`` moves the bits under ``m`` up by ``step``.  Each is a
+    shift of whole lanes, so the transforms commute with each other and
+    with addition, and summing over prefixes gives the ints that summing
+    over suffixes would.  A descent has all ``i`` placed values above it,
+    ``q2 = i``, so its entry comes from a list per level, built up front;
+    only the ascent takes the popcount and a table of the level.  Histograms
+    merge by addition, so a field must never carry into the next.
     """
     full = ((1 << n) - 1) << 1
-    bits = (n + 1).bit_length()
-    table: list[int | None] = [None] * (n << 2 * bits)
-    level = {0: leaf}
+    bits = n.bit_length()
+    slots = [0] * (1 << n)
+    slots[0] = leaf
+    level = [0]
     for i in range(n):
-        row = i << 2 * bits
-        after: dict[int, int] = {}
-        while level:
-            used, prefix = level.popitem()
+        # indexed by the bit length v + 1 of a descent's bit
+        descent = [0, 0] + [entry(*_append_tallies(n, i, v, i)) for v in range(1, n - i + 1)]
+        ascent: list[int | None] = [None] * (n + 1 << bits)
+        after = []
+        for slot in level:
+            prefix = slots[slot]
+            slots[slot] = 0
+            used = slot << 1
             moves = catalan_moves(used, full, tau_word)
+            # from the empty prefix every move is a descent
+            lowest = used & -used or 2 << n
             while moves:
                 bit = moves & -moves
                 moves ^= bit
-                v = bit.bit_length() - 1
-                q2 = (used >> v).bit_count()
-                key = row | v << bits | q2
-                m = table[key]
-                if m is None:
-                    q1 = n - v - q2
-                    m = table[key] = entry(q1, q2, i - q2, n - 1 - i - q1)
+                if bit < lowest:
+                    m = descent[bit.bit_length()]
+                else:
+                    v = bit.bit_length() - 1
+                    q2 = (used >> v).bit_count()
+                    m = ascent[v << bits | q2]
+                    if m is None:
+                        m = ascent[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
                 if not m:
                     moved = prefix
                 elif m < 0:
                     moved = prefix << ~m
                 else:
                     low = prefix & m
-                    moved = prefix - low + (low << width)
-                child = used | bit
-                got = after.get(child)
-                after[child] = moved if got is None else got + moved
+                    moved = prefix - low + (low << step)
+                child = (used | bit) >> 1
+                got = slots[child]
+                if got:
+                    slots[child] = got + moved
+                else:
+                    slots[child] = moved
+                    after.append(child)
         level = after
-    return level[full]
+    return slots[full >> 1]
 
 
 def _require_class(tau: Permutation) -> tuple[int, ...]:
@@ -283,11 +287,13 @@ def _require_class(tau: Permutation) -> tuple[int, ...]:
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
-    Up to 96 specs share one walk of :func:`_packed_histogram`, each in its
-    own *lane* of ``n + 1`` fields, one per match count.  A field is
-    ``catalan(n).bit_length()`` bits wide, since a count is at most C_n.  A
-    move shifts the lanes of the specs it matches up by one field; when it
-    matches every spec of the walk, the whole histogram shifts.
+    Up to 96 specs share one walk of :func:`_packed_histogram` as *lanes*
+    interleaved as in :func:`bivariate_distributions`: field ``m * L + j`` of
+    a walk of ``L`` lanes counts the avoiders with ``m`` matches of the j-th
+    spec, so a state's histogram is only as wide as the match counts it has
+    reached.  A field is ``catalan(n).bit_length()`` bits wide, since a count
+    is at most C_n.  A move shifts the lanes of the specs it matches up by
+    ``L`` fields, all of the histogram when it matches every spec.
     """
     return _lane_polys(n, _lane_walks(n, tau, specs), len(specs))
 
@@ -297,23 +303,33 @@ def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list
     _check_n(n)
     tau_word = _require_class(tau)
     width = catalan(n).bit_length()
-    lane = (n + 1) * width
-    ones = (1 << lane) - 1
     walks = []
     for start in range(0, len(specs), _LANES):
         windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
-        leaf = sum(1 << (j * lane) for j in range(len(windows)))
-        every = leaf * ones
+        step = len(windows) * width
+        # the fields of lane 0, one per match count
+        lane = sum(((1 << width) - 1) << m * step for m in range(n + 1))
+        every = (1 << (n + 1) * step) - 1
         # Per slot and tally, the lanes whose window admits that tally.
-        a1, a2, a3, a4 = _admits(windows, [ones << j * lane for j in range(len(windows))], n)
+        a1, a2, a3, a4 = _admits(windows, [lane << j * width for j in range(len(windows))], n)
 
         # Defaults bind the tables as locals: entry runs once per distinct move.
-        def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, width=width):
+        def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, step=step):
             m = a1[q1] & a2[q2] & a3[q3] & a4[q4]
-            return ~width if m == every else m
+            return ~step if m == every else m
 
-        walks.append(_packed_histogram(n, tau_word, leaf, width, entry))
+        leaf = sum(1 << j * width for j in range(len(windows)))
+        walks.append(_packed_histogram(n, tau_word, leaf, step, entry))
     return walks
+
+
+def _lane_fields(packed: int, width: int, lanes: int) -> list[dict[int, int]]:
+    """Per lane j, the nonzero fields ``index * lanes + j`` of ``packed``, keyed by ``index``."""
+    out: list[dict[int, int]] = [{} for _ in range(lanes)]
+    for f, c in unpack_fields(packed, width).items():
+        index, j = divmod(f, lanes)
+        out[j][index] = c
+    return out
 
 
 def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
@@ -321,11 +337,7 @@ def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
     width = catalan(n).bit_length()
     out: list[IntPoly] = []
     for start, packed in zip(range(0, count, _LANES), walks):
-        polys: list[dict[int, int]] = [{} for _ in range(min(_LANES, count - start))]
-        for f, c in unpack_fields(packed, width).items():
-            j, m = divmod(f, n + 1)
-            polys[j][m] = c
-        out += map(IntPoly._from_keys, polys)
+        out += map(IntPoly._from_keys, _lane_fields(packed, width, min(_LANES, count - start)))
     return out
 
 
@@ -343,11 +355,11 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
 
     The avoiders with ``m0`` peak and ``m1`` non-peak matches for the j-th
     ``k2`` are counted in field ``(m0 * (n + 1) + m1) * len(k2s) + j`` of
-    one :func:`_packed_histogram` walk: the lanes interleave, so a state's
-    histogram is as wide as its largest match counts need.  A peak matches
-    in every lane or in none, since all lanes share ``k1``, and a match
-    shifts the whole histogram by ``n + 1`` steps of ``len(k2s)`` fields; a
-    non-peak match shifts the lanes whose ``k2`` it meets by one step.
+    one :func:`_packed_histogram` walk, interleaved as in
+    :func:`distributions`.  A peak matches in every lane or in none, since
+    all lanes share ``k1``, and a match shifts the whole histogram by
+    ``n + 1`` steps of ``len(k2s)`` fields; a non-peak match shifts the
+    lanes whose ``k2`` it meets by one step.
     """
     _check_n(n)
     if k1 < 0 or any(k2 < 0 for k2 in k2s):
@@ -356,7 +368,7 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
     step = len(k2s) * width
     # the fields of lane 0, one per step
     lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))
-    every = sum(lane << j * width for j in range(len(k2s)))
+    every = (1 << (n + 1) ** 2 * step) - 1
     # Per quadrant-II tally, the lanes whose k2 it meets.
     meets = [sum(lane << j * width for j, k2 in enumerate(k2s) if q2 >= k2) for q2 in range(n)]
     meets = [~step if m == every else m for m in meets]
@@ -367,12 +379,9 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
         return meets[q2]
 
     leaf = sum(1 << j * width for j in range(len(k2s)))
-    polys: list[dict[tuple[int, int], int]] = [{} for _ in k2s]
     packed = _packed_histogram(n, (1, 2, 3), leaf, step, entry)
-    for f, count in unpack_fields(packed, width).items():
-        index, j = divmod(f, len(k2s))
-        polys[j][divmod(index, n + 1)] = count
-    return [BiPoly(poly) for poly in polys]
+    lanes = _lane_fields(packed, width, len(k2s))
+    return [BiPoly({divmod(index, n + 1): c for index, c in lane.items()}) for lane in lanes]
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:

@@ -239,6 +239,18 @@ def test_distribution_walk_memory():
     assert peak < 2 * 2**20, peak
 
 
+def test_lane_walk_memory():
+    # the lanes interleave, so a state's histogram is only as wide as the
+    # match counts its prefixes have reached, not n + 1 fields in every lane
+    tracemalloc.start()
+    try:
+        distributions(12, P132, SPECS_012E[:96])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, peak
+
+
 def test_bivariate_distribution_audit():
     for n in range(9):
         rows = []

@@ -504,9 +504,14 @@ def _finds_nothing(found, n):
 )
 def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corrupt):
     # for each n <= 7 a level pass certifies n exactly when the definitional
-    # check of every object of that n finds no failure and raises nothing; the
-    # last three rules each break one check alone (corner diagonals, psi's
-    # decreasing non-peaks, first returns), so a certificate without it fails
+    # check of every object of that n finds no failure and raises nothing.
+    # _phi_fill_both and _short_at_three each break one check alone (psi's
+    # decreasing non-peaks, first returns), so a certificate without it fails.
+    # _all_highest breaks the corner diagonals, but not alone: it makes every
+    # column a left-to-right minimum, so the path certificate's non-corner
+    # check (q2 = i) refuses the same n; _first_at_one, in
+    # test_path_certificate_needs_its_corner_and_range_checks, is the rule
+    # that breaks the corner check alone
     if name:
         monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
     for n in range(8):
@@ -539,8 +544,9 @@ def _past_n(column):
 
 @pytest.mark.parametrize("corrupt", [_first_at_one, _past_n])
 def test_path_certificate_needs_its_corner_and_range_checks(monkeypatch, corrupt):
-    # each rule breaks one check of the path certificate's step alone (the
-    # corner's q2 and q1 together, the range 1..n), so a certificate without
+    # each rule breaks one check of the path certificate's step alone
+    # (_first_at_one the corner's q2 and q1 together, _past_n the range
+    # 1..n), so a certificate without
     # it would certify n >= 2; the corner's q2 check alone, its q1 check
     # alone and the non-corner check each follow from the other checks at
     # the same n, so no rule breaks one of them alone
