@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable, Sequence, Union
 
-from .perm import P123, Permutation, _check_n, catalan_moves, occurs
+from .perm import P123, Permutation, _check_n, _check_walk, catalan_moves, occurs
 from .series import BiPoly, IntPoly, catalan, unpack_fields
 
 
@@ -190,9 +190,10 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 
 # Specs per walk of :func:`distributions`.  A walk holds two levels of
 # states, and a state's histogram only the match counts it has reached, so a
-# lane costs little memory: at 96 lanes verify-all runs 208 walks (361 at 24,
-# 193 at 128) and its traced peak is 0.53 MB, as at 24-64 lanes (0.70 at
-# 128), and more lanes no longer make it faster.
+# lane costs little memory: at 96 lanes verify-all runs 128 walks (296 at 24,
+# 123 at 128) and its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at
+# 128), about 0.4 MB of it the engine series that the engine-vs-oracle
+# subjects hold while they wait; from 48 lanes on, more are no faster.
 _LANES = 96
 
 
@@ -278,12 +279,6 @@ def _packed_histogram(
     return slots[full >> 1]
 
 
-def _require_class(tau: Permutation) -> tuple[int, ...]:
-    if tau.word not in ((1, 2, 3), (1, 3, 2)):
-        raise ValueError(f"unsupported avoidance class {tau!r}: only 123 and 132")
-    return tau.word
-
-
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
@@ -300,8 +295,8 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
 
 def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[int]:
     """The packed histograms of :func:`distributions`, one walk per group of up to 96 specs."""
-    _check_n(n)
-    tau_word = _require_class(tau)
+    tau_word = tau.word
+    _check_walk(n, tau_word)
     width = catalan(n).bit_length()
     walks = []
     for start in range(0, len(specs), _LANES):

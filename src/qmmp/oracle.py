@@ -7,13 +7,13 @@ evidence.  Each verification *subject* checks one implemented identity over
 an explicit parameter grid and reports one cell per grid point, carrying a
 concrete counterexample whenever a cell fails.
 
-The subjects that compare oracle distributions with one another or with a
-formula (corollary-1, theorem-3, the top-coefficient subjects, theorem-14..18
-and lemma-sym/lemma-sym2) ask for them instead of fetching them:
-:func:`_drive` serves all of their length-n requests from one deduplicated
-set of lane-packed walks per class.  The engine-vs-oracle subjects keep
-their own walks (suspended, each would hold its engine series), as do
-theorem-11's bivariate rows, the band subjects and the two bijection passes.
+The subjects that compare oracle distributions with an engine, with one
+another or with a formula (theorem-2/6..10, theorem-11's specialized rows,
+conjecture-1, corollary-1, theorem-3, the top-coefficient subjects,
+theorem-14..18 and lemma-sym/lemma-sym2) ask for them instead of fetching
+them: :func:`_drive` serves all of their length-n requests from one
+deduplicated set of lane-packed walks per class.  Theorem-11's bivariate
+rows, the band subjects and the two bijection passes walk on their own.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .mmp import (
     bivariate_distributions,
     corner_frame_counts,
     distribution,
-    distributions,
     mmp_count,
     quadrant_rows,
 )
@@ -129,7 +128,7 @@ def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly
     """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
 
     Each class's distinct specs share lane-packed walks, as in
-    :func:`distributions`, and every walk of both classes runs before any
+    :func:`qmmp.mmp.distributions`, and every walk of both classes runs before any
     polynomial is unpacked, so no unpacked polynomial is held through a walk.
     """
     specs = {tau: list(dict.fromkeys(s for t, s in wanted if t == tau)) for tau in (P123, P132)}
@@ -170,19 +169,21 @@ def _drive(subjects: list) -> list[VerificationReport]:
         polys = _oracle_at(n, [key for i in due for key in asks.pop(i)[1]])
 
 
-def _engine_failures(tau: Permutation, cells, max_n: int) -> list[list[str]]:
-    """Engine-vs-oracle failures per cell, over n <= max_n.
+def _engine_failures(
+    tau: Permutation, cells, max_n: int
+) -> Generator[tuple[int, list], dict, list[list[str]]]:
+    """Engine-vs-oracle failures per cell, over n <= max_n, for a subject to ``yield from``.
 
     A cell is a list of ``(label, engine series, spec)``; each n's
-    distributions of every cell's specs come from one call.
+    distributions of every cell's specs are asked for in one request.
     """
-    specs = [spec for cell in cells for _, _, spec in cell]
+    wanted = [(tau, spec) for cell in cells for _, _, spec in cell]
     fails: list[list[str]] = [[] for _ in cells]
     for n in range(max_n + 1):
-        polys = iter(distributions(n, tau, specs))
+        polys = yield n, wanted
         for cell, failures in zip(cells, fails):
-            for label, engine, _ in cell:
-                _poly_eq(failures, f"n={n}{label}", engine.poly(n), next(polys))
+            for label, engine, spec in cell:
+                _poly_eq(failures, f"n={n}{label}", engine.poly(n), polys[tau, spec])
     return fails
 
 
@@ -313,18 +314,19 @@ _ENGINE_GRIDS = MappingProxyType({
 })
 
 
-def _engine_subject(subject: str, max_n: int) -> VerificationReport:
+def _engine_subject(subject: str, max_n: int) -> _Subject:
     names, grid, spec_of = _ENGINE_GRIDS[subject]
     specs = [spec_of(*params) for params in grid]
     rows = [[("", gf.engine_series("132", spec, max_n, "recurrence"), spec)] for spec in specs]
+    fails = yield from _engine_failures(P132, rows, max_n)
     cells = _Cells()
-    for params, failures in zip(grid, _engine_failures(P132, rows, max_n)):
+    for params, failures in zip(grid, fails):
         label = ",".join(f"{name}={v}" for name, v in zip(names, params))
         cells.check(label, failures, f"n<={max_n}")
     return cells.report(subject)
 
 
-def _subject_theorem_11(max_n: int) -> VerificationReport:
+def _subject_theorem_11(max_n: int) -> _Subject:
     cells = _Cells()
     for k1 in range(7):
         k2s = range(7 - k1)
@@ -337,7 +339,8 @@ def _subject_theorem_11(max_n: int) -> VerificationReport:
         for k2, failures in zip(k2s, fails):
             cells.check(f"k1={k1},k2={k2}", failures, f"n<={max_n}")
     rows = [[("", gf.q123_0k00(k, max_n), QuadrantSpec(0, k, 0, 0))] for k in range(7)]
-    for k, failures in enumerate(_engine_failures(P123, rows, max_n)):
+    fails = yield from _engine_failures(P123, rows, max_n)
+    for k, failures in enumerate(fails):
         cells.check(f"specialized k={k}", failures, f"n<={max_n}")
     return cells.report("theorem-11")
 
@@ -766,6 +769,10 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
         raise ValueError("k_max must be >= 1")
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
+    return _drive([_subject_conjecture_1(k_max, trunc)])[0]
+
+
+def _subject_conjecture_1(k_max: int, trunc: int) -> _Subject:
     ks = range(1, k_max + 1)
     brute_to = min(trunc, 9)
     engines = [(gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)) for k in ks]
@@ -776,8 +783,8 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
         ]
         for k, (left, right) in zip(ks, engines)
     ]
+    oracle_fails = yield from _engine_failures(P132, rows, brute_to)
     cells = _Cells()
-    oracle_fails = _engine_failures(P132, rows, brute_to)
     for k, (left, right), oracle_failures in zip(ks, engines, oracle_fails):
         failures: list[str] = []
         for n in range(trunc + 1):
@@ -785,10 +792,6 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
         cells.check(f"k={k},engines", failures, f"n<={trunc}")
         cells.check(f"k={k},oracle", oracle_failures, f"n<={brute_to}")
     return cells.report("conjecture-1")
-
-
-def _subject_conjecture_1(max_n: int) -> VerificationReport:
-    return check_conjecture1(k_max=4, trunc=max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +811,9 @@ _POOLED: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyType(
     "theorem-18": (partial(_closed_subject, "theorem-18", 2, 2), 9),
     "lemma-sym": (partial(_sym_subject, "lemma-sym"), 9),
     "lemma-sym2": (partial(_sym_subject, "lemma-sym2"), 8),
+    **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
+    "theorem-11": (_subject_theorem_11, 9),
+    "conjecture-1": (partial(_subject_conjecture_1, 4), 11),
 })
 
 
@@ -817,8 +823,6 @@ def _alone(subject: Callable[[int], _Subject], max_n: int) -> VerificationReport
 
 _SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = MappingProxyType({
     **{sid: (partial(_alone, fn), depth) for sid, (fn, depth) in _POOLED.items()},
-    **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
-    "theorem-11": (_subject_theorem_11, 9),
     "theorem-12": (partial(_band_subject, "theorem-12"), 8),
     "theorem-13": (partial(_band_subject, "theorem-13"), 10),
     **{
@@ -826,7 +830,6 @@ _SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = Mappi
         for run, members, depth in _PASSES
         for sid in members
     },
-    "conjecture-1": (_subject_conjecture_1, 11),
 })
 
 

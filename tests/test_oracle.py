@@ -253,38 +253,36 @@ def test_drive_pools_each_n_and_releases_it(monkeypatch):
 
 
 def test_verify_all_walks_each_pooled_request_once(monkeypatch):
-    # the distribution subjects' requests of an n are pooled into one lane
-    # walk per class and group of specs, each (n, class, spec) once; the
-    # engine-vs-oracle subjects keep their own walks through distributions
-    walks, pooled, engine_calls, open_calls = [], [], [], []
-    packed, lane_walks, distributions = mmp._packed_histogram, mmp._lane_walks, mmp.distributions
+    # every oracle distribution of verify_all comes from _oracle_at, which
+    # pools the subjects' requests of an n into one lane walk per class and
+    # group of specs, each (n, class, spec) once
+    walks, pooled, stray, open_calls = [], [], [], []
+    packed, lane_walks, oracle_at = mmp._packed_histogram, mmp._lane_walks, oracle._oracle_at
 
     def counted(*args):
         walks.append(args[0])
         return packed(*args)
 
     def requested(n, tau, specs):
-        if not open_calls:
-            pooled.extend((n, tau.word, spec) for spec in specs)
+        (pooled if open_calls else stray).extend((n, tau.word, spec) for spec in specs)
         return lane_walks(n, tau, specs)
 
-    def engine_side(*args):
-        engine_calls.append(args[0])
-        open_calls.append(args[0])
+    def served(n, wanted):
+        open_calls.append(n)
         try:
-            return distributions(*args)
+            return oracle_at(n, wanted)
         finally:
             open_calls.pop()
 
     monkeypatch.setattr(mmp, "_packed_histogram", counted)
     monkeypatch.setattr(mmp, "_lane_walks", requested)
-    monkeypatch.setattr(oracle, "distributions", engine_side)
+    monkeypatch.setattr(oracle, "_oracle_at", served)
     _verify_all_matches_pinned_transcript()
+    assert not stray
     assert len(pooled) == len(set(pooled)) > 0
-    assert engine_calls
-    # 548 walks when each distribution subject walked on its own, 208 at up
-    # to 96 lanes a walk
-    assert len(walks) <= 208
+    # 548 walks when each distribution subject walked on its own, 208 when
+    # the engine-vs-oracle subjects walked apart, 128 at up to 96 lanes a walk
+    assert len(walks) <= 128
 
 
 def test_negative_depth_is_rejected():
