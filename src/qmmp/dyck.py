@@ -16,9 +16,7 @@ through the left-to-right minima.  Both inverses run one per-column step
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perm import P123, P132, Permutation, occurs
+from .perm import P123, P132, Permutation, _Frozen, occurs
 
 
 def _validate_word(word: str) -> None:
@@ -43,14 +41,14 @@ def _validate_word(word: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """A balanced word over {D, R} whose prefixes never have more R than D."""
+class DyckPath(_Frozen):
+    """A balanced ``word`` (a str) over {D, R} whose prefixes never have more R than D."""
 
-    word: str
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        _validate_word(self.word)
+    def __init__(self, word: str) -> None:
+        _validate_word(word)
+        object.__setattr__(self, "word", word)
 
     @property
     def n(self) -> int:
@@ -65,20 +63,22 @@ class DyckPath:
         return cls(text.strip())
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(_Frozen):
     """Returns, hills and peaks of a path.
 
-    ``returns`` are the diagonal points the path touches after the start;
-    ``peaks`` are the DR corners as ``(column, diagonal index)`` pairs, the
-    diagonal index being the number of diagonals below the main one; a hill
-    is a peak with diagonal index 0.
+    - ``returns`` (``frozenset[int]``): the diagonal points the path touches
+      after the start;
+    - ``ret`` (``int``): the number of returns;
+    - ``hills`` (``int``): the number of peaks with diagonal index 0;
+    - ``peaks`` (``tuple[tuple[int, int], ...]``): the DR corners as
+      ``(column, diagonal index)`` pairs, the diagonal index being the
+      number of diagonals below the main one.
     """
 
-    returns: frozenset[int]
-    ret: int
-    hills: int
-    peaks: tuple[tuple[int, int], ...]
+    __slots__ = ("returns", "ret", "hills", "peaks")
+
+    def __init__(self, returns, ret, hills, peaks) -> None:
+        self._set(returns, ret, hills, peaks)
 
 
 def stats(path: DyckPath) -> PathStats:

@@ -28,13 +28,12 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from . import mmp as _mmp
 from .mmp import EMPTY, QuadrantSpec
-from .perm import P123
+from .perm import P123, _Frozen
 from .series import BiPoly, IntPoly, TSeries, catalan, narayana, unpack_fields
 
 DEFAULT_TRUNC = 13
@@ -574,16 +573,18 @@ def recurrence_series_123(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSe
 # Errata: literal printed forms that diverge from the oracle
 
 
-@dataclass(frozen=True)
-class ErrataRecord:
-    """First divergence of a stated formula, read literally, from brute force."""
+class ErrataRecord(_Frozen):
+    """First divergence of a stated formula, read literally, from brute force.
 
-    subject: str
-    parameters: str
-    n: int
-    exponent: str
-    stated_value: str
-    oracle_value: str
+    Every field is a str but ``n``, an int: the ``subject`` and its
+    ``parameters``, the length ``n`` and the ``exponent`` where the two first
+    differ, and the coefficient there as stated and as the oracle counts it.
+    """
+
+    __slots__ = ("subject", "parameters", "n", "exponent", "stated_value", "oracle_value")
+
+    def __init__(self, subject, parameters, n, exponent, stated_value, oracle_value) -> None:
+        self._set(subject, parameters, n, exponent, stated_value, oracle_value)
 
     def line(self) -> str:
         return (

@@ -16,12 +16,11 @@ distinction is load-bearing everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Callable, Sequence, Union
 
-from .perm import P123, Permutation, _check_n, _check_walk, catalan_moves, occurs
+from .perm import P123, Permutation, _Frozen, _check_n, _check_walk, catalan_moves, occurs
 from .series import BiPoly, IntPoly, catalan, unpack_fields
 
 
@@ -54,18 +53,26 @@ def _check_coord(v: Coord) -> None:
         raise ValueError(f"quadrant condition must be a natural number or EMPTY, got {v!r}")
 
 
-@dataclass(frozen=True)
-class QuadrantSpec:
-    """The four quadrant conditions ``(a, b, c, d)`` for quadrants I-IV."""
+class QuadrantSpec(_Frozen):
+    """The four quadrant conditions ``(a, b, c, d)`` for quadrants I-IV, each a ``Coord``."""
 
-    a: Coord
-    b: Coord
-    c: Coord
-    d: Coord
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: Coord, b: Coord, c: Coord, d: Coord) -> None:
+        for v in (a, b, c, d):
             _check_coord(v)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @property
     def coords(self) -> tuple[Coord, Coord, Coord, Coord]:

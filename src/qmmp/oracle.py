@@ -19,7 +19,6 @@ rows, the band subjects and the two bijection passes walk on their own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Generator, Mapping
@@ -38,7 +37,7 @@ from .mmp import (
     mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, avoider_totals, avoiders, catalan_moves
+from .perm import P123, P132, Permutation, _Frozen, avoider_totals, avoiders, catalan_moves
 from .series import IntPoly, TSeries
 
 
@@ -62,17 +61,23 @@ def brute_series(tau: Permutation, spec: QuadrantSpec, trunc: int) -> TSeries:
 # Reports
 
 
-@dataclass(frozen=True)
-class CellResult:
-    cell: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+class CellResult(_Frozen):
+    """One grid point's verdict: ``cell``, ``status`` ("pass", "fail" or
+    "skip") and ``detail``, all str."""
+
+    __slots__ = ("cell", "status", "detail")
+
+    def __init__(self, cell, status, detail="") -> None:
+        self._set(cell, status, detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    subject: str
-    cells: tuple[CellResult, ...]
+class VerificationReport(_Frozen):
+    """A ``subject`` (a str) and its ``cells``, a ``tuple[CellResult, ...]``."""
+
+    __slots__ = ("subject", "cells")
+
+    def __init__(self, subject, cells) -> None:
+        self._set(subject, cells)
 
     @property
     def passed(self) -> bool:
@@ -127,12 +132,15 @@ _Subject = Generator[tuple[int, list], dict, VerificationReport]
 def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly]:
     """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
 
-    Each class's distinct specs share lane-packed walks, as in
+    One pass groups the requests by class, each class's distinct specs in the
+    order first asked for.  They share lane-packed walks, as in
     :func:`qmmp.mmp.distributions`, and every walk of both classes runs before any
     polynomial is unpacked, so no unpacked polynomial is held through a walk.
     """
-    specs = {tau: list(dict.fromkeys(s for t, s in wanted if t == tau)) for tau in (P123, P132)}
-    walks = {tau: mmp._lane_walks(n, tau, group) for tau, group in specs.items()}
+    specs = {P123: {}, P132: {}}
+    for tau, spec in wanted:
+        specs[tau][spec] = None
+    walks = {tau: mmp._lane_walks(n, tau, list(group)) for tau, group in specs.items()}
     out = {}
     for tau, group in specs.items():
         out.update(zip([(tau, s) for s in group], mmp._lane_polys(n, walks[tau], len(group))))

@@ -11,26 +11,73 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of ``{1..n}`` in one-line notation."""
+class _Frozen:
+    """An immutable value whose fields are its ``__slots__``.
 
-    word: tuple[int, ...]
+    Equality, hash, ``repr`` and pickling go over the fields in slot order,
+    and values of different classes are never equal.  A record whose
+    instances are dict keys on a hot path spells its fields out in its own
+    ``__eq__`` and ``__hash__``.
+    """
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values) -> None:
+        """Fill the fields, in slot order: for a constructor."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+
+class Permutation(_Frozen):
+    """A permutation of ``{1..n}`` in one-line notation: ``word``, a tuple of ints."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: Sequence[int]) -> None:
+        word = tuple(word)
         n = len(word)
         seen = [False] * (n + 1)
         for v in word:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n or seen[v]:
                 raise ValueError(f"not a permutation of 1..{n}: {word!r}")
             seen[v] = True
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     @property
     def n(self) -> int:
