@@ -12,12 +12,14 @@ once per degree, checking each degree's mass against the Catalan number.
 
 Family naming follows the slot string of the quadrant spec: ``k0e0`` is
 ``(k, 0, EMPTY, 0)``, ``akel`` is ``(a, k, EMPTY, l)``, ``ekel`` is
-``(EMPTY, k, EMPTY, l)``, and so on.  The 123-avoider series for specs whose
-first or third slot is positive transport to 132-avoider engines; the genuinely
-two-sided specs ``(0, k, 0, l)`` have their own recursion (peaks and non-peaks
-tracked by x0 and x1) and, for small ``(k, l)``, closed coefficient formulas.
-That recursion runs in the image it is asked for: bivariate for
-``q123_bivariate``, univariate at x0 = x1 = x for ``q123_0k00``.
+``(EMPTY, k, EMPTY, l)``, and so on.  The five numeric 132 families are
+entry points over one recursion, ``_c_akel``, at different thresholds.  The
+123-avoider series for specs whose first or third slot is positive transport
+to 132-avoider engines; the genuinely two-sided specs ``(0, k, 0, l)`` have
+their own recursion (peaks and non-peaks tracked by x0 and x1) and, for
+small ``(k, l)``, closed coefficient formulas.  That recursion runs in the
+image it is asked for: bivariate for ``q123_bivariate``, univariate at
+x0 = x1 = x for ``q123_0k00``.
 
 ``KNOWN_ERRATA`` records the spots where a stated closed form, taken
 literally, first diverges from the brute-force oracle; the shipped engines
@@ -152,60 +154,32 @@ def _const(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _c_k0e0(k: int, trunc: int) -> tuple[int, ...]:
-    if k == 0:
-        return _narayana(trunc)
-    # 1 / (1 - t P) with P the (k - 1, 0, EMPTY, 0) series
-    return _first_return(trunc, 1, None, _c_k0e0(k - 1, trunc))
-
-
-@lru_cache(maxsize=None)
-def _c_0ke0(k: int, trunc: int) -> tuple[int, ...]:
-    if k == 0:
-        return _narayana(trunc)
-    return _first_return(
-        trunc, k, None, _narayana(trunc), _catalans(trunc), lambda i: _c_0ke0(k - i, trunc)
-    )
-
-
-@lru_cache(maxsize=None)
-def _c_kle0(k: int, ell: int, trunc: int) -> tuple[int, ...]:
-    if ell == 0:
-        return _c_k0e0(k, trunc)
-    if k == 0:
-        return _c_0ke0(ell, trunc)
-    left, right = _c_kle0(k - 1, ell, trunc), _c_k0e0(k, trunc)
-    return _first_return(
-        trunc, ell, left, right, _catalans(trunc), lambda i: _c_kle0(k, ell - i, trunc)
-    )
-
-
-@lru_cache(maxsize=None)
-def _c_0kel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
-    if ell == 0:
-        return _c_0ke0(k, trunc)
-    if k == 0:
-        # second and fourth slots swap by the inverse symmetry
-        return _c_0ke0(ell, trunc)
-    left, right = _c_0ke0(k, trunc), _c_0ke0(ell, trunc)
-    return _first_return(
-        trunc, k, left, right, _catalans(trunc), lambda i: _c_0kel(k - i, ell, trunc),
-        ell, lambda j: _c_0kel(k, ell - j, trunc) if j else None, low=k + ell,
-    )
-
-
-@lru_cache(maxsize=None)
 def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[int, ...]:
-    if a == 0:
-        return _c_0kel(k, ell, trunc)
+    """Packed ``(a, k, EMPTY, ell)`` series over 132-avoiders, every numeric family's engine.
+
+    ``(k, 0, EMPTY, 0)``, ``(0, k, EMPTY, 0)``, ``(k, ell, EMPTY, 0)`` and
+    ``(0, k, EMPTY, ell)`` are boundary cases of the one first-return call
+    below, under two rules: ``a - 1`` clamps at 0 in ``left`` and ``tail``,
+    and a reference to the list being built is None (``left`` when
+    ``a = ell = 0``, ``tail(0)`` when ``a = 0``).  ``low = a + k + ell``
+    holds for every family, since a match needs that many other points.
+    Only ``k = 0`` is special: lemma-sym swaps a positive ``ell`` into the
+    second slot, ``(0, 0, EMPTY, 0)`` is the Narayana series, and
+    ``(a, 0, EMPTY, 0)`` is ``1 / (1 - t P)`` with P the series of
+    ``(a - 1, 0, EMPTY, 0)``.
+    """
     if k == 0:
-        return _c_kle0(a, ell, trunc)
-    if ell == 0:
-        return _c_kle0(a, k, trunc)
-    left, right = _c_kle0(a - 1, k, trunc), _c_kle0(a, ell, trunc)
+        if ell:
+            return _c_akel(a, ell, 0, trunc)
+        if a == 0:
+            return _narayana(trunc)
+        return _first_return(trunc, 1, None, _c_akel(a - 1, 0, 0, trunc))
+    below = max(a - 1, 0)
+    left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
     return _first_return(
-        trunc, k, left, right, _catalans(trunc), lambda i: _c_akel(a, k - i, ell, trunc),
-        ell, lambda j: _c_akel(a - 1, k, ell - j, trunc), low=a + k + ell,
+        trunc, k, left, _c_akel(a, ell, 0, trunc), _catalans(trunc),
+        lambda i: _c_akel(a, k - i, ell, trunc),
+        ell, lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc), low=a + k + ell,
     )
 
 
@@ -225,22 +199,22 @@ def _c_ekel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
 
 def q132_k0e0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, 0, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_k0e0(*_clamp(trunc, k), trunc), trunc)
+    return _series(_c_akel(*_clamp(trunc, k), 0, 0, trunc), trunc)
 
 
 def q132_0ke0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_0ke0(*_clamp(trunc, k), trunc), trunc)
+    return _series(_c_akel(0, *_clamp(trunc, k), 0, trunc), trunc)
 
 
 def q132_kle0(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (k, ell, EMPTY, 0) over 132-avoiders."""
-    return _series(_c_kle0(*_clamp(trunc, k, ell), trunc), trunc)
+    return _series(_c_akel(*_clamp(trunc, k, ell), 0, trunc), trunc)
 
 
 def q132_0kel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, EMPTY, ell) over 132-avoiders."""
-    return _series(_c_0kel(*_clamp(trunc, k, ell), trunc), trunc)
+    return _series(_c_akel(0, *_clamp(trunc, k, ell), trunc), trunc)
 
 
 def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:

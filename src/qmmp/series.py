@@ -210,6 +210,9 @@ class TSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
 
+    def __reduce__(self):
+        return (TSeries, (self.coeffs,))
+
     def poly(self, n: int) -> Poly:
         if n < 0 or n > self.trunc:
             raise ValueError(f"coefficient index {n} outside truncation {self.trunc}")

@@ -59,22 +59,26 @@ def test_engines_match_oracle_small():
         assert gf.q132_0ke0(k, n).coeffs == tuple(
             distribution(m, P132, QuadrantSpec(0, k, EMPTY, 0)) for m in range(n + 1)
         )
-    for k in range(1, 3):
-        for ell in range(1, 3):
-            assert gf.q132_kle0(k, ell, n).coeffs == tuple(
-                distribution(m, P132, QuadrantSpec(k, ell, EMPTY, 0)) for m in range(n + 1)
-            )
-            assert gf.q132_0kel(k, ell, n).coeffs == tuple(
-                distribution(m, P132, QuadrantSpec(0, k, EMPTY, ell)) for m in range(n + 1)
-            )
-            assert gf.q132_akel(1, k, ell, n).coeffs == tuple(
-                distribution(m, P132, QuadrantSpec(1, k, EMPTY, ell)) for m in range(n + 1)
-            )
     for k in range(3):
         for ell in range(3):
             assert gf.q132_ekel(k, ell, n).coeffs == tuple(
                 distribution(m, P132, QuadrantSpec(EMPTY, k, EMPTY, ell)) for m in range(n + 1)
             )
+    # every threshold triple of the one (a, k, EMPTY, ell) recursion, through
+    # each entry point that reaches it: k = 0 takes the lemma-sym branch and
+    # a = 0 the clamped a - 1, which the router never sends there
+    n = 7
+    for a in range(4):
+        for k in range(4):
+            for ell in range(4):
+                want = tuple(
+                    distribution(m, P132, QuadrantSpec(a, k, EMPTY, ell)) for m in range(n + 1)
+                )
+                assert gf.q132_akel(a, k, ell, n).coeffs == want
+                if a == 0:
+                    assert gf.q132_0kel(k, ell, n).coeffs == want
+                if ell == 0:
+                    assert gf.q132_kle0(a, k, n).coeffs == want
     # every branch of the bivariate recursion (k2 = 0, k1 = 0, k1 >= k2, k1 < k2)
     n = 12
     for k1 in range(4):

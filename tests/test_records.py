@@ -2,7 +2,8 @@
 
 Each record compares and hashes by its fields, never equals a value of
 another type, refuses assignment, survives ``pickle`` and ``copy.deepcopy``,
-takes its fields by keyword, and shows them in its ``repr``.  The records
+takes its fields by keyword, and shows them in its ``repr``; a ``TSeries``
+survives ``pickle`` and ``copy`` too.  The records
 need no ``dataclasses``: a qmmp process imports neither it nor ``inspect``.
 """
 
@@ -21,6 +22,7 @@ from qmmp.gf import ErrataRecord
 from qmmp.mmp import EMPTY, QuadrantSpec
 from qmmp.oracle import CellResult, VerificationReport
 from qmmp.perm import Permutation
+from qmmp.series import BiPoly, IntPoly, TSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,6 +73,25 @@ def test_records_are_values(make, text):
         back = pickle.loads(pickle.dumps(value, proto))
         assert type(back) is type(value) and back == value and hash(back) == hash(value)
     assert copy.deepcopy(value) == value and copy.copy(value) == value
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TSeries([IntPoly({0: 1}), IntPoly({1: 2})]),
+        lambda: TSeries([BiPoly({(0, 0): 1}), BiPoly({(1, 0): 1, (0, 1): 3})]),
+    ],
+    ids=["IntPoly", "BiPoly"],
+)
+def test_series_survive_pickle_and_copy(make):
+    value = make()
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, proto))
+        assert type(back) is TSeries and back == value and back.trunc == value.trunc
+        assert back.render_lines() == value.render_lines()
+    assert copy.deepcopy(value) == value and copy.copy(value) == value
+    with pytest.raises(AttributeError):
+        value.trunc = 0
 
 
 def test_records_of_different_types_are_never_equal():
