@@ -301,15 +301,17 @@ def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
 # Closed coefficient formulas
 
 
-_EXTREMAL_FAMILIES = (
-    "theorem-4",
-    "corollary-4",
-    "theorem-04",
-    "corollary-04",
-    "corollary-05",
-    "theorem-004",
-    "theorem-0004",
-)
+# Top-coefficient families: how many of (k, l, m) are parameters.  Every
+# family holds from n = k + l + m + 1 on.
+_EXTREMAL_ARITY = {
+    "theorem-4": 2,
+    "corollary-4": 1,
+    "theorem-04": 2,
+    "corollary-04": 1,
+    "corollary-05": 2,
+    "theorem-004": 2,
+    "theorem-0004": 3,
+}
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -327,47 +329,31 @@ def extremal_coeff(family: str, k: int, ell: int, m: int, n: int) -> int:
     """Top-degree coefficient of the match-count polynomial, per closed form.
 
     ``family`` selects which closed form (and therefore which spec shape and
-    validity regime) applies; see _EXTREMAL_FAMILIES.  Raises ValueError
+    validity regime) applies; see _EXTREMAL_ARITY.  Raises ValueError
     outside the family's regime.
     """
     fam = family.replace("thm-", "theorem-").replace("cor-", "corollary-")
-    if fam not in _EXTREMAL_FAMILIES:
+    if fam not in _EXTREMAL_ARITY:
         raise ValueError(f"unknown extremal family {family!r}")
     if min(k, ell, m) < 0:
         raise ValueError("parameters must be nonnegative")
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise ValueError(f"{fam}: {msg}")
-
+    arity = _EXTREMAL_ARITY[fam]
+    if any((k, ell, m)[arity:]):
+        extra = "only k is" if arity == 1 else "m is not"
+        raise ValueError(f"{fam}: {extra} a parameter here")
+    if fam == "theorem-0004" and k < 1:
+        raise ValueError(f"{fam}: requires k >= 1")
+    if n < k + ell + m + 1:
+        raise ValueError(f"{fam}: requires n >= {' + '.join(('k', 'ell', 'm')[:arity])} + 1")
+    if fam == "theorem-0004":
+        return _hook_count(k, ell) * _hook_count(k, m)
+    if fam == "theorem-004":
+        return _hook_count(k, ell)
     if fam == "theorem-4":
-        need(m == 0, "m is not a parameter here")
-        need(n >= k + ell + 1, "requires n >= k + ell + 1")
         return catalan(k) * catalan(n - k - ell) * catalan(ell)
     if fam == "corollary-4":
-        need(ell == 0 and m == 0, "only k is a parameter here")
-        need(n >= k + 1, "requires n >= k + 1")
         return catalan(k) * catalan(n - k)
-    if fam == "theorem-04":
-        need(m == 0, "m is not a parameter here")
-        need(n >= k + ell + 1, "requires n >= k + ell + 1")
-        return catalan(k) * catalan(ell)
-    if fam == "corollary-04":
-        need(ell == 0 and m == 0, "only k is a parameter here")
-        need(n >= k + 1, "requires n >= k + 1")
-        return catalan(k)
-    if fam == "corollary-05":
-        need(m == 0, "m is not a parameter here")
-        need(n >= k + ell + 1, "requires n >= k + ell + 1")
-        return catalan(k) * catalan(ell)
-    if fam == "theorem-004":
-        need(m == 0, "m is not a parameter here")
-        need(n >= k + ell + 1, "requires n >= k + ell + 1")
-        return _hook_count(k, ell)
-    # theorem-0004
-    need(k >= 1, "requires k >= 1")
-    need(n >= k + ell + m + 1, "requires n >= k + ell + m + 1")
-    return _hook_count(k, ell) * _hook_count(k, m)
+    return catalan(k) * catalan(ell)  # theorem-04, corollary-04 (l = 0) and corollary-05
 
 
 _CLOSED_0K0L_THRESHOLD = {(1, 0): 2, (2, 0): 4, (1, 1): 4, (2, 1): 5, (2, 2): 7}

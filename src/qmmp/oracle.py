@@ -7,13 +7,15 @@ evidence.  Each verification *subject* checks one implemented identity over
 an explicit parameter grid and reports one cell per grid point, carrying a
 concrete counterexample whenever a cell fails.
 
-The subjects that compare oracle distributions with an engine, with one
-another or with a formula (theorem-2/6..10, theorem-11's specialized rows,
-conjecture-1, corollary-1, theorem-3, the top-coefficient subjects,
-theorem-14..18 and lemma-sym/lemma-sym2) ask for them instead of fetching
-them: :func:`_drive` serves all of their length-n requests from one
-deduplicated set of lane-packed walks per class.  Theorem-11's bivariate
-rows, the band subjects and the two bijection passes walk on their own.
+Every subject is a generator in one registry, ``_SUBJECTS``, and one runner,
+:func:`_drive`, runs them.  The subjects that compare oracle distributions
+with an engine, with one another or with a formula (theorem-2/6..10,
+theorem-11's specialized rows, conjecture-1, corollary-1, theorem-3, the
+top-coefficient subjects, theorem-14..18 and lemma-sym/lemma-sym2) ask for
+them instead of fetching them: :func:`_drive` serves all of their length-n
+requests from one deduplicated set of lane-packed walks per class.  The band
+subjects and the two bijection passes ask for nothing and finish at its
+first step; theorem-11 walks its bivariate rows itself.
 """
 
 from __future__ import annotations
@@ -99,34 +101,41 @@ class VerificationReport(_Frozen):
 
 
 class _Cells:
-    """Accumulates one cell per grid point, recording the first counterexample."""
+    """A subject's ledger: its cells in grid order, as declared, each a pass
+    with its scope until a failure replaces it; only the first counterexample
+    of a cell is kept."""
 
-    def __init__(self) -> None:
-        self.cells: list[CellResult] = []
+    def __init__(self, cells=(), scope: str = "") -> None:
+        self._cells = {cell: CellResult(cell, "pass", scope) for cell in cells}
 
-    def check(self, cell: str, failures: list[str], scope: str = "") -> None:
-        if failures:
-            self.cells.append(CellResult(cell, "fail", failures[0]))
-        else:
-            self.cells.append(CellResult(cell, "pass", scope))
+    def add(self, cell: str, scope: str = "") -> None:
+        self._cells[cell] = CellResult(cell, "pass", scope)
 
     def skip(self, cell: str, reason: str) -> None:
-        self.cells.append(CellResult(cell, "skip", reason))
+        self._cells[cell] = CellResult(cell, "skip", reason)
+
+    def failed(self, cell: str) -> bool:
+        return self._cells[cell].status == "fail"
+
+    def fail(self, cell: str, text: str) -> None:
+        if not self.failed(cell):
+            self._cells[cell] = CellResult(cell, "fail", text)
 
     def report(self, subject: str) -> VerificationReport:
-        return VerificationReport(subject, tuple(self.cells))
+        return VerificationReport(subject, tuple(self._cells.values()))
 
 
-def _poly_eq(failures: list[str], label: str, got, want) -> None:
+def _poly_eq(cells: _Cells, cell: str, label: str, got, want) -> None:
     if got != want:
-        failures.append(f"{label}: got {got.render()}, expected {want.render()}")
+        cells.fail(cell, f"{label}: got {got.render()}, expected {want.render()}")
 
 
 # ---------------------------------------------------------------------------
 # Subjects
 
-# A distribution subject, run by _drive.
-_Subject = Generator[tuple[int, list], dict, VerificationReport]
+# A subject, run by _drive: it returns its report, or a shared pass a dict of
+# its members' reports.
+_Subject = Generator[tuple[int, list], dict, "VerificationReport | dict[str, VerificationReport]"]
 
 
 def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly]:
@@ -147,16 +156,17 @@ def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly
     return out
 
 
-def _drive(subjects: list) -> list[VerificationReport]:
-    """The reports of the distribution subjects ``subjects``, run together, in order.
+def _drive(subjects: list) -> list:
+    """The return values of the subjects ``subjects``, run together, in order.
 
     A subject is a generator that yields ``(n, [(class, spec), ...])`` once
     per n, n rising, is sent the mapping from each of those ``(class,
-    spec)`` to its length-n distribution, and returns its report.  Each
-    step serves every subject waiting at the smallest n, in order, from one
-    :func:`_oracle_at` call, so a spec that several subjects ask for is
-    walked once.  The mapping is cleared after the step: a suspended
-    subject keeps no earlier n's polynomials alive through the next walks.
+    spec)`` to its length-n distribution, and returns its report; one that
+    asks for nothing returns at the first step.  Each step serves every
+    subject waiting at the smallest n, in order, from one :func:`_oracle_at`
+    call, so a spec that several subjects ask for is walked once.  The
+    mapping is cleared after the step: a suspended subject keeps no earlier
+    n's polynomials alive through the next walks.
     """
     reports: list = [None] * len(subjects)
     asks: dict[int, tuple[int, list]] = {}
@@ -178,21 +188,20 @@ def _drive(subjects: list) -> list[VerificationReport]:
 
 
 def _engine_failures(
-    tau: Permutation, cells, max_n: int
-) -> Generator[tuple[int, list], dict, list[list[str]]]:
-    """Engine-vs-oracle failures per cell, over n <= max_n, for a subject to ``yield from``.
+    cells: _Cells, tau: Permutation, rows: dict, max_n: int
+) -> Generator[tuple[int, list], dict, None]:
+    """Record engine-vs-oracle failures in ``cells``, over n <= max_n, for a
+    subject to ``yield from``.
 
-    A cell is a list of ``(label, engine series, spec)``; each n's
-    distributions of every cell's specs are asked for in one request.
+    ``rows`` maps a cell to a list of ``(label, engine series, spec)``; each
+    n's distributions of every row's specs are asked for in one request.
     """
-    wanted = [(tau, spec) for cell in cells for _, _, spec in cell]
-    fails: list[list[str]] = [[] for _ in cells]
+    wanted = [(tau, spec) for row in rows.values() for _, _, spec in row]
     for n in range(max_n + 1):
         polys = yield n, wanted
-        for cell, failures in zip(cells, fails):
-            for label, engine, spec in cell:
-                _poly_eq(failures, f"n={n}{label}", engine.poly(n), polys[tau, spec])
-    return fails
+        for cell, row in rows.items():
+            for label, engine, spec in row:
+                _poly_eq(cells, cell, f"n={n}{label}", engine.poly(n), polys[tau, spec])
 
 
 # Corollary-1: each variant of (k, l, m) has the distribution of the base,
@@ -207,21 +216,21 @@ _COROLLARY_1_SPECS = (
 
 
 def _subject_corollary_1(max_n: int) -> _Subject:
-    grid = [(k, ell, m) for k in range(1, 3) for ell in range(3) for m in range(3)]
-    rows = [
-        [(label, (tau, spec_of(*params))) for label, tau, spec_of in _COROLLARY_1_SPECS]
-        for params in grid
-    ]
-    wanted = [key for row in rows for _, key in row]
-    fails: list[list[str]] = [[] for _ in grid]
+    rows = {
+        f"k={k},l={ell},m={m}": [
+            (label, (tau, spec_of(k, ell, m))) for label, tau, spec_of in _COROLLARY_1_SPECS
+        ]
+        for k in range(1, 3)
+        for ell in range(3)
+        for m in range(3)
+    }
+    wanted = [key for row in rows.values() for _, key in row]
+    cells = _Cells(rows, f"n<={max_n}")
     for n in range(max_n + 1):
         polys = yield n, wanted
-        for ((_, base), *variants), failures in zip(rows, fails):
+        for cell, ((_, base), *variants) in rows.items():
             for label, key in variants:
-                _poly_eq(failures, f"n={n} {label}", polys[key], polys[base])
-    cells = _Cells()
-    for (k, ell, m), failures in zip(grid, fails):
-        cells.check(f"k={k},l={ell},m={m}", failures, f"n<={max_n}")
+                _poly_eq(cells, cell, f"n={n} {label}", polys[key], polys[base])
     return cells.report("corollary-1")
 
 
@@ -234,23 +243,20 @@ def _subject_theorem_3(max_n: int) -> _Subject:
     # x^1 coefficients satisfy empty-slot >= zero-slot, with equality for
     # n < k+l+m+2; (iii) they differ at n = k+l+m+2, so every x^1 cell fails
     # there (see gf.KNOWN_ERRATA).
-    grid = [(k, ell, m) for k in range(3) for ell in range(3) for m in range(3)]
-    pairs = [[(P132, QuadrantSpec(k, ell, slot, m)) for slot in (EMPTY, 0)] for k, ell, m in grid]
-    wanted = [key for pair in pairs for key in pair]
-    fails: list[dict[int, list[str]]] = [{0: [], 1: []} for _ in grid]
+    pairs = {
+        f"k={k},l={ell},m={m}": [(P132, QuadrantSpec(k, ell, slot, m)) for slot in (EMPTY, 0)]
+        for k in range(3)
+        for ell in range(3)
+        for m in range(3)
+    }
+    wanted = [key for pair in pairs.values() for key in pair]
+    cells = _Cells([f"{cell},x^{e}" for cell in pairs for e in (0, 1)], f"n<={max_n}")
     for n in range(max_n + 1):
         polys = yield n, wanted
-        for (empty, zero), per_exp in zip(pairs, fails):
-            empty3, zero3 = polys[empty], polys[zero]
+        for cell, (empty, zero) in pairs.items():
             for e in (0, 1):
-                if empty3.coeff(e) != zero3.coeff(e):
-                    per_exp[e].append(
-                        f"n={n}: empty-slot {empty3.coeff(e)}, zero-slot {zero3.coeff(e)}"
-                    )
-    cells = _Cells()
-    for (k, ell, m), per_exp in zip(grid, fails):
-        for e in (0, 1):
-            cells.check(f"k={k},l={ell},m={m},x^{e}", per_exp[e], f"n<={max_n}")
+                if (left := polys[empty].coeff(e)) != (right := polys[zero].coeff(e)):
+                    cells.fail(f"{cell},x^{e}", f"n={n}: empty-slot {left}, zero-slot {right}")
     return cells.report("theorem-3")
 
 
@@ -275,28 +281,28 @@ _TOP_COEFF_GRIDS = MappingProxyType({
 
 def _top_coeff_subject(subject: str, max_n: int) -> _Subject:
     grid, spec_of = _TOP_COEFF_GRIDS[subject]
-    specs = [spec_of(*params) for params in grid]
-    fails: list[list[str]] = [[] for _ in grid]
+    cells = _Cells()
+    rows = []
+    for params in grid:
+        lo = sum(params) + 1
+        label = ",".join(f"{name}={v}" for name, v in zip("klm", params))
+        if lo > max_n:
+            cells.skip(label, f"threshold n>={lo} exceeds max_n={max_n}")
+        else:
+            cells.add(label, f"{lo}<=n<={max_n}")
+        rows.append((params, spec_of(*params), label))
     for n in range(max_n + 1):
         # the top degree is n - sum(params), from n = sum(params) + 1 on
-        live = [row for row in zip(grid, specs, fails) if sum(row[0]) < n]
+        live = [row for row in rows if sum(row[0]) < n]
         polys = yield n, [(tau, spec) for _, spec, _ in live for tau in (P123, P132)]
-        for params, spec, failures in live:
+        for params, spec, label in live:
             expo = n - sum(params)
             k, ell, m = (*params, 0, 0)[:3]
             want = gf.extremal_coeff(subject, k, ell, m, n)
             for text in ("123", "132"):
                 got = polys[class_from_text(text), spec].coeff(expo)
                 if got != want:
-                    failures.append(f"n={n} {text} x^{expo}: got {got}, expected {want}")
-    cells = _Cells()
-    for params, failures in zip(grid, fails):
-        lo = sum(params) + 1
-        label = ",".join(f"{name}={v}" for name, v in zip("klm", params))
-        if lo > max_n:
-            cells.skip(label, f"threshold n>={lo} exceeds max_n={max_n}")
-        else:
-            cells.check(label, failures, f"{lo}<=n<={max_n}")
+                    cells.fail(label, f"n={n} {text} x^{expo}: got {got}, expected {want}")
     return cells.report(subject)
 
 
@@ -324,32 +330,32 @@ _ENGINE_GRIDS = MappingProxyType({
 
 def _engine_subject(subject: str, max_n: int) -> _Subject:
     names, grid, spec_of = _ENGINE_GRIDS[subject]
-    specs = [spec_of(*params) for params in grid]
-    rows = [[("", gf.engine_series("132", spec, max_n, "recurrence"), spec)] for spec in specs]
-    fails = yield from _engine_failures(P132, rows, max_n)
-    cells = _Cells()
-    for params, failures in zip(grid, fails):
+    rows = {}
+    for params in grid:
+        spec = spec_of(*params)
         label = ",".join(f"{name}={v}" for name, v in zip(names, params))
-        cells.check(label, failures, f"n<={max_n}")
+        rows[label] = [("", gf.engine_series("132", spec, max_n, "recurrence"), spec)]
+    cells = _Cells(rows, f"n<={max_n}")
+    yield from _engine_failures(cells, P132, rows, max_n)
     return cells.report(subject)
 
 
 def _subject_theorem_11(max_n: int) -> _Subject:
-    cells = _Cells()
+    specialized = [f"specialized k={k}" for k in range(7)]
+    bivariate = [f"k1={k1},k2={k2}" for k1 in range(7) for k2 in range(7 - k1)]
+    cells = _Cells(bivariate + specialized, f"n<={max_n}")
     for k1 in range(7):
         k2s = range(7 - k1)
         engines = [gf.q123_bivariate(k1, k2, max_n) for k2 in k2s]
-        fails: list[list[str]] = [[] for _ in k2s]
         for n in range(max_n + 1):
             polys = bivariate_distributions(n, k1, k2s)
-            for engine, want, failures in zip(engines, polys, fails):
-                _poly_eq(failures, f"n={n}", engine.poly(n), want)
-        for k2, failures in zip(k2s, fails):
-            cells.check(f"k1={k1},k2={k2}", failures, f"n<={max_n}")
-    rows = [[("", gf.q123_0k00(k, max_n), QuadrantSpec(0, k, 0, 0))] for k in range(7)]
-    fails = yield from _engine_failures(P123, rows, max_n)
-    for k, failures in enumerate(fails):
-        cells.check(f"specialized k={k}", failures, f"n<={max_n}")
+            for k2, engine, want in zip(k2s, engines, polys):
+                _poly_eq(cells, f"k1={k1},k2={k2}", f"n={n}", engine.poly(n), want)
+    rows = {
+        cell: [("", gf.q123_0k00(k, max_n), QuadrantSpec(0, k, 0, 0))]
+        for k, cell in enumerate(specialized)
+    }
+    yield from _engine_failures(cells, P123, rows, max_n)
     return cells.report("theorem-11")
 
 
@@ -432,41 +438,38 @@ def _band_subject(subject: str, max_n: int) -> VerificationReport:
     again.
     """
     pairs, holds, describe = _BAND_GRIDS[subject]
-    fails: dict[tuple[int, int], list[str]] = {pair: [] for pair in pairs}
+    cell_of = {(k, ell): f"k={k},l={ell}" for k, ell in pairs}
+    cells = _Cells(cell_of.values(), f"n<={max_n}")
     for n in range(max_n + 1):
         fields = _BandFields(pairs, n)
         totals = avoider_totals(n, P123.word, fields.entry)
         failing = [
             pair
             for p, pair in enumerate(pairs)
-            if not fails[pair] and not all(holds(n, *pair, *xs) for xs in fields.numbers(totals, p))
+            if not cells.failed(cell_of[pair])
+            and not all(holds(n, *pair, *xs) for xs in fields.numbers(totals, p))
         ]
         for sigma in avoiders(n, P123) if failing else ():
             for k, ell in failing:
                 r, s = corner_frame_counts(sigma, k, ell)
                 count = mmp_count(sigma, QuadrantSpec(0, k, 0, ell))
                 if not holds(n, k, ell, r, s, count):
-                    fails[k, ell].append(describe(sigma, n, r, s, count))
-            failing = [pair for pair in failing if not fails[pair]]
+                    cells.fail(cell_of[k, ell], describe(sigma, n, r, s, count))
+            failing = [pair for pair in failing if not cells.failed(cell_of[pair])]
             if not failing:
                 break
-    cells = _Cells()
-    for k, ell in pairs:
-        cells.check(f"k={k},l={ell}", fails[(k, ell)], f"n<={max_n}")
     return cells.report(subject)
 
 
 def _closed_subject(subject: str, k: int, ell: int, max_n: int) -> _Subject:
-    cells = _Cells()
     threshold = gf._CLOSED_0K0L_THRESHOLD[(k, ell)]
+    cells = _Cells(f"n={n}" for n in range(threshold, max_n + 1))
     if threshold > max_n:
         cells.skip(f"k={k},l={ell}", f"threshold n>={threshold} exceeds max_n={max_n}")
     key = (P123, QuadrantSpec(0, k, 0, ell))
     for n in range(threshold, max_n + 1):
         polys = yield n, [key]
-        failures: list[str] = []
-        _poly_eq(failures, f"n={n}", gf.closed_poly_0k0l(k, ell, n), polys[key])
-        cells.check(f"n={n}", failures)
+        _poly_eq(cells, f"n={n}", f"n={n}", gf.closed_poly_0k0l(k, ell, n), polys[key])
     return cells.report(subject)
 
 
@@ -484,21 +487,18 @@ _SYM_GRIDS = MappingProxyType({
 def _sym_subject(subject: str, max_n: int) -> _Subject:
     tau, image_of, loop_order = _SYM_GRIDS[subject]
     rank = {v: i for i, v in enumerate(_SYM_COORDS)}
-    pairs = []
+    pairs = {}
     for slots in itertools.product(_SYM_COORDS, repeat=4):
         spec = QuadrantSpec(**dict(zip(loop_order, slots)))
         image = QuadrantSpec(*image_of(*spec.coords))
         if [rank[v] for v in spec.coords] < [rank[v] for v in image.coords]:
-            pairs.append((spec, image))
-    wanted = [(tau, spec) for pair in pairs for spec in pair]
-    fails: list[list[str]] = [[] for _ in pairs]
+            pairs[f"spec={spec}"] = (spec, image)
+    wanted = [(tau, spec) for pair in pairs.values() for spec in pair]
+    cells = _Cells(pairs, f"n<={max_n}")
     for n in range(max_n + 1):
         polys = yield n, wanted
-        for (spec, image), failures in zip(pairs, fails):
-            _poly_eq(failures, f"n={n}", polys[tau, spec], polys[tau, image])
-    cells = _Cells()
-    for (spec, _), failures in zip(pairs, fails):
-        cells.check(f"spec={spec}", failures, f"n<={max_n}")
+        for cell, (spec, image) in pairs.items():
+            _poly_eq(cells, cell, f"n={n}", polys[tau, spec], polys[tau, image])
     return cells.report(subject)
 
 
@@ -628,40 +628,38 @@ def _path_failures(n: int):
 
     Each word's two images come from ``dyck._place``, which raises the
     column rule's ValueError at the first word whose image is not exactly
-    1..n.  Returns the path checks' failures by subject and
-    match-preservation's by spec.
+    1..n.  Returns the first failure text of each failing path check by
+    subject, and of each failing match-preservation spec by spec.
     """
     windows = [_window(spec, n) for spec in _MATCH_SPECS]
-    failed: dict[str, list[str]] = {sid: [] for sid in _PATH_CHECKS}
-    matched: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
+    failed: dict[str, str] = {}
+    matched: dict[QuadrantSpec, str] = {}
     for word in _path_words(n):
         images = []
         for fill in (dyck._lowest_free, dyck._highest_free):
             values = dyck._place(word, n, fill)
             images.append((values, quadrant_rows(values)))
         for sid, (image, failure) in _PATH_CHECKS.items():
-            if not failed[sid] and (text := failure(word, *images[image])):
-                failed[sid].append(text)
+            if sid not in failed and (text := failure(word, *images[image])):
+                failed[sid] = text
         for spec, window in zip(_MATCH_SPECS, windows):
             lhs, rhs = (sum(_in_window(q, window) for q in rows) for _, rows in images)
-            if lhs != rhs and not matched[spec]:
-                matched[spec].append(f"path={word}: 132-side {lhs}, 123-side {rhs}")
+            if lhs != rhs and spec not in matched:
+                matched[spec] = f"path={word}: 132-side {lhs}, 123-side {rhs}"
     return failed, matched
 
 
 def _path_pass(max_n: int) -> dict[str, VerificationReport]:
     """Reports of the path-pass members: per n, :func:`_path_certified`, or
     the per-word :func:`_path_failures` where that does not certify the n."""
-    cells = {sid: _Cells() for sid in (*_PATH_CHECKS, "match-preservation")}
-    match_fails: dict[QuadrantSpec, list[str]] = {spec: [] for spec in _MATCH_SPECS}
+    cells = {sid: _Cells(f"n={n}" for n in range(max_n + 1)) for sid in _PATH_CHECKS}
+    cells["match-preservation"] = _Cells((f"spec={s}" for s in _MATCH_SPECS), f"n<={max_n}")
     for n in range(max_n + 1):
         failed, matched = ({}, {}) if _path_certified(n) else _path_failures(n)
-        for sid in _PATH_CHECKS:
-            cells[sid].check(f"n={n}", failed.get(sid, []))
-        for spec, failures in matched.items():
-            match_fails[spec] = match_fails[spec] or failures
-    for spec in _MATCH_SPECS:
-        cells["match-preservation"].check(f"spec={spec}", match_fails[spec], f"n<={max_n}")
+        for sid, text in failed.items():
+            cells[sid].fail(f"n={n}", text)
+        for spec, text in matched.items():
+            cells["match-preservation"].fail(f"spec={spec}", text)
     return {sid: c.report(sid) for sid, c in cells.items()}
 
 
@@ -731,18 +729,18 @@ def _walk_certified(n: int) -> bool:
     return _levels(n, n << bits + 1, step)
 
 
-def _walk_failures(n: int) -> dict[str, list[str]]:
-    """The walk-pass members' first failures at n, avoider by avoider from the
-    definitions: its (e,0,e,0) matches from its quadrant tallies and its
-    path's stats from its staircase, without phi's 132 scan."""
+def _walk_failures(n: int) -> dict[str, str]:
+    """The first failure text of each failing walk-pass member at n, avoider
+    by avoider from the definitions: its (e,0,e,0) matches from its quadrant
+    tallies and its path's stats from its staircase, without phi's 132 scan."""
     checks = {sid: failure for sid, (first, failure) in _WALK_CHECKS.items() if first <= n}
-    failed: dict[str, list[str]] = {sid: [] for sid in checks}
+    failed: dict[str, str] = {}
     for sigma in avoiders(n, P132):
         count = mmp_count(sigma, _HILL_SPEC)
         path_stats = dyck._stats(dyck._staircase(sigma.word))
         for sid, failure in checks.items():
-            if not failed[sid] and (text := failure(sigma.word, count, path_stats)):
-                failed[sid].append(text)
+            if sid not in failed and (text := failure(sigma.word, count, path_stats)):
+                failed[sid] = text
     return failed
 
 
@@ -750,24 +748,14 @@ def _walk_pass(max_n: int) -> dict[str, VerificationReport]:
     """Reports of the walk-pass members, each from its first n on: per n,
     :func:`_walk_certified`, or the per-avoider :func:`_walk_failures` where
     that does not certify the n."""
-    cells = {sid: _Cells() for sid in _WALK_CHECKS}
+    cells = {
+        sid: _Cells(f"n={n}" for n in range(first, max_n + 1))
+        for sid, (first, _) in _WALK_CHECKS.items()
+    }
     for n in range(max_n + 1):
-        failed = {} if _walk_certified(n) else _walk_failures(n)
-        for sid, (first, _) in _WALK_CHECKS.items():
-            if first <= n:
-                cells[sid].check(f"n={n}", failed.get(sid, []))
+        for sid, text in ({} if _walk_certified(n) else _walk_failures(n)).items():
+            cells[sid].fail(f"n={n}", text)
     return {sid: c.report(sid) for sid, c in cells.items()}
-
-
-# The shared passes: (pass, its members, their default depth).
-_PASSES = (
-    (_path_pass, (*_PATH_CHECKS, "match-preservation"), 9),
-    (_walk_pass, tuple(_WALK_CHECKS), 9),
-)
-
-
-def _pass_subject(run, sid: str, max_n: int) -> VerificationReport:
-    return run(max_n)[sid]
 
 
 def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
@@ -781,24 +769,20 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
 
 
 def _subject_conjecture_1(k_max: int, trunc: int) -> _Subject:
-    ks = range(1, k_max + 1)
     brute_to = min(trunc, 9)
-    engines = [(gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)) for k in ks]
-    rows = [
-        [
+    cells = _Cells()
+    rows = {}
+    for k in range(1, k_max + 1):
+        left, right = gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)
+        cells.add(f"k={k},engines", f"n<={trunc}")
+        for n in range(trunc + 1):
+            _poly_eq(cells, f"k={k},engines", f"n={n}", left.poly(n), right.poly(n))
+        cells.add(f"k={k},oracle", f"n<={brute_to}")
+        rows[f"k={k},oracle"] = [
             (" (0,k,e,0)", left, QuadrantSpec(0, k, EMPTY, 0)),
             (" (1,k-1,e,0)", right, QuadrantSpec(1, k - 1, EMPTY, 0)),
         ]
-        for k, (left, right) in zip(ks, engines)
-    ]
-    oracle_fails = yield from _engine_failures(P132, rows, brute_to)
-    cells = _Cells()
-    for k, (left, right), oracle_failures in zip(ks, engines, oracle_fails):
-        failures: list[str] = []
-        for n in range(trunc + 1):
-            _poly_eq(failures, f"n={n}", left.poly(n), right.poly(n))
-        cells.check(f"k={k},engines", failures, f"n<={trunc}")
-        cells.check(f"k={k},oracle", oracle_failures, f"n<={brute_to}")
+    yield from _engine_failures(cells, P132, rows, brute_to)
     return cells.report("conjecture-1")
 
 
@@ -806,9 +790,22 @@ def _subject_conjecture_1(k_max: int, trunc: int) -> _Subject:
 # Registry
 
 
-# The distribution subjects, run together by _drive: (generator function of
-# max_n, default depth).
-_POOLED: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyType({
+def _unpooled(run, *args) -> _Subject:
+    """A subject that asks for no distribution: ``run(*args)``'s report, at
+    :func:`_drive`'s first step."""
+    return run(*args)
+    yield  # makes this a generator
+
+
+# Every subject: (generator function of max_n, run by _drive; default depth).
+# The members of a shared pass share one function, which returns a dict of
+# their reports.  The subjects that ask for no distribution come first, so
+# they finish before any pooled subject builds its engine series.
+_SUBJECTS: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyType({
+    **dict.fromkeys((*_PATH_CHECKS, "match-preservation"), (partial(_unpooled, _path_pass), 9)),
+    **dict.fromkeys(_WALK_CHECKS, (partial(_unpooled, _walk_pass), 9)),
+    "theorem-12": (partial(_unpooled, _band_subject, "theorem-12"), 8),
+    "theorem-13": (partial(_unpooled, _band_subject, "theorem-13"), 10),
     "corollary-1": (_subject_corollary_1, 8),
     "theorem-3": (_subject_theorem_3, 9),
     **{sid: (partial(_top_coeff_subject, sid), 9) for sid in _TOP_COEFF_GRIDS},
@@ -825,20 +822,14 @@ _POOLED: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyType(
 })
 
 
-def _alone(subject: Callable[[int], _Subject], max_n: int) -> VerificationReport:
-    return _drive([subject(max_n)])[0]
-
-
-_SUBJECTS: Mapping[str, tuple[Callable[[int], VerificationReport], int]] = MappingProxyType({
-    **{sid: (partial(_alone, fn), depth) for sid, (fn, depth) in _POOLED.items()},
-    "theorem-12": (partial(_band_subject, "theorem-12"), 8),
-    "theorem-13": (partial(_band_subject, "theorem-13"), 10),
-    **{
-        sid: (partial(_pass_subject, run, sid), depth)
-        for run, members, depth in _PASSES
-        for sid in members
-    },
-})
+def _run(entries, max_n: int | None) -> dict[str, VerificationReport]:
+    """The reports, by subject, of the registry ``entries`` driven together,
+    each distinct function once, at ``max_n`` or else its default depth."""
+    runs = {fn: default_n if max_n is None else max_n for fn, default_n in entries}
+    reports: dict[str, VerificationReport] = {}
+    for done in _drive([fn(depth) for fn, depth in runs.items()]):
+        reports.update(done if isinstance(done, dict) else {done.subject: done})
+    return reports
 
 
 def subject_ids() -> tuple[str, ...]:
@@ -866,17 +857,12 @@ def verify(subject_id: str, max_n: int | None = None) -> VerificationReport:
     """Run one verification subject over its (possibly capped) default grid."""
     _check_depth(max_n)
     sid = _canonical_subject(subject_id)
-    fn, default_n = _SUBJECTS[sid]
-    return fn(default_n if max_n is None else max_n)
+    return _run([_SUBJECTS[sid]], max_n)[sid]
 
 
 def verify_all(max_n: int | None = None) -> list[VerificationReport]:
-    """Run every subject, each shared pass once for all its members and the
-    distribution subjects together; per-subject defaults apply when max_n is None."""
+    """Run every subject, each distinct registry function once (a shared pass
+    once for all its members); per-subject defaults apply when max_n is None."""
     _check_depth(max_n)
-    reports: dict[str, VerificationReport] = {}
-    for run, members, depth in _PASSES:
-        reports.update(run(depth if max_n is None else max_n))
-    pooled = _drive([fn(depth if max_n is None else max_n) for fn, depth in _POOLED.values()])
-    reports.update(zip(_POOLED, pooled))
-    return [reports[sid] if sid in reports else verify(sid, max_n) for sid in subject_ids()]
+    reports = _run(_SUBJECTS.values(), max_n)
+    return [reports[sid] for sid in subject_ids()]

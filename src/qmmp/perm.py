@@ -166,7 +166,7 @@ def occurs(pattern: Permutation, sigma: Permutation) -> bool:
 
 def _occurs3(tau: tuple[int, ...], word: tuple[int, ...]) -> bool:
     # Normalize (tau, sigma) by reverse/complement so tau becomes 123 or 132,
-    # then run the linear/quadratic scans.  occurs(t, s) = occurs(t^r, s^r)
+    # then run the linear scans.  occurs(t, s) = occurs(t^r, s^r)
     # = occurs(t^c, s^c).
     transform, target = _CANONICAL3[tau]
     n = len(word)
@@ -208,21 +208,19 @@ def _scan_123(word: tuple[int, ...]) -> bool:
 
 
 def _scan_132(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    big = n + 1
-    prefix_min = []
-    current = big
-    for v in word:
-        prefix_min.append(current)
-        current = min(current, v)
-    for j in range(n):
-        wj = word[j]
-        pm = prefix_min[j]
-        if pm >= wj:
-            continue
-        for k in range(j + 1, n):
-            if pm < word[k] < wj:
-                return True
+    # Right to left.  A value pops every smaller value off the stack: each
+    # popped value is the "2" of a "32" whose "3" is that value.  Keep the
+    # largest popped value as the "2", the easiest one to get under: any
+    # smaller value further left completes a 132.  Linear: each value is
+    # pushed and popped at most once.
+    two = 0
+    stack: list[int] = []
+    for v in reversed(word):
+        if v < two:
+            return True
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
     return False
 
 

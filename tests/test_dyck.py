@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,18 @@ from qmmp.series import catalan
 from path_words import all_path_words
 
 GOLDEN = "DDRDDRRRDDRDRDRRDR"
+
+
+def test_phi_checks_a_long_avoider_in_linear_time():
+    # phi refuses a 132 before building the path; on the increasing word of
+    # length 20000 a scan of every pair of entries takes seconds
+    sigma = Permutation(tuple(range(1, 20001)))
+    phi(sigma)
+    start = time.perf_counter()
+    path = phi(sigma)
+    elapsed = time.perf_counter() - start
+    assert path.word == "D" * 20000 + "R" * 20000
+    assert elapsed < 0.2, f"{elapsed * 1000:.1f} ms"
 
 
 def test_validation_diagnostics():

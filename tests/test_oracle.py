@@ -313,6 +313,29 @@ def test_verify_all_equals_each_subject_alone():
     assert [c.cell for c in oracle.verify("lemma-p1-3", 0).cells] == ["n=0"]
 
 
+def test_verify_all_runs_each_shared_pass_and_band_subject_once(monkeypatch):
+    # the members of a shared pass share one registry function, which
+    # verify_all drives once: the path and walk passes each certify n = 0..9
+    # once, and the band subjects total their avoiders once per n (n <= 8 for
+    # theorem-12, n <= 10 for theorem-13); one member alone runs its pass once
+    calls = dict.fromkeys(("_path_certified", "_walk_certified", "avoider_totals"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    oracle.verify_all()
+    assert calls == {"_path_certified": 10, "_walk_certified": 10, "avoider_totals": 9 + 11}
+    calls.update(dict.fromkeys(calls, 0))
+    oracle.verify("lemma-p2-2")
+    assert calls == {"_path_certified": 10, "_walk_certified": 0, "avoider_totals": 0}
+
+
 BIJECTION_SUBJECTS = (
     "hill-correspondence",
     "lemma-p1-2",

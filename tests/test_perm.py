@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -101,6 +102,20 @@ def test_occurs_respects_reverse_complement():
                 base = occurs(tau, sigma)
                 assert base == occurs(tau.reverse(), sigma.reverse())
                 assert base == occurs(tau.complement(), sigma.complement())
+
+
+def test_occurs_matches_the_definition():
+    # every sigma with n <= 7 and every length-3 pattern: sigma contains tau
+    # exactly when three of its entries, in order, standardize to tau
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            sigma = Permutation(word)
+            found = {
+                tuple(sorted(triple).index(v) + 1 for v in triple)
+                for triple in itertools.combinations(word, 3)
+            }
+            for tau in itertools.permutations((1, 2, 3)):
+                assert occurs(Permutation(tau), sigma) == (tau in found), (word, tau)
 
 
 def test_avoider_counts_are_catalan():
