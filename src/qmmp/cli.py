@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="check the open series equality by engines and oracle")
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=11)
+    p.add_argument("--k-max", type=int, default=oracle.CONJECTURE_K_MAX)
+    p.add_argument("--max-n", type=int, default=oracle.CONJECTURE_TRUNC)
     p.set_defaults(fn=_cmd_conjecture)
 
     p = sub.add_parser("bijection", help="map between permutations and lattice paths")

@@ -232,28 +232,21 @@ def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
 #
 # x0 tracks matching peaks and x1 matching non-peaks.  Setting x0 = x1 = x,
 # x0 = 1 or x1 = 1 is a ring homomorphism, so the whole recursion runs in
-# whichever image is asked for: ``image = (cls, keep_x0, keep_x1)`` is the
-# coefficient type the list unpacks to and which variables are kept (a
-# dropped one is set to 1).  In the packing, x0 and x1 sit at field strides
-# ``(trunc + 1, 1)`` for ``BiPoly`` (an x1 exponent never passes trunc, so it
-# never spills into x0) and ``(1, 1)`` for ``IntPoly``; a dropped variable
-# has stride 0.
-
-_XY = (BiPoly, True, True)
-_X = (IntPoly, True, True)
+# whichever image is asked for, given by the field strides ``(s0, s1)`` of
+# x0 and x1 in the packing: ``(trunc + 1, 1)`` unpacks to ``BiPoly`` (an x1
+# exponent never passes trunc, so it never spills into x0), ``(1, 1)`` to
+# the x0 = x1 = x ``IntPoly``, and a dropped variable, set to 1, has stride 0.
 
 
 @lru_cache(maxsize=None)
-def _c_biv(k1: int, k2: int, trunc: int, image: tuple) -> tuple[int, ...]:
-    cls, keep_x0, keep_x1 = image
-    s0 = (trunc + 1 if cls is BiPoly else 1) if keep_x0 else 0
-    s1 = 1 if keep_x1 else 0
+def _c_biv(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int, ...]:
+    s0, s1 = strides
     if k1 == 0 and k2 == 0:
         return _narayana(trunc, s0, s1)
     w = _width(trunc)
     x0, x1 = 1 << s0 * w, 1 << s1 * w
-    no_x0, no_x1 = (cls, False, keep_x1), (cls, keep_x0, False)
-    base = _c_biv(0, 0, trunc, image)
+    no_x0, no_x1 = (0, s1), (s0, 0)
+    base = _c_biv(0, 0, trunc, strides)
     if k2 == 0:
         # Only peaks carry a condition.  The first-arch block never helps a
         # peak match, while everything left of the return helps everything
@@ -261,23 +254,23 @@ def _c_biv(k1: int, k2: int, trunc: int, image: tuple) -> tuple[int, ...]:
         block = (1,) + tuple(x1 * p for p in _c_biv(0, 0, trunc, no_x0)[1:])
         right = tuple(x1 * p for p in base)
         return _first_return(
-            trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, image)
+            trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, strides)
         )
     if k1 == 0:
         # Only non-peaks carry a condition; the lifted block gains one
         # non-matching non-peak and bumps the others' left-larger count by 1.
         block = (x0,) + _c_biv(0, 0, trunc, no_x1)[1:]
-        left = _c_biv(0, k2 - 1, trunc, image)
+        left = _c_biv(0, k2 - 1, trunc, strides)
         return _first_return(
-            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc, image)
+            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc, strides)
         )
     if k1 >= k2:
         block = _c_biv(0, k2 - 1, trunc, no_x0)
     else:
         block = _c_biv(k1, 0, trunc, no_x1)
     return _first_return(
-        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc, image), base, block,
-        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, image),
+        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc, strides), base, block,
+        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, strides),
     )
 
 
@@ -287,14 +280,14 @@ def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     k1, k2 = _clamp(trunc, k1, k2)
     if trunc > 255:
         raise ValueError(f"t^{trunc} reaches x0^{trunc}; exponents are limited to 255")
-    return _series(_c_biv(k1, k2, trunc, _XY), trunc, BiPoly)
+    return _series(_c_biv(k1, k2, trunc, (trunc + 1, 1)), trunc, BiPoly)
 
 
 def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (0, k, 0, 0) over 123-avoiders: the peak/non-peak recursion
     of ``q123_bivariate`` run in its x0 = x1 = x image."""
     (k,) = _clamp(trunc, k)
-    return _series(_c_biv(k, k, trunc, _X), trunc)
+    return _series(_c_biv(k, k, trunc, (1, 1)), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ with an engine, with one another or with a formula (theorem-2/6..10,
 theorem-11's specialized rows, conjecture-1, corollary-1, theorem-3, the
 top-coefficient subjects, theorem-14..18 and lemma-sym/lemma-sym2) ask for
 them instead of fetching them: :func:`_drive` serves all of their length-n
-requests from one deduplicated set of lane-packed walks per class.  The band
-subjects and the two bijection passes ask for nothing and finish at its
-first step; theorem-11 walks its bivariate rows itself.
+requests from one deduplicated set of lane-packed walks per class.  Those
+whose cells say that two distributions are equal (corollary-1, lemma-sym,
+lemma-sym2, theorem-2/6..10, theorem-11's specialized rows and conjecture-1)
+are lists of rows, each two sides and a cell, run by one loop,
+:func:`_compare`.  The band subjects and the two bijection passes ask for
+nothing and finish at its first step; theorem-11 walks its bivariate rows
+itself.
 """
 
 from __future__ import annotations
@@ -187,50 +191,38 @@ def _drive(subjects: list) -> list:
         polys = _oracle_at(n, [key for i in due for key in asks.pop(i)[1]])
 
 
-def _engine_failures(
-    cells: _Cells, tau: Permutation, rows: dict, max_n: int
-) -> Generator[tuple[int, list], dict, None]:
-    """Record engine-vs-oracle failures in ``cells``, over n <= max_n, for a
+def _compare(cells: _Cells, rows: list, max_n: int) -> Generator[tuple[int, list], dict, None]:
+    """Record the failures of ``rows`` in ``cells``, over n <= max_n, for a
     subject to ``yield from``.
 
-    ``rows`` maps a cell to a list of ``(label, engine series, spec)``; each
-    n's distributions of every row's specs are asked for in one request.
+    A row is ``(cell, label, got, want)``, and each side is a ``(class,
+    spec)`` key or a function of n, such as an engine series' ``poly``.
+    Each n's distributions of the rows' distinct keys are asked for in one
+    request; rows without a key ask for nothing.
     """
-    wanted = [(tau, spec) for row in rows.values() for _, _, spec in row]
+    wanted = list(dict.fromkeys(side for row in rows for side in row[2:] if not callable(side)))
     for n in range(max_n + 1):
-        polys = yield n, wanted
-        for cell, row in rows.items():
-            for label, engine, spec in row:
-                _poly_eq(cells, cell, f"n={n}{label}", engine.poly(n), polys[tau, spec])
-
-
-# Corollary-1: each variant of (k, l, m) has the distribution of the base,
-# (k,l,0,m) over 123-avoiders, which comes first.
-_COROLLARY_1_SPECS = (
-    ("", P123, lambda k, ell, m: QuadrantSpec(k, ell, 0, m)),
-    ("123 (k,l,e,m)", P123, lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m)),
-    ("132 (k,l,e,m)", P132, lambda k, ell, m: QuadrantSpec(k, ell, EMPTY, m)),
-    ("123 (0,m,k,l)", P123, lambda k, ell, m: QuadrantSpec(0, m, k, ell)),
-    ("123 (e,m,k,l)", P123, lambda k, ell, m: QuadrantSpec(EMPTY, m, k, ell)),
-)
+        polys = (yield n, wanted) if wanted else {}
+        for cell, label, got, want in rows:
+            got = got(n) if callable(got) else polys[got]
+            want = want(n) if callable(want) else polys[want]
+            _poly_eq(cells, cell, f"n={n}{label}", got, want)
 
 
 def _subject_corollary_1(max_n: int) -> _Subject:
-    rows = {
-        f"k={k},l={ell},m={m}": [
-            (label, (tau, spec_of(k, ell, m))) for label, tau, spec_of in _COROLLARY_1_SPECS
-        ]
-        for k in range(1, 3)
-        for ell in range(3)
-        for m in range(3)
-    }
-    wanted = [key for row in rows.values() for _, key in row]
-    cells = _Cells(rows, f"n<={max_n}")
-    for n in range(max_n + 1):
-        polys = yield n, wanted
-        for cell, ((_, base), *variants) in rows.items():
-            for label, key in variants:
-                _poly_eq(cells, cell, f"n={n} {label}", polys[key], polys[base])
+    # each variant of (k, l, m) has the distribution of (k,l,0,m) over 123-avoiders
+    rows = []
+    for k, ell, m in itertools.product(range(1, 3), range(3), range(3)):
+        variants = {
+            " 123 (k,l,e,m)": (P123, QuadrantSpec(k, ell, EMPTY, m)),
+            " 132 (k,l,e,m)": (P132, QuadrantSpec(k, ell, EMPTY, m)),
+            " 123 (0,m,k,l)": (P123, QuadrantSpec(0, m, k, ell)),
+            " 123 (e,m,k,l)": (P123, QuadrantSpec(EMPTY, m, k, ell)),
+        }
+        base = (P123, QuadrantSpec(k, ell, 0, m))
+        rows += [(f"k={k},l={ell},m={m}", label, key, base) for label, key in variants.items()]
+    cells = _Cells((row[0] for row in rows), f"n<={max_n}")
+    yield from _compare(cells, rows, max_n)
     return cells.report("corollary-1")
 
 
@@ -330,13 +322,14 @@ _ENGINE_GRIDS = MappingProxyType({
 
 def _engine_subject(subject: str, max_n: int) -> _Subject:
     names, grid, spec_of = _ENGINE_GRIDS[subject]
-    rows = {}
+    rows = []
     for params in grid:
         spec = spec_of(*params)
         label = ",".join(f"{name}={v}" for name, v in zip(names, params))
-        rows[label] = [("", gf.engine_series("132", spec, max_n, "recurrence"), spec)]
-    cells = _Cells(rows, f"n<={max_n}")
-    yield from _engine_failures(cells, P132, rows, max_n)
+        engine = gf.engine_series("132", spec, max_n, "recurrence")
+        rows.append((label, "", engine.poly, (P132, spec)))
+    cells = _Cells((row[0] for row in rows), f"n<={max_n}")
+    yield from _compare(cells, rows, max_n)
     return cells.report(subject)
 
 
@@ -351,11 +344,11 @@ def _subject_theorem_11(max_n: int) -> _Subject:
             polys = bivariate_distributions(n, k1, k2s)
             for k2, engine, want in zip(k2s, engines, polys):
                 _poly_eq(cells, f"k1={k1},k2={k2}", f"n={n}", engine.poly(n), want)
-    rows = {
-        cell: [("", gf.q123_0k00(k, max_n), QuadrantSpec(0, k, 0, 0))]
+    rows = [
+        (cell, "", gf.q123_0k00(k, max_n).poly, (P123, QuadrantSpec(0, k, 0, 0)))
         for k, cell in enumerate(specialized)
-    }
-    yield from _engine_failures(cells, P123, rows, max_n)
+    ]
+    yield from _compare(cells, rows, max_n)
     return cells.report("theorem-11")
 
 
@@ -487,18 +480,14 @@ _SYM_GRIDS = MappingProxyType({
 def _sym_subject(subject: str, max_n: int) -> _Subject:
     tau, image_of, loop_order = _SYM_GRIDS[subject]
     rank = {v: i for i, v in enumerate(_SYM_COORDS)}
-    pairs = {}
+    rows = []
     for slots in itertools.product(_SYM_COORDS, repeat=4):
         spec = QuadrantSpec(**dict(zip(loop_order, slots)))
         image = QuadrantSpec(*image_of(*spec.coords))
         if [rank[v] for v in spec.coords] < [rank[v] for v in image.coords]:
-            pairs[f"spec={spec}"] = (spec, image)
-    wanted = [(tau, spec) for pair in pairs.values() for spec in pair]
-    cells = _Cells(pairs, f"n<={max_n}")
-    for n in range(max_n + 1):
-        polys = yield n, wanted
-        for cell, (spec, image) in pairs.items():
-            _poly_eq(cells, cell, f"n={n}", polys[tau, spec], polys[tau, image])
+            rows.append((f"spec={spec}", "", (tau, spec), (tau, image)))
+    cells = _Cells((row[0] for row in rows), f"n<={max_n}")
+    yield from _compare(cells, rows, max_n)
     return cells.report(subject)
 
 
@@ -747,18 +736,26 @@ def _walk_failures(n: int) -> dict[str, str]:
 def _walk_pass(max_n: int) -> dict[str, VerificationReport]:
     """Reports of the walk-pass members, each from its first n on: per n,
     :func:`_walk_certified`, or the per-avoider :func:`_walk_failures` where
-    that does not certify the n."""
-    cells = {
-        sid: _Cells(f"n={n}" for n in range(first, max_n + 1))
-        for sid, (first, _) in _WALK_CHECKS.items()
-    }
+    that does not certify the n.  A member whose first n exceeds max_n
+    skips it."""
+    cells = {}
+    for sid, (first, _) in _WALK_CHECKS.items():
+        cells[sid] = _Cells(f"n={n}" for n in range(first, max_n + 1))
+        if first > max_n:
+            cells[sid].skip(f"n={first}", f"threshold n>={first} exceeds max_n={max_n}")
     for n in range(max_n + 1):
         for sid, text in ({} if _walk_certified(n) else _walk_failures(n)).items():
             cells[sid].fail(f"n={n}", text)
     return {sid: c.report(sid) for sid, c in cells.items()}
 
 
-def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
+# conjecture-1's default grid: k <= CONJECTURE_K_MAX, to t^CONJECTURE_TRUNC
+CONJECTURE_K_MAX, CONJECTURE_TRUNC = 4, 11
+
+
+def check_conjecture1(
+    k_max: int = CONJECTURE_K_MAX, trunc: int = CONJECTURE_TRUNC
+) -> VerificationReport:
     """Coefficient-wise comparison of the (0,k,EMPTY,0) and (1,k-1,EMPTY,0)
     series, by engines to t^trunc and against brute force to t^min(trunc, 9)."""
     if k_max < 1:
@@ -771,18 +768,18 @@ def check_conjecture1(k_max: int = 4, trunc: int = 11) -> VerificationReport:
 def _subject_conjecture_1(k_max: int, trunc: int) -> _Subject:
     brute_to = min(trunc, 9)
     cells = _Cells()
-    rows = {}
+    engines, rows = [], []
     for k in range(1, k_max + 1):
-        left, right = gf.q132_0ke0(k, trunc), gf.q132_kle0(1, k - 1, trunc)
+        left, right = gf.q132_0ke0(k, trunc).poly, gf.q132_kle0(1, k - 1, trunc).poly
         cells.add(f"k={k},engines", f"n<={trunc}")
-        for n in range(trunc + 1):
-            _poly_eq(cells, f"k={k},engines", f"n={n}", left.poly(n), right.poly(n))
         cells.add(f"k={k},oracle", f"n<={brute_to}")
-        rows[f"k={k},oracle"] = [
-            (" (0,k,e,0)", left, QuadrantSpec(0, k, EMPTY, 0)),
-            (" (1,k-1,e,0)", right, QuadrantSpec(1, k - 1, EMPTY, 0)),
+        engines.append((f"k={k},engines", "", left, right))
+        rows += [
+            (f"k={k},oracle", " (0,k,e,0)", left, (P132, QuadrantSpec(0, k, EMPTY, 0))),
+            (f"k={k},oracle", " (1,k-1,e,0)", right, (P132, QuadrantSpec(1, k - 1, EMPTY, 0))),
         ]
-    yield from _engine_failures(cells, P132, rows, brute_to)
+    yield from _compare(cells, engines, trunc)
+    yield from _compare(cells, rows, brute_to)
     return cells.report("conjecture-1")
 
 
@@ -818,7 +815,7 @@ _SUBJECTS: Mapping[str, tuple[Callable[[int], _Subject], int]] = MappingProxyTyp
     "lemma-sym2": (partial(_sym_subject, "lemma-sym2"), 8),
     **{sid: (partial(_engine_subject, sid), 9) for sid in _ENGINE_GRIDS},
     "theorem-11": (_subject_theorem_11, 9),
-    "conjecture-1": (partial(_subject_conjecture_1, 4), 11),
+    "conjecture-1": (partial(_subject_conjecture_1, CONJECTURE_K_MAX), CONJECTURE_TRUNC),
 })
 
 

@@ -7,7 +7,7 @@ import pytest
 from qmmp import dyck, mmp, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
 from qmmp.perm import P123, P132, Permutation, avoiders
-from qmmp.series import IntPoly, catalan
+from qmmp.series import IntPoly, TSeries, catalan
 
 from band_reference import band_lines
 from path_words import all_path_words
@@ -113,6 +113,16 @@ def test_skip_cells_carry_reasons():
             assert report.summary() == f"{sid}: PASS (0 pass, 0 fail, 1 skipped)"
         report = oracle.verify(sid, threshold)
         assert report.counts() == (1, 0, 0), report.lines()
+    # so does a walk-pass member whose first n exceeds the depth
+    report = oracle.verify("lemma-p1-2", 0)
+    assert report.lines() == ["lemma-p1-2; n=1; skip; threshold n>=1 exceeds max_n=0"]
+
+
+def test_no_report_passes_over_nothing():
+    # a report without cells would print PASS while checking nothing
+    for max_n in range(3):
+        for report in oracle.verify_all(max_n):
+            assert report.cells, (max_n, report.subject)
 
 
 def test_conjecture_small():
@@ -134,6 +144,70 @@ def test_failure_carries_counterexample():
     report = oracle.verify("theorem-3", 4)
     fail = next(c for c in report.cells if c.status == "fail")
     assert "n=" in fail.detail and "zero-slot" in fail.detail
+
+
+def _bumped(series, n):
+    """``series`` with 1 added to its t^n coefficient."""
+    return TSeries(p + IntPoly({0: 1}) if i == n else p for i, p in enumerate(series.coeffs))
+
+
+def _fail_lines(report):
+    return [line for line in report.lines() if "; fail; " in line]
+
+
+def test_comparison_subjects_name_their_first_counterexample(monkeypatch):
+    # one injected fault per family of two-distribution subjects, on the
+    # engine side and on the oracle side of a comparison
+    from qmmp import gf
+
+    engine_series, q123_0k00, q132_kle0 = gf.engine_series, gf.q123_0k00, gf.q132_kle0
+
+    def faulty_engine(avoid, spec, trunc, engine="auto"):
+        series = engine_series(avoid, spec, trunc, engine)
+        return _bumped(series, 5) if spec == QuadrantSpec(2, 1, EMPTY, 0) else series
+
+    monkeypatch.setattr(gf, "engine_series", faulty_engine)
+    assert _fail_lines(oracle.verify("theorem-7", 6)) == [
+        "theorem-7; k=2,l=1; fail; n=5: got 24+16x+3x^2, expected 23+16x+3x^2"
+    ]
+    monkeypatch.setattr(gf, "engine_series", engine_series)
+
+    def faulty_0k00(k, trunc):
+        return _bumped(q123_0k00(k, trunc), 4) if k == 2 else q123_0k00(k, trunc)
+
+    monkeypatch.setattr(gf, "q123_0k00", faulty_0k00)
+    assert _fail_lines(oracle.verify("theorem-11", 6)) == [
+        "theorem-11; specialized k=2; fail; n=4: got 2+9x+4x^2, expected 1+9x+4x^2"
+    ]
+
+    def faulty_kle0(k, ell, trunc):
+        series = q132_kle0(k, ell, trunc)
+        return _bumped(series, 5) if (k, ell) == (1, 2) else series
+
+    monkeypatch.setattr(gf, "q132_kle0", faulty_kle0)
+    assert _fail_lines(oracle.check_conjecture1(3, 7)) == [
+        "conjecture-1; k=3,engines; fail; n=5: got 14+23x+5x^2, expected 15+23x+5x^2",
+        "conjecture-1; k=3,oracle; fail; n=5 (1,k-1,e,0): got 15+23x+5x^2, expected 14+23x+5x^2",
+    ]
+    oracle_at = oracle._oracle_at
+
+    faults = {(5, P132, QuadrantSpec(1, 0, EMPTY, 2)), (4, P132, QuadrantSpec(0, 2, 0, 1))}
+
+    def perturbed(n, wanted):
+        polys = oracle_at(n, wanted)
+        for key in polys:
+            if (n, *key) in faults:
+                polys[key] = polys[key] + IntPoly({0: 1})
+        return polys
+
+    monkeypatch.setattr(oracle, "_oracle_at", perturbed)
+    assert _fail_lines(oracle.verify("corollary-1", 6)) == [
+        "corollary-1; k=1,l=0,m=2; fail; n=5 132 (k,l,e,m): got 15+23x+5x^2, expected 14+23x+5x^2"
+    ]
+    assert _fail_lines(oracle.verify("lemma-sym", 6)) == [
+        "lemma-sym; spec=0,1,0,2; fail; n=4: got 12+2x, expected 13+2x",
+        "lemma-sym; spec=1,0,e,2; fail; n=5: got 15+23x+5x^2, expected 14+23x+5x^2",
+    ]
 
 
 def _band_total(fields, numbers):
