@@ -94,29 +94,28 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_reports(reports) -> int:
+    """Print every report's cell lines, then every summary; 0 iff all passed."""
+    for report in reports:
+        for line in report.lines():
+            print(line)
+    for report in reports:
+        print(report.summary())
+    return 0 if all(report.passed for report in reports) else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     max_n = None if args.max_n is None else _cap_max_n(args.max_n)
     if args.subject == "all":
         reports = oracle.verify_all(max_n)
     else:
         reports = [oracle.verify(args.subject, max_n)]
-    ok = True
-    for report in reports:
-        for line in report.lines():
-            print(line)
-    for report in reports:
-        print(report.summary())
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return _print_reports(reports)
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     trunc = _cap_max_n(args.max_n)
-    report = oracle.check_conjecture1(args.k_max, trunc)
-    for line in report.lines():
-        print(line)
-    print(report.summary())
-    return 0 if report.passed else 1
+    return _print_reports([oracle.check_conjecture1(args.k_max, trunc)])
 
 
 def _stats_text(path: DyckPath) -> str:
@@ -140,24 +139,18 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     forward = phi if args.map == "phi" else psi
     inverse = phi_inv if args.map == "phi" else psi_inv
     if text and set(text) <= {"D", "R"}:
-        path = DyckPath.parse(text)
-        if args.show == "path":
-            print(path.word)
-        elif args.show == "perm":
-            print(inverse(path))
-        elif args.show == "stats":
-            print(_stats_text(path))
-        else:
-            print(lift(path).word)
-        return 0
-    sigma = Permutation.parse(text)
-    path = forward(sigma)  # checks that sigma avoids the map's pattern
-    if args.show == "perm":
-        print(sigma)
-    elif args.show == "path":
+        path, sigma = DyckPath.parse(text), None
+    else:
+        sigma = Permutation.parse(text)
+        path = forward(sigma)  # checks that sigma avoids the map's pattern
+    if args.show == "path":
         print(path.word)
+    elif args.show == "perm":
+        print(inverse(path) if sigma is None else sigma)
     elif args.show == "stats":
         print(_stats_text(path))
+    elif sigma is None:
+        print(lift(path).word)
     else:
         # the induced permutation map: conjugate the path lift by the bijection
         print(inverse(lift(path)))
@@ -278,6 +271,15 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # The engines recurse top-down, a few frames per degree, so only an
+        # explicit --max-n under a raised MMP_MAX_N gets here.
+        print(
+            f"error: depth {min(args.max_n, _max_n_cap())} is too deep for the engines' "
+            "recursion; ask for a smaller --max-n (MMP_MAX_N sets the cap)",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -48,7 +48,7 @@ class DyckPath(_Frozen):
 
     def __init__(self, word: str) -> None:
         _validate_word(word)
-        object.__setattr__(self, "word", word)
+        self._set(word)
 
     @property
     def n(self) -> int:

@@ -360,6 +360,39 @@ def _check_closed(k: int, ell: int, n: int) -> None:
         raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
 
 
+def _closed_coeffs(k: int, ell: int, n: int) -> tuple[int, ...]:
+    """The (0,k,0,ell) coefficients of :func:`closed_coeff_0k0l` for r = 0..k+ell, unchecked."""
+    c = catalan
+    if (k, ell) == (1, 0):
+        return (c(n) - c(n - 1), c(n - 1))
+    if (k, ell) == (2, 0):
+        return (
+            c(n) - 3 * c(n - 1) + c(n - 2),
+            3 * (c(n - 1) - c(n - 2)),
+            2 * c(n - 2),
+        )
+    if (k, ell) == (1, 1):
+        return (
+            c(n) - 2 * c(n - 1) + c(n - 2) - 2,
+            2 * c(n - 1) - 2 * c(n - 2) + 2,
+            c(n - 2),
+        )
+    if (k, ell) == (2, 1):
+        return (
+            c(n) - 4 * c(n - 1) + 4 * c(n - 2) - c(n - 3) - 2 * n + 6,
+            4 * c(n - 1) - 9 * c(n - 2) + 4 * c(n - 3) + 2 * n - 12,
+            5 * c(n - 2) - 5 * c(n - 3) + 6,
+            2 * c(n - 3),
+        )
+    return (
+        c(n) - 6 * c(n - 1) + 11 * c(n - 2) - 6 * c(n - 3) + c(n - 4) - 2 * n * n + 16 * n - 34,
+        6 * c(n - 1) - 24 * c(n - 2) + 24 * c(n - 3) - 6 * c(n - 4) + 2 * n * n - 28 * n + 80,
+        13 * c(n - 2) - 30 * c(n - 3) + 13 * c(n - 4) + 12 * n - 64,
+        12 * c(n - 3) - 12 * c(n - 4) + 18,
+        4 * c(n - 4),
+    )
+
+
 def closed_coeff_0k0l(k: int, ell: int, n: int, r: int) -> int:
     """Coefficient of ``x^(n - 2(k+ell) + r)`` in the (0,k,0,ell) polynomial
     over 123-avoiders, for the five small families with closed formulas.
@@ -369,50 +402,18 @@ def closed_coeff_0k0l(k: int, ell: int, n: int, r: int) -> int:
     _check_closed(k, ell, n)
     if not 0 <= r <= k + ell:
         raise ValueError(f"r must lie in 0..{k + ell}")
-    c = catalan
-    if (k, ell) == (1, 0):
-        return (c(n) - c(n - 1), c(n - 1))[r]
-    if (k, ell) == (2, 0):
-        return (
-            c(n) - 3 * c(n - 1) + c(n - 2),
-            3 * (c(n - 1) - c(n - 2)),
-            2 * c(n - 2),
-        )[r]
-    if (k, ell) == (1, 1):
-        return (
-            c(n) - 2 * c(n - 1) + c(n - 2) - 2,
-            2 * c(n - 1) - 2 * c(n - 2) + 2,
-            c(n - 2),
-        )[r]
-    if (k, ell) == (2, 1):
-        return (
-            c(n) - 4 * c(n - 1) + 4 * c(n - 2) - c(n - 3) - 2 * n + 6,
-            4 * c(n - 1) - 9 * c(n - 2) + 4 * c(n - 3) + 2 * n - 12,
-            5 * c(n - 2) - 5 * c(n - 3) + 6,
-            2 * c(n - 3),
-        )[r]
-    return (
-        c(n) - 6 * c(n - 1) + 11 * c(n - 2) - 6 * c(n - 3) + c(n - 4) - 2 * n * n + 16 * n - 34,
-        6 * c(n - 1) - 24 * c(n - 2) + 24 * c(n - 3) - 6 * c(n - 4) + 2 * n * n - 28 * n + 80,
-        13 * c(n - 2) - 30 * c(n - 3) + 13 * c(n - 4) + 12 * n - 64,
-        12 * c(n - 3) - 12 * c(n - 4) + 18,
-        4 * c(n - 4),
-    )[r]
+    return _closed_coeffs(k, ell, n)[r]
 
 
 def closed_poly_0k0l(k: int, ell: int, n: int) -> IntPoly:
     """Full (0,k,0,ell) polynomial at order n from the closed formulas."""
     _check_closed(k, ell, n)
     coeffs = {}
-    for r in range(k + ell + 1):
-        e = n - 2 * (k + ell) + r
-        v = closed_coeff_0k0l(k, ell, n, r)
-        if e < 0:
-            if v:
-                raise ArithmeticError(f"nonzero coefficient at negative exponent x^{e}")
-            continue
-        if v:
+    for e, v in enumerate(_closed_coeffs(k, ell, n), n - 2 * (k + ell)):
+        if e >= 0:
             coeffs[e] = v
+        elif v:
+            raise ArithmeticError(f"nonzero coefficient at negative exponent x^{e}")
     return IntPoly(coeffs)
 
 
@@ -430,8 +431,9 @@ def engine_series(
 
     This is the only place that turns a spec into an engine call.  ``auto``
     tries a closed form before a recurrence.  Over 132-avoiders the engines
-    cover numeric ``(a, b, EMPTY, d)`` and ``(EMPTY, b, EMPTY, d)``, with the
-    second and fourth slots swapped by the inverse symmetry (lemma-sym).
+    cover numeric ``(a, b, EMPTY, d)`` and ``(EMPTY, b, EMPTY, d)``; the
+    engines themselves swap the second and fourth slots where the second is
+    0 (lemma-sym), so the router passes the slots as they are.
     Over 123-avoiders the closed forms cover ``(0, k, 0, l)`` for the small
     ``(k, l)`` with coefficient formulas (either orientation); the
     recurrences cover ``(0, k, 0, 0)`` by the bivariate engine and, after the
@@ -489,13 +491,11 @@ def engine_series(
     if c is EMPTY and b is not EMPTY and d is not EMPTY:
         if a is EMPTY:
             return q132_ekel(b, d, trunc)
-        if b == 0:
-            b, d = d, 0  # lemma-sym: the second and fourth slots swap
         if a == 0:
             return q132_0ke0(b, trunc) if d == 0 else q132_0kel(b, d, trunc)
-        if b == 0:
-            return q132_k0e0(a, trunc)
-        return q132_kle0(a, b, trunc) if d == 0 else q132_akel(a, b, d, trunc)
+        if d == 0:
+            return q132_k0e0(a, trunc) if b == 0 else q132_kle0(a, b, trunc)
+        return q132_akel(a, b, d, trunc)
     raise NoEngineError(
         f"no engine for MMP({spec}) over 132-avoiders; "
         f"fall back to oracle.brute_series(132, ...)"

@@ -61,10 +61,7 @@ class QuadrantSpec(_Frozen):
     def __init__(self, a: Coord, b: Coord, c: Coord, d: Coord) -> None:
         for v in (a, b, c, d):
             _check_coord(v)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self._set(a, b, c, d)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -99,7 +96,7 @@ class QuadrantSpec(_Frozen):
 
     def compact(self) -> str:
         """Slot string without separators, e.g. ``01e0`` (used in file names)."""
-        return "".join("e" if v is EMPTY else str(v) for v in self.coords)
+        return str(self).replace(",", "")
 
 
 def _append_tallies(n: int, i: int, v: int, q2: int) -> tuple[int, int, int, int]:
@@ -118,18 +115,15 @@ def quadrant_rows(word: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
 
     ``used`` has bit ``v`` set for each value placed so far, so at entry
     ``i + 1`` with value ``v`` the earlier larger values number
-    ``q2 = popcount(used >> v)``, and the other tallies follow by the
-    formula of :func:`_append_tallies` (inlined here, where it runs once
-    per position), as in the append-time walks :func:`_packed_histogram`
-    and :func:`qmmp.perm.avoider_totals`.
+    ``q2 = popcount(used >> v)``, and the other tallies follow by
+    :func:`_append_tallies`, as in the append-time walks
+    :func:`_packed_histogram` and :func:`qmmp.perm.avoider_totals`.
     """
     n = len(word)
     used = 0
     rows = []
     for i, v in enumerate(word):
-        q2 = (used >> v).bit_count()
-        q1 = n - v - q2
-        rows.append((q1, q2, i - q2, n - 1 - i - q1))
+        rows.append(_append_tallies(n, i, v, (used >> v).bit_count()))
         used |= 1 << v
     return tuple(rows)
 

@@ -69,7 +69,7 @@ class Permutation(_Frozen):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n or seen[v]:
                 raise ValueError(f"not a permutation of 1..{n}: {word!r}")
             seen[v] = True
-        object.__setattr__(self, "word", word)
+        self._set(word)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -268,7 +268,7 @@ def _generated(word: tuple[int, ...]) -> Permutation:
     """The Permutation of a word that :func:`avoiders` built, without the
     range and duplicate check: its moves place each value of 1..n once."""
     sigma = object.__new__(Permutation)
-    object.__setattr__(sigma, "word", word)
+    sigma._set(word)
     return sigma
 
 

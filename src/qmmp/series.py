@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
+from .perm import _Frozen
+
 
 class _Poly:
     """A polynomial with integer coefficients, stored sparsely.
@@ -191,27 +193,24 @@ class BiPoly(_Poly):
 Poly = _Poly
 
 
-class TSeries:
+class TSeries(_Frozen):
     """A power series in ``t`` truncated at degree ``trunc``.
 
     ``coeffs[n]`` is the full, exact coefficient polynomial of ``t^n``
     (an :class:`IntPoly` or :class:`BiPoly`).
     """
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Poly]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "trunc", len(coeffs) - 1)
+        self._set(coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TSeries is immutable")
-
-    def __reduce__(self):
-        return (TSeries, (self.coeffs,))
+    @property
+    def trunc(self) -> int:
+        return len(self.coeffs) - 1
 
     def poly(self, n: int) -> Poly:
         if n < 0 or n > self.trunc:
@@ -221,16 +220,6 @@ class TSeries:
     def coeff(self, n: int, k) -> int:
         """The integer coefficient of ``t^n x^k`` (``k`` a pair for bivariate)."""
         return self.poly(n).coeff(k)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TSeries)
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def render_lines(self) -> list[str]:
         return [f"t^{n}: {c.render()}" for n, c in enumerate(self.coeffs)]

@@ -200,6 +200,16 @@ def test_max_n_cap(capsys, monkeypatch):
         assert code == 1 and out == "" and err.startswith("error:") and "MMP_MAX_N" in err
 
 
+def test_too_deep_a_recursion_is_one_error_line(capsys, monkeypatch):
+    # the engines recurse top-down, so a large enough explicit cap runs out
+    # of Python stack: that is one error line naming the depth, no traceback
+    monkeypatch.setenv("MMP_MAX_N", "400")
+    code, out, err = run_cli(capsys, "series", "--avoid", "132", "--spec", "0,250,e,0", "--max-n", "251")
+    assert code == 1 and out == ""
+    assert err.startswith("error: depth 251 ") and "MMP_MAX_N" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bijection_examples(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--map", "psi", "--input", "869743251",
                            "--show", "path")

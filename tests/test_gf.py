@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from qmmp import cli, gf, oracle
-from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution
+from qmmp.mmp import EMPTY, QuadrantSpec, bivariate_distribution, distribution, distributions
 from qmmp.perm import P123, P132
 from qmmp.series import BiPoly, IntPoly, catalan
 
@@ -354,6 +354,34 @@ def test_engine_series_coverage():
         gf.engine_series("213", QuadrantSpec(0, 0, 0, 0), 6)
     with pytest.raises(ValueError, match="unknown engine"):
         gf.engine_series("123", QuadrantSpec(0, 0, 0, 0), 6, "brute")
+
+
+def test_router_against_the_oracle_with_thresholds_of_three():
+    # Every {0,1,2,3,e}^4 spec, class and engine kind: each routed series
+    # against mmp.distributions over all the specs at once, for every n <= 7.
+    n = 7
+    specs = [QuadrantSpec.parse(",".join(slots)) for slots in itertools.product("0123e", repeat=4)]
+    covered = {key: 0 for key in _NO_ENGINE_TEXT}
+    for avoid in ("123", "132"):
+        tau = oracle.class_from_text(avoid)
+        rows = [distributions(m, tau, specs) for m in range(n + 1)]
+        for j, spec in enumerate(specs):
+            for engine in gf.ENGINE_KINDS:
+                try:
+                    series = gf.engine_series(avoid, spec, n, engine)
+                except gf.NoEngineError as exc:
+                    assert str(exc) == _NO_ENGINE_TEXT[(avoid, engine)].format(spec)
+                    continue
+                covered[(avoid, engine)] += 1
+                assert list(series.coeffs) == [row[j] for row in rows], (avoid, engine, str(spec))
+    assert covered == {
+        ("132", "auto"): 80,
+        ("132", "recurrence"): 80,
+        ("132", "closed"): 0,
+        ("123", "auto"): 428,
+        ("123", "recurrence"): 424,
+        ("123", "closed"): 9,
+    }
 
 
 def test_narayana_base_is_the_quadratic_root():

@@ -3,7 +3,9 @@
 ``perm`` and ``mmp`` import nothing from ``gf``, ``dyck``, ``oracle`` or
 ``cli``, so a brute-force count never runs engine, router or bijection code;
 ``dyck`` imports from ``perm`` only, so the one column rule of both inverse
-maps carries no tally, engine or oracle code; ``perm``, ``mmp`` and
+maps carries no tally, engine or oracle code; ``series`` imports from
+``perm`` only (its ``TSeries`` is a ``perm._Frozen``), so the polynomial
+layer stays below ``mmp`` and ``gf``; ``perm``, ``mmp`` and
 ``oracle`` apply no ``functools`` cache; and ``perm`` and ``mmp``, where the
 walks build their move, lane, mask and tally tables, ``dyck``, whose column
 and staircase steps the oracle's passes call per move, and ``oracle``, whose
@@ -88,6 +90,7 @@ def test_oracle_layers_import_no_engine_code():
     assert {"perm", "series"} <= _qmmp_imports(_tree("mmp"))
     assert {"dyck", "gf", "mmp", "perm"} <= _qmmp_imports(_tree("oracle"))
     assert _qmmp_imports(_tree("dyck")) == {"perm"}
+    assert _qmmp_imports(_tree("series")) == {"perm"}
 
 
 def test_oracle_layers_hold_no_functools_cache():

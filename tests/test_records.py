@@ -1,10 +1,12 @@
-"""The seven record types are immutable values, and importing qmmp stays light.
+"""The seven record types and ``TSeries`` are immutable values, and importing qmmp stays light.
 
 Each record compares and hashes by its fields, never equals a value of
-another type, refuses assignment, survives ``pickle`` and ``copy.deepcopy``,
-takes its fields by keyword, and shows them in its ``repr``; a ``TSeries``
-survives ``pickle`` and ``copy`` too.  The records
-need no ``dataclasses``: a qmmp process imports neither it nor ``inspect``.
+another type, refuses assignment and deletion, survives ``pickle`` and
+``copy.deepcopy``, takes its fields by keyword, and shows them in its
+``repr``.  A ``TSeries``, on the same base, refuses assignment and deletion
+too, survives ``pickle`` and ``copy``, and shows only its depth in its
+``repr``.  None of them needs ``dataclasses``: a qmmp process imports
+neither it nor ``inspect``.
 """
 
 import copy
@@ -85,13 +87,19 @@ def test_records_are_values(make, text):
 )
 def test_series_survive_pickle_and_copy(make):
     value = make()
+    assert repr(value) == "TSeries(trunc=1)" and value == make() and hash(value) == hash(make())
     for proto in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, proto))
         assert type(back) is TSeries and back == value and back.trunc == value.trunc
-        assert back.render_lines() == value.render_lines()
+        assert back.render_lines() == value.render_lines() and hash(back) == hash(value)
     assert copy.deepcopy(value) == value and copy.copy(value) == value
-    with pytest.raises(AttributeError):
-        value.trunc = 0
+    for name in ("coeffs", "trunc", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    for name in ("coeffs", "trunc"):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make()
 
 
 def test_records_of_different_types_are_never_equal():
