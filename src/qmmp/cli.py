@@ -48,6 +48,17 @@ def _cap_max_n(requested: int) -> int:
     return requested
 
 
+def _note_brute_depth(depth: int) -> None:
+    """Say on stderr what a brute-force walk to ``depth`` costs, past the default cap."""
+    if depth > DEFAULT_MAX_N_CAP:
+        # the walk of row n keeps up to 2^n prefix states
+        print(
+            f"note: brute force to t^{depth} (above the default cap {DEFAULT_MAX_N_CAP}) "
+            f"walks up to 2^{depth} = {1 << depth} prefix states per row",
+            file=sys.stderr,
+        )
+
+
 def _compute_series(avoid: str, spec: QuadrantSpec, trunc: int, engine: str) -> TSeries:
     tau = oracle.class_from_text(avoid)
     if engine != "brute":
@@ -56,13 +67,7 @@ def _compute_series(avoid: str, spec: QuadrantSpec, trunc: int, engine: str) -> 
         except gf.NoEngineError:
             if engine != "auto":
                 raise
-    if trunc > DEFAULT_MAX_N_CAP:
-        # the walk of row n keeps up to 2^n prefix states
-        print(
-            f"note: brute force to t^{trunc} (above the default cap {DEFAULT_MAX_N_CAP}) "
-            f"walks up to 2^{trunc} = {1 << trunc} prefix states per row",
-            file=sys.stderr,
-        )
+    _note_brute_depth(trunc)
     return oracle.brute_series(tau, spec, trunc)
 
 
@@ -106,6 +111,8 @@ def _print_reports(reports) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     max_n = None if args.max_n is None else _cap_max_n(args.max_n)
+    if max_n is not None:
+        _note_brute_depth(max_n)
     if args.subject == "all":
         reports = oracle.verify_all(max_n)
     else:

@@ -256,20 +256,13 @@ def _c_biv(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int,
         return _first_return(
             trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, strides)
         )
-    if k1 == 0:
-        # Only non-peaks carry a condition; the lifted block gains one
-        # non-matching non-peak and bumps the others' left-larger count by 1.
-        block = (x0,) + _c_biv(0, 0, trunc, no_x1)[1:]
-        left = _c_biv(0, k2 - 1, trunc, strides)
-        return _first_return(
-            trunc, max(k2, 2), left, base, block, lambda i: _c_biv(0, k2 - i, trunc, strides)
-        )
     if k1 >= k2:
         block = _c_biv(0, k2 - 1, trunc, no_x0)
     else:
-        block = _c_biv(k1, 0, trunc, no_x1)
+        # a one-point block is a single peak, which matches at k1 = 0
+        block = (x0 if k1 == 0 else 1,) + _c_biv(k1, 0, trunc, no_x1)[1:]
     return _first_return(
-        trunc, max(k1, k2), _c_biv(k1, k2 - 1, trunc, strides), base, block,
+        trunc, max(k1, k2, 2), _c_biv(k1, k2 - 1, trunc, strides), base, block,
         lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, strides),
     )
 
@@ -423,6 +416,21 @@ def closed_poly_0k0l(k: int, ell: int, n: int) -> IntPoly:
 
 ENGINE_KINDS = ("auto", "closed", "recurrence")
 
+# The NoEngineError text of each (avoidance class, engine kind), with {} for the spec.
+_NO_ENGINE_TEXT = {
+    ("123", "auto"): "no engine covers MMP({}) over 123-avoiders; "
+    "fall back to oracle.brute_series(123, ...)",
+    ("123", "recurrence"): "no recurrence engine for MMP({}) over 123-avoiders; "
+    "fall back to oracle.brute_series(123, ...)",
+    ("123", "closed"): "no closed form for MMP({}) over 123-avoiders",
+    **dict.fromkeys(
+        (("132", "auto"), ("132", "recurrence")),
+        "no engine for MMP({}) over 132-avoiders; fall back to oracle.brute_series(132, ...)",
+    ),
+    ("132", "closed"): "no closed-form engine for MMP({}) over 132-avoiders; "
+    "applicable engines: recurrence, brute",
+}
+
 
 def engine_series(
     avoid: str, spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC, engine: str = "auto"
@@ -436,11 +444,12 @@ def engine_series(
     0 (lemma-sym), so the router passes the slots as they are.
     Over 123-avoiders the closed forms cover ``(0, k, 0, l)`` for the small
     ``(k, l)`` with coefficient formulas (either orientation); the
-    recurrences cover ``(0, k, 0, 0)`` by the bivariate engine and, after the
-    reverse-complement rotation ``(a, b, c, d) -> (c, d, a, b)`` where it
-    applies, the specs with a positive first slot, which transport to the
-    132 engines.  Anything else raises NoEngineError naming the brute-force
-    fallback.
+    recurrences cover ``(0, k, 0, 0)`` by the bivariate engine, a positive
+    first and third slot by the constant ``C_n``, and one positive first or
+    third slot by transport: the reverse-complement rotation
+    ``(a, b, c, d) -> (c, d, a, b)`` where the third is the positive one,
+    then a third slot of EMPTY, and on to the 132 dispatch.  Every other
+    spec reaches the one NoEngineError, with the text of its class and kind.
     """
     if avoid not in ("123", "132"):
         raise ValueError(f"unsupported avoidance class {avoid!r}")
@@ -449,46 +458,34 @@ def engine_series(
     if engine not in ENGINE_KINDS:
         raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_KINDS)}")
     a, b, c, d = spec.coords
-    if avoid == "123":
-        if engine != "recurrence" and EMPTY not in spec.coords and a == c == 0:
-            if b == d == 0:
-                return TSeries([IntPoly.x(n, catalan(n)) for n in range(trunc + 1)])
-            # the reverse-complement symmetry swaps the second and fourth slots
-            k, ell = (b, d) if (b, d) in _CLOSED_0K0L_THRESHOLD else (d, b)
-            if (k, ell) in _CLOSED_0K0L_THRESHOLD:
-                # below the formula's threshold the polynomials are enumerated
-                low = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-                return TSeries(
-                    closed_poly_0k0l(k, ell, n)
-                    if n >= low
-                    else _mmp.distribution(n, P123, QuadrantSpec(0, k, 0, ell))
-                    for n in range(trunc + 1)
-                )
-        if engine == "closed":
-            raise NoEngineError(f"no closed form for MMP({spec}) over 123-avoiders")
-        pos_a = a is not EMPTY and a >= 1
-        pos_c = c is not EMPTY and c >= 1
+    pos_a = a is not EMPTY and a >= 1
+    pos_c = c is not EMPTY and c >= 1
+    if avoid == "123" and engine != "recurrence" and EMPTY not in spec.coords and a == c == 0:
+        if b == d == 0:
+            return TSeries([IntPoly.x(n, catalan(n)) for n in range(trunc + 1)])
+        # the reverse-complement symmetry swaps the second and fourth slots
+        k, ell = (b, d) if (b, d) in _CLOSED_0K0L_THRESHOLD else (d, b)
+        if (k, ell) in _CLOSED_0K0L_THRESHOLD:
+            # below the formula's threshold the polynomials are enumerated
+            low = _CLOSED_0K0L_THRESHOLD[(k, ell)]
+            return TSeries(
+                closed_poly_0k0l(k, ell, n)
+                if n >= low
+                else _mmp.distribution(n, P123, QuadrantSpec(0, k, 0, ell))
+                for n in range(trunc + 1)
+            )
+    if avoid == "123" and engine != "closed":
         if pos_a and pos_c:
             # A position can never see points in both quadrants I and III here.
             return TSeries([_const(n) for n in range(trunc + 1)])
-        bivariate = a == c == 0 and 0 in (b, d)
-        if b is EMPTY or d is EMPTY or not (pos_a or pos_c or bivariate):
-            kind = "recurrence engine for" if engine == "recurrence" else "engine covers"
-            raise NoEngineError(
-                f"no {kind} MMP({spec}) over 123-avoiders; "
-                f"fall back to oracle.brute_series(123, ...)"
-            )
-        if bivariate:
+        if a == c == 0 and 0 in (b, d) and EMPTY not in (b, d):
             return q123_0k00(max(b, d), trunc)
         if pos_c:
             a, b, c, d = c, d, a, b
         c = EMPTY  # a third slot of 0 or EMPTY transports to EMPTY over 132
-    elif engine == "closed":
-        raise NoEngineError(
-            f"no closed-form engine for MMP({spec}) over 132-avoiders; "
-            "applicable engines: recurrence, brute"
-        )
-    if c is EMPTY and b is not EMPTY and d is not EMPTY:
+    # the 132 dispatch: 132 specs and the 123 specs rewritten above
+    to_132 = engine != "closed" and (avoid == "132" or pos_a or pos_c)
+    if to_132 and c is EMPTY and EMPTY not in (b, d):
         if a is EMPTY:
             return q132_ekel(b, d, trunc)
         if a == 0:
@@ -496,10 +493,7 @@ def engine_series(
         if d == 0:
             return q132_k0e0(a, trunc) if b == 0 else q132_kle0(a, b, trunc)
         return q132_akel(a, b, d, trunc)
-    raise NoEngineError(
-        f"no engine for MMP({spec}) over 132-avoiders; "
-        f"fall back to oracle.brute_series(132, ...)"
-    )
+    raise NoEngineError(_NO_ENGINE_TEXT[avoid, engine].format(spec))
 
 
 def q132_series(spec: QuadrantSpec, trunc: int = DEFAULT_TRUNC) -> TSeries:

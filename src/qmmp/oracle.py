@@ -770,13 +770,14 @@ def _subject_conjecture_1(k_max: int, trunc: int) -> _Subject:
     cells = _Cells()
     engines, rows = [], []
     for k in range(1, k_max + 1):
-        left, right = gf.q132_0ke0(k, trunc).poly, gf.q132_kle0(1, k - 1, trunc).poly
+        specs = QuadrantSpec(0, k, EMPTY, 0), QuadrantSpec(1, k - 1, EMPTY, 0)
+        left, right = (gf.engine_series("132", spec, trunc).poly for spec in specs)
         cells.add(f"k={k},engines", f"n<={trunc}")
         cells.add(f"k={k},oracle", f"n<={brute_to}")
         engines.append((f"k={k},engines", "", left, right))
         rows += [
-            (f"k={k},oracle", " (0,k,e,0)", left, (P132, QuadrantSpec(0, k, EMPTY, 0))),
-            (f"k={k},oracle", " (1,k-1,e,0)", right, (P132, QuadrantSpec(1, k - 1, EMPTY, 0))),
+            (f"k={k},oracle", " (0,k,e,0)", left, (P132, specs[0])),
+            (f"k={k},oracle", " (1,k-1,e,0)", right, (P132, specs[1])),
         ]
     yield from _compare(cells, engines, trunc)
     yield from _compare(cells, rows, brute_to)

@@ -3,9 +3,10 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmmp import cli, oracle
+from qmmp import cli, gf, oracle
 from qmmp.dyck import DyckPath
 from qmmp.mmp import QuadrantSpec
 from qmmp.perm import Permutation
@@ -100,6 +101,14 @@ def test_auto_falls_back_to_brute(capsys):
     assert auto_out == brute_out
 
 
+def test_engine_choices_are_brute_and_the_router_kinds(capsys):
+    # the CLI lists the engine kinds itself; they must stay gf.ENGINE_KINDS
+    with pytest.raises(SystemExit):
+        cli.main(["series", "--help"])
+    choices = re.search(r"--engine \{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert sorted(choices.split(",")) == sorted(["brute", *gf.ENGINE_KINDS])
+
+
 def test_brute_fallback_at_default_cap(capsys, monkeypatch):
     monkeypatch.delenv("MMP_MAX_N", raising=False)
     code, out, err = run_cli(
@@ -139,6 +148,40 @@ def test_brute_fallback_past_default_cap_notes_its_states(capsys, monkeypatch):
         capsys, "series", "--avoid", "132", "--spec", "0,1,e,0", "--max-n", "17"
     )
     assert (code, err) == (0, "") and out.count("\n") == 18
+
+
+def test_verify_past_default_cap_notes_its_states(capsys, monkeypatch):
+    # verify prints the series command's note; the subjects are stubbed, so
+    # nothing walks
+    asked = []
+
+    def verify(subject, max_n):
+        asked.append((subject, max_n))
+        return oracle.VerificationReport(subject, ())
+
+    monkeypatch.setattr(oracle, "verify", verify)
+    monkeypatch.setattr(oracle, "verify_all", lambda max_n: [verify("all", max_n)])
+    monkeypatch.setattr(oracle, "check_conjecture1", lambda k, t: verify("conjecture-1", t))
+    monkeypatch.setenv("MMP_MAX_N", "17")
+    note = (
+        "note: brute force to t^17 (above the default cap 16) "
+        "walks up to 2^17 = 131072 prefix states per row\n"
+    )
+    for subject in ("lemma-sym", "all"):
+        code, out, err = run_cli(capsys, "verify", "--subject", subject, "--max-n", "17")
+        assert (code, err) == (0, note)
+        assert out.endswith(f"{subject}: PASS (0 pass, 0 fail, 0 skipped)\n")
+        code, _, err = run_cli(capsys, "verify", "--subject", subject, "--max-n", "16")
+        assert (code, err) == (0, "")
+    # the subjects' own depths, and conjecture-1's oracle rows (n <= 9), stay unnoted
+    code, _, err = run_cli(capsys, "verify", "--subject", "lemma-sym")
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(capsys, "conjecture", "--max-n", "17")
+    assert (code, err) == (0, "")
+    assert asked == [
+        ("lemma-sym", 17), ("lemma-sym", 16), ("all", 17), ("all", 16),
+        ("lemma-sym", None), ("conjecture-1", 17),
+    ]
 
 
 def test_large_slots_give_the_brute_force_series(capsys):

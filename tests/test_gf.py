@@ -130,6 +130,23 @@ def test_bivariate_images_commute_with_substitution():
                 )
 
 
+def test_non_peak_thresholds_match_pinned_digests():
+    # (0, k2) runs the general first-return call with a one-point block of x0;
+    # the oracle checks the bivariate image only to n = 9, so these digests of
+    # the rendered series to t^20 pin the deep coefficients.
+    pinned = {
+        1: "d22a3a007b35dc31",
+        2: "73b0999806978b4c",
+        3: "12a9aa186266ccaf",
+        4: "79cb79f53b646d3c",
+        5: "2e7c91305391129f",
+        6: "2e58e9acd7cc22d7",
+    }
+    for k2, digest in pinned.items():
+        text = "\n".join(gf.q123_bivariate(0, k2, 20).render_lines())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, k2
+
+
 def test_unpack_rejects_a_carried_field():
     # t^1 fields are 5 bits wide, so C_5 = 42 overflows field 0 and carries
     # into field 1; the mass check must see it.

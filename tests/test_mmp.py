@@ -308,6 +308,29 @@ def test_symmetry_lemmas_small():
                         )
 
 
+_SLOTS = st.one_of(st.integers(0, 5), st.just(EMPTY))
+
+# lemma-sym over 132-avoiders and lemma-sym2 over 123-avoiders
+_SYMMETRY = {
+    P132: lambda a, b, c, d: QuadrantSpec(a, d, c, b),
+    P123: lambda a, b, c, d: QuadrantSpec(c, d, a, b),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.sampled_from([P123, P132]),
+    st.lists(st.builds(QuadrantSpec, _SLOTS, _SLOTS, _SLOTS, _SLOTS), min_size=1, max_size=12),
+)
+def test_symmetry_lemmas_for_drawn_specs(n, tau, specs):
+    # past test_symmetry_lemmas_small's {0,1,2,e}^4 and n < 6: each spec and
+    # its image share one distributions walk
+    images = [_SYMMETRY[tau](*spec.coords) for spec in specs]
+    polys = distributions(n, tau, specs + images)
+    assert polys[: len(specs)] == polys[len(specs) :], (n, tau, specs)
+
+
 def test_third_slot_collapse_over_123():
     # with a positive first slot, a zero third slot is as good as empty
     for n in range(7):
