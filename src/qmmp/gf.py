@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import getitem, mul
 from pathlib import Path
 
 from . import mmp as _mmp
 from .mmp import EMPTY, QuadrantSpec
 from .perm import P123, _Frozen
-from .series import BiPoly, IntPoly, TSeries, catalan, narayana, unpack_fields
+from .series import BiPoly, IntPoly, TSeries, catalan, field_width, narayana, unpack_fields
 
 DEFAULT_TRUNC = 13
 
@@ -49,17 +50,18 @@ class NoEngineError(ValueError):
 # Packed coefficients
 #
 # Every engine coefficient is a polynomial whose entries are nonnegative
-# counts summing to C_n < 4^trunc, so the engines keep it as one Python int
-# with ``2 * trunc + 3``-bit fields, field f holding the coefficient of x^f
-# (Kronecker substitution).  Integer sums and products of such ints are the
-# polynomial sums and products: no field can carry, since every partial sum
-# is bounded by the finished coefficient.  The public entry points unpack
-# once per degree and check each degree's mass against C_n, so a carry
-# (which changes the mass) raises instead of passing silently.
+# counts, so the engines keep it as one Python int with fixed-width fields,
+# field f holding the coefficient of x^f (Kronecker substitution), and integer
+# sums and products of such ints are the polynomial sums and products.  A
+# field is ``field_width(trunc)`` bits wide, the bits of C_trunc.  No field can
+# carry: every field of a sum or product the engines form is a sum of
+# nonnegative counts, bounded by the same field of the finished t^n
+# coefficient, which counts some of the C_n <= C_trunc avoiders of length n.
+# The public entry points unpack once per degree and check each degree's mass
+# against C_n, so a carry (which changes the mass) raises instead of passing
+# silently.
 
-
-def _width(trunc: int) -> int:
-    return 2 * trunc + 3
+_width = lru_cache(maxsize=None)(field_width)
 
 
 def _unpack(cls: type, trunc: int, n: int, packed: int) -> IntPoly | BiPoly:
@@ -80,6 +82,7 @@ def _series(packed: tuple[int, ...], trunc: int, cls: type = IntPoly) -> TSeries
     return TSeries(_unpack(cls, trunc, n, v) for n, v in enumerate(packed))
 
 
+@lru_cache(maxsize=None)
 def _catalans(trunc: int) -> tuple[int, ...]:
     return tuple(catalan(i) for i in range(trunc + 1))
 
@@ -103,16 +106,50 @@ def _first_return(
     the return, those ``C_j`` blocks lower the threshold of the part before
     it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
     None, stand for the list being built.  Every entry is a packed int, so
-    the products and sums are plain integer arithmetic.
+    the products and sums are plain integer arithmetic, each sum one C-level
+    ``sum(map(mul, ...))``.  A sparse ``right`` (:func:`_narayana_terms`)
+    holds each degree as ``(c, s)`` terms instead, and multiplies by
+    ``c * a << s``.
     """
     out = [catalan(n) for n in range(min(low, trunc) + 1)]
+    if low >= trunc:
+        return tuple(out)
     left = out if left is None else left
+    heads = [head(i) for i in range(1, min(split, trunc + 1))]
+    tails = [tail(j) or out for j in range(min(ell, trunc))]
+    cat = _catalans(trunc)
+    sparse = type(right[0]) is tuple
     for n in range(low + 1, trunc + 1):
-        out.append(
-            sum(block[i - 1] * head(i)[n - i] for i in range(1, min(split, n + 1)))
-            + sum(left[i - 1] * right[n - i] for i in range(split, n - ell + 1))
-            + sum(catalan(j) * (tail(j) or out)[n - 1 - j] for j in range(min(ell, n)))
-        )
+        # heads[i - 1][n - i] and tails[j][n - 1 - j], up to the shorter list
+        down = range(n - 1, -1, -1)
+        total = sum(map(mul, block, map(getitem, heads, down)))
+        total += sum(map(mul, cat, map(getitem, tails, down)))
+        if n - ell >= split:
+            lefts, rights = left[split - 1 : n - ell], reversed(right[ell : n - split + 1])
+            if sparse:
+                total += sum(a * c << s for a, terms in zip(lefts, rights) for c, s in terms)
+            else:
+                total += sum(map(mul, lefts, rights))
+        out.append(total)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _narayana_terms(trunc: int, s0: int, s1: int, lift: int) -> tuple[tuple, ...]:
+    """:func:`_narayana` up ``lift`` fields, each degree as ``(coefficient, bit shift)`` terms.
+
+    A ``lift`` of s1 multiplies by x1.  Each term is one nonzero field: in
+    the x0 = x1 = x image a degree holds the single term ``C_n x^n``, in the
+    bivariate image n terms.
+    """
+    w = _width(trunc)
+    out = [((1, lift * w),)]
+    for n in range(1, trunc + 1):
+        fields: dict[int, int] = {}
+        for p in range(1, n + 1):
+            f = p * s0 + (n - p) * s1 + lift
+            fields[f] = fields.get(f, 0) + narayana(n, p)
+        out.append(tuple((c, f * w) for f, c in fields.items()))
     return tuple(out)
 
 
@@ -124,11 +161,7 @@ def _narayana(trunc: int, s0: int = 1, s1: int = 0) -> tuple[int, ...]:
     minima, the ``(0, 0, EMPTY, 0)`` series; over 123-avoiders x0 marks the
     peaks and x1 the non-peaks of the path.
     """
-    w = _width(trunc)
-    return (1,) + tuple(
-        sum(narayana(n, p) << (p * s0 + (n - p) * s1) * w for p in range(1, n + 1))
-        for n in range(1, trunc + 1)
-    )
+    return tuple(sum(c << s for c, s in terms) for terms in _narayana_terms(trunc, s0, s1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +206,10 @@ def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[int, ...]:
             return _c_akel(a, ell, 0, trunc)
         if a == 0:
             return _narayana(trunc)
-        return _first_return(trunc, 1, None, _c_akel(a - 1, 0, 0, trunc))
+        # the smaller first slots in rising order, so that each finds the
+        # one below it cached and the recursion stays one level deep
+        lower = [_c_akel(b, 0, 0, trunc) for b in range(a)]
+        return _first_return(trunc, 1, None, lower[-1])
     below = max(a - 1, 0)
     left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
     return _first_return(
@@ -247,12 +283,15 @@ def _c_biv(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int,
     x0, x1 = 1 << s0 * w, 1 << s1 * w
     no_x0, no_x1 = (0, s1), (s0, 0)
     base = _c_biv(0, 0, trunc, strides)
+    # With both variables kept, a degree of the Narayana base is a few nonzero
+    # fields, so it goes to _first_return as terms, multiplied by shifts.
+    sparse = s0 and s1
     if k2 == 0:
         # Only peaks carry a condition.  The first-arch block never helps a
         # peak match, while everything left of the return helps everything
         # in the tail.
         block = (1,) + tuple(x1 * p for p in _c_biv(0, 0, trunc, no_x0)[1:])
-        right = tuple(x1 * p for p in base)
+        right = _narayana_terms(trunc, s0, s1, s1) if sparse else tuple(x1 * p for p in base)
         return _first_return(
             trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, strides)
         )
@@ -262,7 +301,8 @@ def _c_biv(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int,
         # a one-point block is a single peak, which matches at k1 = 0
         block = (x0 if k1 == 0 else 1,) + _c_biv(k1, 0, trunc, no_x1)[1:]
     return _first_return(
-        trunc, max(k1, k2, 2), _c_biv(k1, k2 - 1, trunc, strides), base, block,
+        trunc, max(k1, k2, 2), _c_biv(k1, k2 - 1, trunc, strides),
+        _narayana_terms(trunc, s0, s1, 0) if sparse else base, block,
         lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, strides),
     )
 

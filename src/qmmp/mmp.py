@@ -20,8 +20,8 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable, Sequence, Union
 
-from .perm import P123, Permutation, _Frozen, _check_n, _check_walk, catalan_moves, occurs
-from .series import BiPoly, IntPoly, catalan, unpack_fields
+from .perm import P123, Permutation, _Key, _check_n, _check_walk, catalan_moves, occurs
+from .series import BiPoly, IntPoly, field_width, unpack_fields
 
 
 class _EmptyType:
@@ -53,7 +53,7 @@ def _check_coord(v: Coord) -> None:
         raise ValueError(f"quadrant condition must be a natural number or EMPTY, got {v!r}")
 
 
-class QuadrantSpec(_Frozen):
+class QuadrantSpec(_Key):
     """The four quadrant conditions ``(a, b, c, d)`` for quadrants I-IV, each a ``Coord``."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -68,8 +68,7 @@ class QuadrantSpec(_Frozen):
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+    __hash__ = _Key.__hash__  # a class that defines __eq__ must restate its hash
 
     @property
     def coords(self) -> tuple[Coord, Coord, Coord, Coord]:
@@ -287,9 +286,10 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
     interleaved as in :func:`bivariate_distributions`: field ``m * L + j`` of
     a walk of ``L`` lanes counts the avoiders with ``m`` matches of the j-th
     spec, so a state's histogram is only as wide as the match counts it has
-    reached.  A field is ``catalan(n).bit_length()`` bits wide, since a count
-    is at most C_n.  A move shifts the lanes of the specs it matches up by
-    ``L`` fields, all of the histogram when it matches every spec.
+    reached.  A field is ``field_width(n)`` bits wide
+    (:func:`qmmp.series.field_width`), since a count is at most C_n.  A move
+    shifts the lanes of the specs it matches up by ``L`` fields, all of the
+    histogram when it matches every spec.
     """
     return _lane_polys(n, _lane_walks(n, tau, specs), len(specs))
 
@@ -298,7 +298,7 @@ def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list
     """The packed histograms of :func:`distributions`, one walk per group of up to 96 specs."""
     tau_word = tau.word
     _check_walk(n, tau_word)
-    width = catalan(n).bit_length()
+    width = field_width(n)
     walks = []
     for start in range(0, len(specs), _LANES):
         windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
@@ -330,7 +330,7 @@ def _lane_fields(packed: int, width: int, lanes: int) -> list[dict[int, int]]:
 
 def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
     """The ``count`` polynomials packed in the lanes of :func:`_lane_walks`' walks, in order."""
-    width = catalan(n).bit_length()
+    width = field_width(n)
     out: list[IntPoly] = []
     for start, packed in zip(range(0, count, _LANES), walks):
         out += map(IntPoly._from_keys, _lane_fields(packed, width, min(_LANES, count - start)))
@@ -360,7 +360,7 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
     _check_n(n)
     if k1 < 0 or any(k2 < 0 for k2 in k2s):
         raise ValueError("k1, k2 must be nonnegative")
-    width = catalan(n).bit_length()
+    width = field_width(n)
     step = len(k2s) * width
     # the fields of lane 0, one per step
     lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))

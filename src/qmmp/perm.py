@@ -21,7 +21,7 @@ class _Frozen:
     Equality, hash, ``repr`` and pickling go over the fields in slot order,
     and values of different classes are never equal.  A record whose
     instances are dict keys on a hot path spells its fields out in its own
-    ``__eq__`` and ``__hash__``.
+    ``__eq__`` and derives from :class:`_Key`, which keeps its hash.
     """
 
     __slots__ = ()
@@ -56,7 +56,25 @@ class _Frozen:
         return (self.__class__, self._fields())
 
 
-class Permutation(_Frozen):
+class _Key(_Frozen):
+    """A record whose hash is taken once, when its fields are set.
+
+    The hash is that of the fields, as on :class:`_Frozen`, kept in a slot
+    of this base that is not one of the record's fields, so a dict lookup
+    reads it instead of building and hashing the field tuple again.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _set(self, *values) -> None:
+        super()._set(*values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Permutation(_Key):
     """A permutation of ``{1..n}`` in one-line notation: ``word``, a tuple of ints."""
 
     __slots__ = ("word",)
@@ -76,8 +94,7 @@ class Permutation(_Frozen):
             return NotImplemented
         return self.word == other.word
 
-    def __hash__(self) -> int:
-        return hash((self.word,))
+    __hash__ = _Key.__hash__  # a class that defines __eq__ must restate its hash
 
     @property
     def n(self) -> int:

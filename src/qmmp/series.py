@@ -21,8 +21,9 @@ class _Poly:
 
     One dict maps packed exponent keys to nonzero coefficients; key 0 is the
     constant term.  A subclass fixes the variables: ``_key`` packs and checks
-    an exponent, ``_exp`` unpacks a key, and ``_monomial`` prints a nonzero
-    key.  Only polynomials of the same subclass add, multiply or compare.
+    an exponent, ``_exp`` unpacks a key, and ``_monomials`` maps a key to its
+    printed monomial.  Only polynomials of the same subclass add, multiply or
+    compare.
     """
 
     __slots__ = ("_c",)
@@ -110,23 +111,32 @@ class _Poly:
         """Ascending-key string, e.g. ``1+6x+6x^2+x^3``."""
         if not self._c:
             return "0"
-        monomial = self._monomial
-        parts = []
-        for k, c in sorted(self._c.items()):
-            if not k:
-                parts.append(str(c))
-            else:
-                xs = monomial(k)
-                if c == 1:
-                    parts.append(xs)
-                elif c == -1:
-                    parts.append(f"-{xs}")
-                else:
-                    parts.append(f"{c}{xs}")
+        items = sorted(self._c.items())
+        monomials = self._monomials
+        # a coefficient of 1 or -1 prints as its sign alone, except on the constant
+        parts = [f"{_SIGN.get(c, c)}{monomials[k]}" for k, c in items]
+        if not items[0][0]:
+            parts[0] = str(items[0][1])
         return "+".join(parts).replace("+-", "-")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+_SIGN = {1: "", -1: "-"}
+
+
+class _Monomials(dict):
+    """Printed monomials by packed key, each spelled once, when first rendered."""
+
+    __slots__ = ("spell",)
+
+    def __init__(self, spell) -> None:
+        self.spell = spell
+
+    def __missing__(self, key: int) -> str:
+        self[key] = text = self.spell(key)
+        return text
 
 
 def _power(name: str, e: int) -> str:
@@ -147,9 +157,7 @@ class IntPoly(_Poly):
             raise ValueError(f"bad exponent {e!r}")
         return e
 
-    @staticmethod
-    def _monomial(e: int) -> str:
-        return "x" if e == 1 else f"x^{e}"
+    _monomials = _Monomials(lambda e: _power("x", e))
 
     @classmethod
     def x(cls, e: int = 1, c: int = 1) -> "IntPoly":
@@ -176,9 +184,7 @@ class BiPoly(_Poly):
 
     _exp = (256).__rdivmod__  # key -> (key >> 8, key & 255)
 
-    @staticmethod
-    def _monomial(k: int) -> str:
-        return _power("x0", k >> 8) + _power("x1", k & 255)
+    _monomials = _Monomials(lambda k: _power("x0", k >> 8) + _power("x1", k & 255))
 
     def _check_product(self, other: "BiPoly") -> None:
         if self._c and other._c:
@@ -226,6 +232,16 @@ class TSeries(_Frozen):
 
     def __repr__(self) -> str:
         return f"TSeries(trunc={self.trunc})"
+
+
+def field_width(n: int) -> int:
+    """Bits of a Kronecker field that holds any count up to ``C_n``.
+
+    The one packing rule of the engines (:mod:`qmmp.gf`) and the brute-force
+    walks (:mod:`qmmp.mmp`): each field of a packed polynomial counts some of
+    at most ``C_n`` objects, so it never needs more bits than ``C_n`` has.
+    """
+    return catalan(n).bit_length()
 
 
 def unpack_fields(packed: int, width: int) -> dict[int, int]:

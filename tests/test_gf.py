@@ -147,18 +147,50 @@ def test_non_peak_thresholds_match_pinned_digests():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, k2
 
 
+def test_shift_products_match_pinned_digests():
+    # With x0 and x1 both kept, products by the Narayana base are shifts; the
+    # oracle checks these images only to n = 9, so digests of the rendered
+    # series, recorded from the big-int products, pin the deep coefficients.
+    bivariate = {
+        (1, 1): "e7195238aea05e8a",
+        (1, 2): "998db1e674a802c3",
+        (1, 3): "0bd02fb3331e434d",
+        (2, 1): "03a5ebfe765ea933",
+        (2, 2): "5fa69cc2133af1cd",
+        (2, 3): "f8ae21149a7a95f2",
+        (3, 1): "20285e48d061c9ae",
+        (3, 2): "36038c3dabd7f2b8",
+        (3, 3): "99543fad2c4c16af",
+    }
+    for (k1, k2), digest in bivariate.items():
+        text = "\n".join(gf.q123_bivariate(k1, k2, 24).render_lines())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (k1, k2)
+    univariate = {
+        1: "be512d767a40f6db",
+        2: "3b34d5147ba57bd7",
+        3: "8112c9ceeed1b805",
+        4: "bb59419f521036a7",
+        5: "568a43868b6cc541",
+        6: "09c35f212fab9e1f",
+    }
+    for k, digest in univariate.items():
+        text = "\n".join(gf.q123_0k00(k, 40).render_lines())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, k
+
+
 def test_unpack_rejects_a_carried_field():
-    # t^1 fields are 5 bits wide, so C_5 = 42 overflows field 0 and carries
-    # into field 1; the mass check must see it.
-    assert gf._width(1) == 5
+    # t^1 fields are too narrow for C_5 = 42, which overflows field 0 and
+    # carries into the fields above it; the mass check must see it.
+    assert 1 << gf._width(1) <= 42 < 1 << gf._width(5)
     for cls in (IntPoly, BiPoly):
         with pytest.raises(ArithmeticError, match="carried"):
             gf._unpack(cls, 1, 5, 42)
         with pytest.raises(ArithmeticError, match="carried"):
             gf._unpack(cls, 3, 3, 5 + (1 << gf._width(3)))
         assert gf._unpack(cls, 5, 5, 42) == cls.const(42)
-    assert gf._unpack(IntPoly, 3, 3, 3 + (2 << 9)) == IntPoly({0: 3, 1: 2})
-    assert gf._unpack(BiPoly, 3, 3, 3 + (2 << 9 * 5)) == BiPoly({(0, 0): 3, (1, 1): 2})
+    w = gf._width(3)
+    assert gf._unpack(IntPoly, 3, 3, 3 + (2 << w)) == IntPoly({0: 3, 1: 2})
+    assert gf._unpack(BiPoly, 3, 3, 3 + (2 << w * 5)) == BiPoly({(0, 0): 3, (1, 1): 2})
 
 
 def test_large_thresholds_clamp_to_the_depth():
