@@ -115,8 +115,8 @@ def quadrant_rows(word: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     ``used`` has bit ``v`` set for each value placed so far, so at entry
     ``i + 1`` with value ``v`` the earlier larger values number
     ``q2 = popcount(used >> v)``, and the other tallies follow by
-    :func:`_append_tallies`, as in the append-time walks
-    :func:`_packed_histogram` and :func:`qmmp.perm.avoider_totals`.
+    :func:`_append_tallies`, as in the append-time walk
+    :func:`_packed_histogram`.
     """
     n = len(word)
     used = 0
@@ -190,10 +190,11 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 
 # Specs per walk of :func:`distributions`.  A walk holds two levels of
 # states, and a state's histogram only the match counts it has reached, so a
-# lane costs little memory: at 96 lanes verify-all runs 128 walks (296 at 24,
-# 123 at 128) and its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at
-# 128), about 0.4 MB of it the engine series that the engine-vs-oracle
-# subjects hold while they wait; from 48 lanes on, more are no faster.
+# lane costs little memory: at 96 lanes verify-all runs 128 distribution and
+# bivariate walks (296 at 24, 123 at 128), besides the band subjects' 20, and
+# its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at 128), about 0.4 MB
+# of it the engine series that the engine-vs-oracle subjects hold while they
+# wait; from 48 lanes on, more are no faster.
 _LANES = 96
 
 
@@ -397,15 +398,14 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
 
 
 def _bands(j: int, v: int, n: int, k: int, ell: int) -> tuple[bool, bool]:
-    """Whether the point ``(j, v)`` of a length-n graph lies in a corner, and in the frame.
+    """Whether the point ``(j, v)`` of a length-n graph lies in a row band, and in a column band.
 
-    The frame is the union of the top ``k`` rows, bottom ``ell`` rows,
-    left ``k`` columns and right ``ell`` columns; a corner is where a row
-    band meets a column band.  The interior is the complement of the frame.
+    The row bands are the top ``k`` rows and bottom ``ell`` rows, the column
+    bands the left ``k`` and right ``ell`` columns.  A point lies in a
+    corner when it is in both, and in the frame when it is in either; the
+    interior is the complement of the frame.
     """
-    column = j <= k or j > n - ell
-    row = v > n - k or v <= ell
-    return row and column, row or column
+    return v > n - k or v <= ell, j <= k or j > n - ell
 
 
 def _check_pair(sigma: Permutation, k: int, ell: int) -> None:
@@ -424,9 +424,9 @@ def corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]
     _check_pair(sigma, k, ell)
     r = s = 0
     for j, v in enumerate(sigma.word, start=1):
-        corner, frame = _bands(j, v, sigma.n, k, ell)
-        r += corner
-        s += frame
+        row, column = _bands(j, v, sigma.n, k, ell)
+        r += row and column
+        s += row or column
     return (r, s)
 
 
@@ -439,4 +439,4 @@ def fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
     """
     _check_pair(sigma, k, ell)
     n = sigma.n
-    return sum(1 for j, v in enumerate(sigma.word, start=1) if not _bands(j, v, n, k, ell)[1])
+    return sum(1 for j, v in enumerate(sigma.word, start=1) if not any(_bands(j, v, n, k, ell)))

@@ -18,8 +18,9 @@ whose cells say that two distributions are equal (corollary-1, lemma-sym,
 lemma-sym2, theorem-2/6..10, theorem-11's specialized rows and conjecture-1)
 are lists of rows, each two sides and a cell, run by one loop,
 :func:`_compare`.  The band subjects and the two bijection passes ask for
-nothing and finish at its first step; theorem-11 walks its bivariate rows
-itself.
+nothing and finish at its first step: each certifies its checks from one
+pass over the prefix states per n, and checks object by object only what
+that does not certify.  theorem-11 walks its bivariate rows itself.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .mmp import (
     mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, _Frozen, avoider_totals, avoiders, catalan_moves
-from .series import IntPoly, TSeries
+from .perm import P123, P132, Permutation, _Frozen, avoiders, catalan_moves
+from .series import IntPoly, TSeries, field_width
 
 
 def class_from_text(text: str) -> Permutation:
@@ -352,44 +353,48 @@ def _subject_theorem_11(max_n: int) -> _Subject:
     return cells.report("theorem-11")
 
 
-class _BandFields:
-    """Walk entries for theorem-12/13 over the length-n 123-avoiders.
+def _band_values(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[set[int], ...]]:
+    """Per ``(k, l)`` pair, the value sets V, R, C, K of four counts over the
+    length-n 123-avoiders, from one :func:`qmmp.mmp._packed_histogram` walk.
 
-    Each ``(k, l)`` pair p has three fields from bit ``3 * width * p`` on,
-    in order R, S, C, that sum over a permutation to ``r``, ``s`` and
-    ``count``: its corner and frame counts (:func:`qmmp.mmp._bands`) and
-    its ``(0,k,0,l)`` match count.  Each sum is at most n, so a field is
-    ``width = n.bit_length()`` bits wide and none carries into the next.
-
-    An entry is the point's R and S fields, from one sweep of ``mmp._bands``
-    (looked up at call time) over the grid points ``(j, v)`` per n, plus
-    its C fields: per slot, the fields of the pairs whose window admits the
-    tally, ANDed over the four slots.
+    An avoider's V counts its *violations*, the points whose ``(0,k,0,l)``
+    match bit equals their frame bit; R, C and K count its points in a row
+    band, in a column band and in a corner (:func:`qmmp.mmp._bands`, looked
+    up at call time).  Pair p has lanes ``4p`` to ``4p + 3``, in that order,
+    laid out as in :func:`qmmp.mmp.distributions`, and a point adds 1 to
+    each count it meets by one masked shift.  The match bits come from
+    ``_admits`` over the pairs' windows.  A row band is a set of rows and a
+    column band a set of columns, so one ``_bands(i, i, ...)`` per index
+    gives row i by value and column i by position.
     """
+    width = field_width(n)
+    lanes = 4 * len(pairs)
+    step = lanes * width
+    # the fields of lane 0, one per count
+    lane = sum(((1 << width) - 1) << m * step for m in range(n + 1))
+    # Per pair its V lane's first bit; a point's lanes are bits 1 << j * width,
+    # and one product with ``lane`` spreads them over every count.
+    unit = [1 << 4 * p * width for p in range(len(pairs))]
+    ones = sum(unit)
+    rows, columns = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        for bit, (k, ell) in zip(unit, pairs):
+            row, column = mmp._bands(i, i, n, k, ell)
+            rows[i] |= row and bit << width
+            columns[i] |= column and bit << 2 * width
+    a1, a2, a3, a4 = _admits([_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs], unit, n)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...], n: int) -> None:
-        self.n = n
-        self.width = w = n.bit_length()
-        self.ones = (1 << w) - 1
-        self.bands = [0] * (n + 1) ** 2  # the point (j, v) at j * (n + 1) + v
-        for j, v in itertools.product(range(1, n + 1), repeat=2):
-            for p, (k, ell) in enumerate(pairs):
-                corner, frame = mmp._bands(j, v, n, k, ell)
-                self.bands[j * (n + 1) + v] += (corner | frame << w) << 3 * w * p
-        windows = [_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs]
-        self.admits = _admits(windows, [1 << (3 * p + 2) * w for p in range(len(pairs))], n)
+    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
+        # the point at position q2 + q3 + 1 with value n - q1 - q2
+        row, column = rows[n - q1 - q2], columns[q2 + q3 + 1]
+        frame = row >> width | column >> 2 * width
+        violation = ones & ~(a1[q1] & a2[q2] & a3[q3] & a4[q4] ^ frame)
+        return (violation | row | column | row << 2 * width & column << width) * lane
 
-    def entry(self, i: int, v: int, q2: int) -> int:
-        q1, q2, q3, q4 = _append_tallies(self.n, i, v, q2)
-        a1, a2, a3, a4 = self.admits
-        return self.bands[(i + 1) * (self.n + 1) + v] + (a1[q1] & a2[q2] & a3[q3] & a4[q4])
-
-    def numbers(self, totals: set[int], p: int) -> set[tuple[int, int, int]]:
-        """The distinct ``(r, s, count)`` of pair ``p`` over ``totals``."""
-        base, w, ones = 3 * self.width * p, self.width, self.ones
-        # the pair's three fields of each total, masked in place by map's C loop
-        slices = set(map(((1 << 3 * w) - 1 << base).__and__, totals))
-        return {(x >> base & ones, x >> base + w & ones, x >> base + 2 * w) for x in slices}
+    leaf = sum(1 << j * width for j in range(lanes))
+    packed = mmp._packed_histogram(n, P123.word, leaf, step, entry)
+    counts = [set(fields) for fields in mmp._lane_fields(packed, width, lanes)]
+    return [tuple(counts[4 * p : 4 * p + 4]) for p in range(len(pairs))]
 
 
 def _theorem_12_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> bool:
@@ -403,16 +408,34 @@ def _theorem_13_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> b
     return count == 0 if n <= kl else r <= kl and r + s == 2 * kl and count + s == n
 
 
-# Band subjects: (pairs, the theorem's predicate holds(n, k, l, r, s, count),
-# the failure text from (sigma, n, r, s, count)).
+def _theorem_12_certified(n: int, k: int, ell: int, V, R, C, K) -> bool:
+    """No avoider has a violation, so each one's match count is its n - s
+    points off the frame."""
+    return V == {0}
+
+
+def _theorem_13_certified(n: int, k: int, ell: int, V, R, C, K) -> bool:
+    """Every avoider has count = n - s, as in theorem-12's certificate.  For
+    n <= k+l every position lies in a column band, so every point is in the
+    frame and count = 0.  Otherwise, at each point corner + frame = row +
+    column, so r + s = R + C = 2(k+l), and r = K <= k+l."""
+    kl = k + ell
+    return V == {0} and (C == {n} if n <= kl else R == C == {kl} and max(K) <= kl)
+
+
+# Band subjects: (pairs, the certificate certified(n, k, l, V, R, C, K) on
+# the value sets of _band_values, the theorem's predicate holds(n, k, l, r,
+# s, count) on one avoider, the failure text from (sigma, n, r, s, count)).
 _BAND_GRIDS = MappingProxyType({
     "theorem-12": (
         tuple((k, ell) for k in range(3) for ell in range(3)),
+        _theorem_12_certified,
         _theorem_12_holds,
         lambda sigma, n, r, s, count: f"sigma={sigma}: fast={n - s}, direct={count}",
     ),
     "theorem-13": (
         tuple((k, ell) for k in range(4) for ell in range(4)),
+        _theorem_13_certified,
         _theorem_13_holds,
         lambda sigma, n, r, s, count: f"sigma={sigma}: r={r}, s={s}, count={count}",
     ),
@@ -422,25 +445,21 @@ _BAND_GRIDS = MappingProxyType({
 def _band_subject(subject: str, max_n: int) -> VerificationReport:
     """Check ``holds(n, k, l, r, s, count)`` for every pair on every 123-avoider with n <= max_n.
 
-    Each pair is tested on the distinct ``(r, s, count)`` of the length-n
-    avoiders (:func:`avoider_totals`), which is still a check of every
-    avoider, since the set is the image of the per-avoider numbers.  Only a
-    pair that fails there is checked avoider by avoider in lexicographic
-    order, from :func:`qmmp.mmp.corner_frame_counts` and ``mmp_count``, to
-    name its first counterexample; a pair that has failed is not tested
-    again.
+    Per n, one walk (:func:`_band_values`) gives each pair's value sets,
+    and a pair whose sets meet the subject's certificate holds on every
+    avoider.  Only a pair that is not certified is checked avoider by
+    avoider in lexicographic order, from :func:`qmmp.mmp.corner_frame_counts`
+    and ``mmp_count``, which decides and names its first counterexample; a
+    pair that has failed is not tested again.
     """
-    pairs, holds, describe = _BAND_GRIDS[subject]
+    pairs, certified, holds, describe = _BAND_GRIDS[subject]
     cell_of = {(k, ell): f"k={k},l={ell}" for k, ell in pairs}
     cells = _Cells(cell_of.values(), f"n<={max_n}")
     for n in range(max_n + 1):
-        fields = _BandFields(pairs, n)
-        totals = avoider_totals(n, P123.word, fields.entry)
         failing = [
             pair
-            for p, pair in enumerate(pairs)
-            if not cells.failed(cell_of[pair])
-            and not all(holds(n, *pair, *xs) for xs in fields.numbers(totals, p))
+            for pair, values in zip(pairs, _band_values(n, pairs))
+            if not cells.failed(cell_of[pair]) and not certified(n, *pair, *values)
         ]
         for sigma in avoiders(n, P123) if failing else ():
             for k, ell in failing:

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class _Frozen:
@@ -318,42 +318,6 @@ def _check_walk(n: int, tau_word: tuple[int, ...]) -> None:
     if tau_word not in ((1, 2, 3), (1, 3, 2)):
         raise ValueError(f"the walk takes 123 or 132, not {tau_word!r}")
     _check_n(n)
-
-
-def avoider_totals(
-    n: int, tau_word: tuple[int, ...], entry: Callable[[int, int, int], int]
-) -> set[int]:
-    """The distinct totals of the length-n avoiders of 123 or 132, from the prefix states alone.
-
-    An avoider's total is the sum of ``entry(i, v, q2)`` over its entries,
-    where value ``v`` is appended as entry ``i + 1`` after ``q2`` larger
-    values (``popcount(used >> v)``; the rest of the point's quadrant
-    tallies follow from ``(n, i, v, q2)``, :func:`qmmp.mmp._append_tallies`).
-    A prefix's moves depend only on its state, the bitmask ``used`` of its
-    values (:func:`catalan_moves`), so one pass level by level (a level is
-    a prefix length) keeps the set of prefix totals per state and drops a
-    level once the next is built.  Entries are computed once per move
-    ``(i, v, q2)`` of a level.
-    """
-    _check_walk(n, tau_word)
-    full = ((1 << n) - 1) << 1
-    level = {0: {0}}
-    for i in range(n):
-        table: dict[tuple[int, int], int] = {}
-        below: dict[int, set[int]] = {}
-        for used, totals in level.items():
-            moves = catalan_moves(used, full, tau_word)
-            while moves:
-                bit = moves & -moves
-                moves ^= bit
-                v = bit.bit_length() - 1
-                q2 = (used >> v).bit_count()
-                e = table.get((v, q2))
-                if e is None:
-                    e = table[v, q2] = entry(i, v, q2)
-                below.setdefault(used | bit, set()).update({t + e for t in totals} if e else totals)
-        level = below
-    return level[full]
 
 
 P123 = Permutation((1, 2, 3))

@@ -14,9 +14,9 @@ def _failure(subject, sigma, k, ell, bands):
     n = sigma.n
     r = s = 0
     for j, v in enumerate(sigma.word, start=1):
-        corner, frame = bands(j, v, n, k, ell)
-        r += corner
-        s += frame
+        row, column = bands(j, v, n, k, ell)
+        r += row and column
+        s += row or column
     count = mmp_count(sigma, QuadrantSpec(0, k, 0, ell))
     if subject == "theorem-12":
         if n - s != count:

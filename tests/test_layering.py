@@ -26,7 +26,7 @@ from pathlib import Path
 import qmmp
 from qmmp import oracle
 from qmmp.mmp import QuadrantSpec, bivariate_distributions, distribution
-from qmmp.perm import P123, P132, Permutation, avoider_totals, avoiders, occurs
+from qmmp.perm import P132, Permutation, avoiders, occurs
 from qmmp.series import BiPoly, IntPoly, _Poly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmmp"
@@ -153,10 +153,10 @@ def _lasting_tables(tree):
 # The functions that build per-call tables or that the walks call per move,
 # per module scanned.
 KERNELS = {
-    "perm": {"avoiders", "avoider_totals"},
+    "perm": {"avoiders"},
     "mmp": {"_packed_histogram", "distributions"},
     "dyck": {"_column", "_stair"},
-    "oracle": {"_levels", "_path_words", "_path_certified", "_walk_certified"},
+    "oracle": {"_levels", "_path_words", "_path_certified", "_walk_certified", "_band_values"},
 }
 
 
@@ -180,7 +180,7 @@ def test_oracle_walks_leave_no_reference_cycle():
     try:
         distribution(9, P132, QuadrantSpec(0, 1, 0, 0))
         bivariate_distributions(9, 1, range(6))
-        avoider_totals(9, P123.word, lambda i, v, q2: v << q2)
+        oracle._band_values(9, ((0, 0), (1, 2), (3, 3)))
         oracle.verify_all(3)
         for n in (1, 8):
             oracle._path_certified(n)

@@ -22,16 +22,8 @@ from qmmp.mmp import (
     quadrant_rows,
     quadrants_at,
 )
-from qmmp.oracle import _BandFields
-from qmmp.perm import (
-    P123,
-    P132,
-    Permutation,
-    avoider_totals,
-    avoiders,
-    left_to_right_minima,
-    occurs,
-)
+from qmmp.oracle import _band_values
+from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs
 from qmmp.series import BiPoly, IntPoly, catalan
 
 from series_arith import to_univariate
@@ -358,75 +350,64 @@ def test_corner_frame_counts():
         corner_frame_counts(Permutation((1, 2, 3)), 1, 1)
 
 
+def _bands_by_definition(n, k, ell):
+    """The row bands and the column bands of a length-n graph, as sets of rows and columns."""
+    rows = set(range(n - k + 1, n + 1)) | set(range(1, ell + 1))
+    columns = set(range(1, k + 1)) | set(range(n - ell + 1, n + 1))
+    return rows, columns
+
+
 def _corner_frame_by_definition(sigma, k, ell):
     """(r, s) from the bands as sets of rows and columns."""
-    n = sigma.n
-    columns = set(range(1, k + 1)) | set(range(n - ell + 1, n + 1))
-    rows = set(range(n - k + 1, n + 1)) | set(range(1, ell + 1))
+    rows, columns = _bands_by_definition(sigma.n, k, ell)
     points = list(enumerate(sigma.word, start=1))
     r = sum(1 for i, v in points if i in columns and v in rows)
     s = sum(1 for i, v in points if i in columns or v in rows)
     return (r, s)
 
 
-def _walk_total(sigma, entry):
-    """The sum of ``entry(i, v, q2)`` over the entries of ``sigma``, q2 its quadrant-II tally."""
-    rows = quadrant_rows(sigma.word)
-    return sum(entry(i, v, q[1]) for i, (v, q) in enumerate(zip(sigma.word, rows)))
+def _band_counts_by_definition(sigma, k, ell):
+    """Violations, row-band, column-band and corner points of ``sigma``: a
+    violation is a point that matches (0,k,0,l), with at least k points in
+    quadrant II and ell in quadrant IV, exactly when it lies in the frame."""
+    rows, columns = _bands_by_definition(sigma.n, k, ell)
+    points = list(enumerate(sigma.word, start=1))
+    matched = [q[1] >= k and q[3] >= ell for q in quadrant_rows(sigma.word)]
+    return (
+        sum(1 for (i, v), m in zip(points, matched) if m == (i in columns or v in rows)),
+        sum(1 for i, v in points if v in rows),
+        sum(1 for i, v in points if i in columns),
+        sum(1 for i, v in points if i in columns and v in rows),
+    )
 
 
 def test_corner_frame_bands():
-    # corner_frame_counts and the theorem-12/13 walk entries share one band
-    # rule: each avoider's total, summed here from its entries, decodes to
-    # its corner and frame counts by definition and to its match count
+    # corner_frame_counts and the theorem-12/13 walk share one band rule:
+    # each of the walk's four value sets per pair is the set of that count
+    # taken avoider by avoider from the definitions
     pairs = tuple((k, ell) for k in range(5) for ell in range(5))
     for n in range(9):
-        fields = _BandFields(pairs, n)
-        totals = set()
+        want = [(set(), set(), set(), set()) for _ in pairs]
         for sigma in avoiders(n, P123):
-            total = _walk_total(sigma, fields.entry)
-            totals.add(total)
-            for p, (k, ell) in enumerate(pairs):
-                want = _corner_frame_by_definition(sigma, k, ell)
-                assert corner_frame_counts(sigma, k, ell) == want, (sigma, k, ell)
-                count = mmp_count(sigma, QuadrantSpec(0, k, 0, ell))
-                assert fields.numbers({total}, p) == {(*want, count)}, (sigma, k, ell)
-        assert avoider_totals(n, P123.word, fields.entry) == totals
+            for (k, ell), sets in zip(pairs, want):
+                r_s = _corner_frame_by_definition(sigma, k, ell)
+                assert corner_frame_counts(sigma, k, ell) == r_s, (sigma, k, ell)
+                for values, count in zip(sets, _band_counts_by_definition(sigma, k, ell)):
+                    values.add(count)
+        assert _band_values(n, pairs) == want, n
     with pytest.raises(ValueError):
         corner_frame_counts(Permutation((3, 2, 1)), 1, -1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 9),
-    st.sampled_from([P123, P132]),
-    st.integers(0, 2**32),
-    st.sampled_from([2, 9, 1 << 40]),
-)
-def test_avoider_totals_are_the_walk_totals(n, tau, seed, spread):
-    # a random entry per move (i, v, q2), drawn from a small range so that
-    # many avoiders share a total, or from a wide one so that few do
-    table = {}
-
-    def entry(i, v, q2):
-        if (i, v, q2) not in table:
-            table[i, v, q2] = random.Random(hash((seed, i, v, q2))).randrange(-spread, spread)
-        return table[i, v, q2]
-
-    walk = {_walk_total(sigma, entry) for sigma in avoiders(n, tau)}
-    assert avoider_totals(n, tau.word, entry) == walk
-
-
-def test_avoider_totals_edges():
-    assert avoider_totals(0, P123.word, lambda i, v, q2: 1) == {0}
-    assert avoider_totals(1, P132.word, lambda i, v, q2: 1 << (i + v + q2)) == {2}
-    # the class and length checks of avoiders, with its messages
+def test_walk_checks_give_the_messages_of_avoiders():
+    # the class and length checks of avoiders, with its messages, are those
+    # of the distribution walks
     for n, tau_word in ((-1, P123.word), (3, (2, 1, 3)), (-1, (1, 2)), (0, (3, 2, 1))):
         with pytest.raises(ValueError) as listed:
             avoiders(n, Permutation(tau_word))
-        with pytest.raises(ValueError) as totals:
-            avoider_totals(n, tau_word, lambda i, v, q2: 0)
-        assert str(totals.value) == str(listed.value)
+        with pytest.raises(ValueError) as walked:
+            distributions(n, Permutation(tau_word), [])
+        assert str(walked.value) == str(listed.value)
 
 
 def test_fast_formula_row_bounds():
@@ -476,7 +457,7 @@ def test_fast_mmp_0k0l():
 
 
 def test_negative_length_is_rejected():
-    # the distributions and the avoider totals give the message of avoiders
+    # the distributions give the message of avoiders
     spec = QuadrantSpec(0, 0, 0, 0)
     for call in (
         lambda: distribution(-1, P123, spec),
@@ -484,7 +465,6 @@ def test_negative_length_is_rejected():
         lambda: distributions(-1, P132, []),
         lambda: bivariate_distribution(-1, 0, 0),
         lambda: bivariate_distributions(-1, 0, [0, 1]),
-        lambda: avoider_totals(-1, P132.word, lambda i, v, q2: 0),
         lambda: avoiders(-1, P132),
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):

@@ -210,18 +210,11 @@ def test_comparison_subjects_name_their_first_counterexample(monkeypatch):
     ]
 
 
-def _band_total(fields, numbers):
-    """A walk total built field by field from each pair's (r, s, count)."""
-    return sum(
-        x << (3 * p + f) * fields.width for p, xs in enumerate(numbers) for f, x in enumerate(xs)
-    )
-
-
 def test_band_rules_flag_each_failure_kind():
     # each theorem's predicate fails on the numbers built for each failure
     # kind and holds on numbers that meet every identity (r = k+l at the
-    # edge), and numbers() decodes the distinct (r, s, count) of each pair
-    # from the totals they are packed into
+    # edge), and each certificate refuses value sets that break one of its
+    # clauses alone
     pairs = ((1, 2), (0, 0), (3, 1))
     t12, t13 = oracle._theorem_12_holds, oracle._theorem_13_holds
     # (r, s, count) per pair at n = 9
@@ -240,31 +233,69 @@ def test_band_rules_flag_each_failure_kind():
         for numbers in (good, broken):
             flagged = [not holds(n, k, ell, *xs) for (k, ell), xs in zip(pairs, numbers)]
             assert flagged == [numbers is broken, False, False], (holds, n, numbers)
-        fields = oracle._BandFields(pairs, n)
-        totals = {_band_total(fields, good), _band_total(fields, broken)}
-        for p in range(len(pairs)):
-            assert fields.numbers(totals, p) == {good[p], broken[p]}
+    # value sets (V, R, C, K) for (k, l) = (1, 2) at n = 9 and at n = 3
+    c12, c13 = oracle._theorem_12_certified, oracle._theorem_13_certified
+    wide = ({0}, {3}, {3}, {0, 1, 3})
+    narrow = ({0}, {1, 2}, {3}, {2, 3})
+    cases = [
+        (c12, 9, wide, 0, {0, 1}),  # a violation
+        (c13, 9, wide, 0, {0, 2}),  # a violation
+        (c13, 3, narrow, 0, {1}),  # a violation, n <= k+l
+        (c13, 3, narrow, 2, {2, 3}),  # a position off the column bands, n <= k+l
+        (c13, 9, wide, 1, {2, 3}),  # R != {k+l}
+        (c13, 9, wide, 2, {4}),  # C != {k+l}
+        (c13, 9, wide, 3, {0, 4}),  # max(K) > k+l
+    ]
+    for certified, n, values, clause, bad in cases:
+        assert certified(n, 1, 2, *values), (certified, n, values)
+        broken = values[:clause] + (bad,) + values[clause + 1 :]
+        assert not certified(n, 1, 2, *broken), (certified, n, broken)
 
 
 def _swapped_row_bounds(j, v, n, k, ell):
     # the theorem-12 erratum's row bands: top ell rows and bottom k rows
-    column = j <= k or j > n - ell
-    row = v > n - ell or v <= k
-    return row and column, row or column
+    return v > n - ell or v <= k, j <= k or j > n - ell
 
 
-@pytest.mark.parametrize("sid, failing", [("theorem-12", 6), ("theorem-13", 12)])
-def test_band_subjects_see_swapped_row_bounds(monkeypatch, sid, failing):
+def _rows_shifted_up(j, v, n, k, ell):
+    # each row band one row higher: top k + 1 rows and bottom ell - 1 rows
+    return v > n - k - 1 or v <= ell - 1, j <= k or j > n - ell
+
+
+def _no_row_bands(j, v, n, k, ell):
+    return False, j <= k or j > n - ell
+
+
+def _no_column_bands_up_to_k_plus_l(j, v, n, k, ell):
+    # refused by the theorem-13 certificate at n <= k+l, where the row bands
+    # still fill the frame and no (0,k,0,l) match exists, so the theorems hold
+    return v > n - k or v <= ell, n > k + ell and (j <= k or j > n - ell)
+
+
+@pytest.mark.parametrize(
+    "sid, failing, rule",
+    [
+        pytest.param("theorem-12", 6, _swapped_row_bounds, id="theorem-12-6"),
+        pytest.param("theorem-13", 12, _swapped_row_bounds, id="theorem-13-12"),
+        pytest.param("theorem-12", 9, _rows_shifted_up, id="theorem-12-shifted-9"),
+        pytest.param("theorem-13", 16, _rows_shifted_up, id="theorem-13-shifted-16"),
+        pytest.param("theorem-12", 8, _no_row_bands, id="theorem-12-no-rows-8"),
+        pytest.param("theorem-13", 15, _no_row_bands, id="theorem-13-no-rows-15"),
+        pytest.param("theorem-12", 0, _no_column_bands_up_to_k_plus_l, id="theorem-12-narrow-0"),
+        pytest.param("theorem-13", 0, _no_column_bands_up_to_k_plus_l, id="theorem-13-narrow-0"),
+    ],
+)
+def test_band_subjects_see_swapped_row_bounds(monkeypatch, sid, failing, rule):
     # the subjects report what the per-avoider reference does, with the true
-    # bands and with the erratum's, whose first counterexamples come from the
-    # per-avoider walk after the distinct totals fail
+    # bands and with each rebound rule, whose first counterexamples come from
+    # the per-avoider fallback after the certificate refuses the pair
     assert oracle.verify(sid, 8).lines() == band_lines(sid, 8, mmp._bands)
-    # the distinct totals and the per-avoider fallback (corner_frame_counts)
+    # the certificate walk and the per-avoider fallback (corner_frame_counts)
     # both read the rebound rule
-    monkeypatch.setattr(mmp, "_bands", _swapped_row_bounds)
+    monkeypatch.setattr(mmp, "_bands", rule)
     report = oracle.verify(sid, 8)
     assert report.counts()[1] == failing
-    assert report.lines() == band_lines(sid, 8, _swapped_row_bounds)
+    assert report.lines() == band_lines(sid, 8, rule)
 
 
 def test_verify_all_shape():
@@ -291,14 +322,28 @@ def test_verify_all_matches_pinned_transcript():
 
 
 def test_default_depths_need_no_per_object_walk(monkeypatch):
-    # the level passes certify every n of the bijection passes at the default
-    # depths; a fallback that fired on every n would give the same lines
+    # the level passes certify every n of the bijection passes, and the band
+    # certificates every pair of the band subjects, at the default depths; a
+    # fallback that fired on every n would give the same lines
     def walked(*args):
         raise AssertionError("a per-object check ran")
 
     monkeypatch.setattr(oracle, "_path_failures", walked)
     monkeypatch.setattr(oracle, "_walk_failures", walked)
+    monkeypatch.setattr(oracle, "avoiders", walked)
+    monkeypatch.setattr(oracle, "corner_frame_counts", walked)
     _verify_all_matches_pinned_transcript()
+
+
+def test_deep_verify_all_fails_only_theorem_3_x1():
+    # at depth 14 every subject but theorem-3 passes, and theorem-3 fails
+    # exactly its x^1 cells: the x^0 coefficients agree for every n
+    reports = {r.subject: r for r in oracle.verify_all(14)}
+    assert [sid for sid, r in reports.items() if not r.passed] == ["theorem-3"]
+    cells = reports["theorem-3"].cells
+    assert {c.cell[-3:] for c in cells} == {"x^0", "x^1"}
+    for c in cells:
+        assert c.status == ("pass" if c.cell.endswith("x^0") else "fail"), c
 
 
 def test_drive_pools_each_n_and_releases_it(monkeypatch):
@@ -330,12 +375,22 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     # every oracle distribution of verify_all comes from _oracle_at, which
     # pools the subjects' requests of an n into one lane walk per class and
     # group of specs, each (n, class, spec) once
-    walks, pooled, stray, open_calls = [], [], [], []
+    walks, pooled, stray, open_calls, band_calls = [], [], [], [], []
     packed, lane_walks, oracle_at = mmp._packed_histogram, mmp._lane_walks, oracle._oracle_at
+    band_values = oracle._band_values
 
     def counted(*args):
-        walks.append(args[0])
+        if not band_calls:
+            walks.append(args[0])
         return packed(*args)
+
+    def banded(*args):
+        # the band subjects' walks, counted exactly by the test below
+        band_calls.append(args[0])
+        try:
+            return band_values(*args)
+        finally:
+            band_calls.pop()
 
     def requested(n, tau, specs):
         (pooled if open_calls else stray).extend((n, tau.word, spec) for spec in specs)
@@ -351,6 +406,7 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     monkeypatch.setattr(mmp, "_packed_histogram", counted)
     monkeypatch.setattr(mmp, "_lane_walks", requested)
     monkeypatch.setattr(oracle, "_oracle_at", served)
+    monkeypatch.setattr(oracle, "_band_values", banded)
     _verify_all_matches_pinned_transcript()
     assert not stray
     assert len(pooled) == len(set(pooled)) > 0
@@ -390,9 +446,9 @@ def test_verify_all_equals_each_subject_alone():
 def test_verify_all_runs_each_shared_pass_and_band_subject_once(monkeypatch):
     # the members of a shared pass share one registry function, which
     # verify_all drives once: the path and walk passes each certify n = 0..9
-    # once, and the band subjects total their avoiders once per n (n <= 8 for
+    # once, and the band subjects walk their avoiders once per n (n <= 8 for
     # theorem-12, n <= 10 for theorem-13); one member alone runs its pass once
-    calls = dict.fromkeys(("_path_certified", "_walk_certified", "avoider_totals"), 0)
+    calls = dict.fromkeys(("_path_certified", "_walk_certified", "_band_values"), 0)
 
     def counted(name, fn):
         def call(*args):
@@ -404,10 +460,10 @@ def test_verify_all_runs_each_shared_pass_and_band_subject_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     oracle.verify_all()
-    assert calls == {"_path_certified": 10, "_walk_certified": 10, "avoider_totals": 9 + 11}
+    assert calls == {"_path_certified": 10, "_walk_certified": 10, "_band_values": 9 + 11}
     calls.update(dict.fromkeys(calls, 0))
     oracle.verify("lemma-p2-2")
-    assert calls == {"_path_certified": 10, "_walk_certified": 0, "avoider_totals": 0}
+    assert calls == {"_path_certified": 10, "_walk_certified": 0, "_band_values": 0}
 
 
 BIJECTION_SUBJECTS = (
