@@ -191,10 +191,10 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # Specs per walk of :func:`distributions`.  A walk holds two levels of
 # states, and a state's histogram only the match counts it has reached, so a
 # lane costs little memory: at 96 lanes verify-all runs 128 distribution and
-# bivariate walks (296 at 24, 123 at 128), besides the band subjects' 20, and
-# its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at 128), about 0.4 MB
-# of it the engine series that the engine-vs-oracle subjects hold while they
-# wait; from 48 lanes on, more are no faster.
+# bivariate walks (296 at 24, 123 at 128; the band subjects' 20 walks keep no
+# lanes), and its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at 128),
+# about 0.4 MB of it the engine series that the engine-vs-oracle subjects
+# hold while they wait; from 48 lanes on, more are no faster.
 _LANES = 96
 
 

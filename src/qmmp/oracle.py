@@ -19,8 +19,9 @@ lemma-sym2, theorem-2/6..10, theorem-11's specialized rows and conjecture-1)
 are lists of rows, each two sides and a cell, run by one loop,
 :func:`_compare`.  The band subjects and the two bijection passes ask for
 nothing and finish at its first step: each certifies its checks from one
-pass over the prefix states per n, and checks object by object only what
-that does not certify.  theorem-11 walks its bivariate rows itself.
+pass over the prefix states per n (the band subjects from the tally rows
+that pass meets), and checks object by object only what that does not
+certify.  theorem-11 walks its bivariate rows itself.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .mmp import (
     quadrant_rows,
 )
 from .perm import P123, P132, Permutation, _Frozen, avoiders, catalan_moves
-from .series import IntPoly, TSeries, field_width
+from .series import IntPoly, TSeries
 
 
 def class_from_text(text: str) -> Permutation:
@@ -353,48 +354,42 @@ def _subject_theorem_11(max_n: int) -> _Subject:
     return cells.report("theorem-11")
 
 
-def _band_values(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[set[int], ...]]:
-    """Per ``(k, l)`` pair, the value sets V, R, C, K of four counts over the
-    length-n 123-avoiders, from one :func:`qmmp.mmp._packed_histogram` walk.
+def _band_values(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[bool, int, int]]:
+    """Per ``(k, l)`` pair, ``(violated, R, C)`` over the length-n 123-avoiders.
 
-    An avoider's V counts its *violations*, the points whose ``(0,k,0,l)``
-    match bit equals their frame bit; R, C and K count its points in a row
-    band, in a column band and in a corner (:func:`qmmp.mmp._bands`, looked
-    up at call time).  Pair p has lanes ``4p`` to ``4p + 3``, in that order,
-    laid out as in :func:`qmmp.mmp.distributions`, and a point adds 1 to
-    each count it meets by one masked shift.  The match bits come from
-    ``_admits`` over the pairs' windows.  A row band is a set of rows and a
-    column band a set of columns, so one ``_bands(i, i, ...)`` per index
-    gives row i by value and column i by position.
+    ``violated`` says whether some point of some avoider is a *violation*,
+    one whose ``(0,k,0,l)`` match bit equals its frame bit.  Both bits
+    depend only on the point's tallies (q1, q2, q3, q4), since it sits at
+    position q2 + q3 + 1 with value n - q1 - q2, so one
+    :func:`qmmp.mmp._packed_histogram` walk collects the rows it asks its
+    ``entry`` for, every point of every avoider among them (descent rows,
+    built up front, may add rows no avoider has, which only makes the check
+    stricter), and each row is checked for every pair at once, one bit per
+    pair, with match bits from ``_admits``.  R and C count the rows in a
+    row band and the columns in a column band (:func:`qmmp.mmp._bands`,
+    looked up at call time): a row band is a set of rows and a column band
+    a set of columns, so one ``_bands(i, i, ...)`` per index gives row i by
+    value and column i by position.
     """
-    width = field_width(n)
-    lanes = 4 * len(pairs)
-    step = lanes * width
-    # the fields of lane 0, one per count
-    lane = sum(((1 << width) - 1) << m * step for m in range(n + 1))
-    # Per pair its V lane's first bit; a point's lanes are bits 1 << j * width,
-    # and one product with ``lane`` spreads them over every count.
-    unit = [1 << 4 * p * width for p in range(len(pairs))]
-    ones = sum(unit)
+    tallies: set[tuple[int, int, int, int]] = set()
+    mmp._packed_histogram(n, P123.word, 1, 0, lambda *q: tallies.add(q) or 0)
+    units = [1 << p for p in range(len(pairs))]
+    # per index i, the pairs whose row band holds row i and column band column i
     rows, columns = [0] * (n + 1), [0] * (n + 1)
     for i in range(1, n + 1):
-        for bit, (k, ell) in zip(unit, pairs):
+        for bit, (k, ell) in zip(units, pairs):
             row, column = mmp._bands(i, i, n, k, ell)
-            rows[i] |= row and bit << width
-            columns[i] |= column and bit << 2 * width
-    a1, a2, a3, a4 = _admits([_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs], unit, n)
-
-    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
-        # the point at position q2 + q3 + 1 with value n - q1 - q2
-        row, column = rows[n - q1 - q2], columns[q2 + q3 + 1]
-        frame = row >> width | column >> 2 * width
-        violation = ones & ~(a1[q1] & a2[q2] & a3[q3] & a4[q4] ^ frame)
-        return (violation | row | column | row << 2 * width & column << width) * lane
-
-    leaf = sum(1 << j * width for j in range(lanes))
-    packed = mmp._packed_histogram(n, P123.word, leaf, step, entry)
-    counts = [set(fields) for fields in mmp._lane_fields(packed, width, lanes)]
-    return [tuple(counts[4 * p : 4 * p + 4]) for p in range(len(pairs))]
+            rows[i] |= row and bit
+            columns[i] |= column and bit
+    a1, a2, a3, a4 = _admits([_window(QuadrantSpec(0, k, 0, ell), n) for k, ell in pairs], units, n)
+    violated = 0
+    for q1, q2, q3, q4 in tallies:
+        frame = rows[n - q1 - q2] | columns[q2 + q3 + 1]
+        violated |= ~(a1[q1] & a2[q2] & a3[q3] & a4[q4] ^ frame)
+    return [
+        (bool(violated & bit), sum(b & bit > 0 for b in rows), sum(b & bit > 0 for b in columns))
+        for bit in units
+    ]
 
 
 def _theorem_12_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> bool:
@@ -408,24 +403,26 @@ def _theorem_13_holds(n: int, k: int, ell: int, r: int, s: int, count: int) -> b
     return count == 0 if n <= kl else r <= kl and r + s == 2 * kl and count + s == n
 
 
-def _theorem_12_certified(n: int, k: int, ell: int, V, R, C, K) -> bool:
-    """No avoider has a violation, so each one's match count is its n - s
-    points off the frame."""
-    return V == {0}
+def _theorem_12_certified(n: int, k: int, ell: int, violated: bool, R: int, C: int) -> bool:
+    """No point of any avoider is a violation, so each avoider's match count
+    is its n - s points off the frame."""
+    return not violated
 
 
-def _theorem_13_certified(n: int, k: int, ell: int, V, R, C, K) -> bool:
-    """Every avoider has count = n - s, as in theorem-12's certificate.  For
-    n <= k+l every position lies in a column band, so every point is in the
-    frame and count = 0.  Otherwise, at each point corner + frame = row +
-    column, so r + s = R + C = 2(k+l), and r = K <= k+l."""
+def _theorem_13_certified(n: int, k: int, ell: int, violated: bool, R: int, C: int) -> bool:
+    """Every avoider has count = n - s, as in theorem-12's certificate, and,
+    with one point per row and one per column, R points in a row band and C
+    in a column band.  For n <= k+l, C = n puts every point in the frame, so
+    count = 0.  Otherwise, at each point corner + frame = row + column, so
+    r + s = R + C = 2(k+l), and r <= R = k+l since a corner lies in a row
+    band."""
     kl = k + ell
-    return V == {0} and (C == {n} if n <= kl else R == C == {kl} and max(K) <= kl)
+    return not violated and (C == n if n <= kl else R == C == kl)
 
 
-# Band subjects: (pairs, the certificate certified(n, k, l, V, R, C, K) on
-# the value sets of _band_values, the theorem's predicate holds(n, k, l, r,
-# s, count) on one avoider, the failure text from (sigma, n, r, s, count)).
+# Band subjects: (pairs, the certificate certified(n, k, l, violated, R, C),
+# the theorem's predicate holds(n, k, l, r, s, count) on one avoider, the
+# failure text from (sigma, n, r, s, count)).
 _BAND_GRIDS = MappingProxyType({
     "theorem-12": (
         tuple((k, ell) for k in range(3) for ell in range(3)),
@@ -445,12 +442,13 @@ _BAND_GRIDS = MappingProxyType({
 def _band_subject(subject: str, max_n: int) -> VerificationReport:
     """Check ``holds(n, k, l, r, s, count)`` for every pair on every 123-avoider with n <= max_n.
 
-    Per n, one walk (:func:`_band_values`) gives each pair's value sets,
-    and a pair whose sets meet the subject's certificate holds on every
-    avoider.  Only a pair that is not certified is checked avoider by
-    avoider in lexicographic order, from :func:`qmmp.mmp.corner_frame_counts`
-    and ``mmp_count``, which decides and names its first counterexample; a
-    pair that has failed is not tested again.
+    Per n, one walk (:func:`_band_values`) gives each pair's violation bit
+    and band sizes, and a pair that meets the subject's certificate holds
+    on every avoider.  Only a pair that is not certified is checked avoider
+    by avoider in lexicographic order, from
+    :func:`qmmp.mmp.corner_frame_counts` and ``mmp_count``, which decides
+    and names its first counterexample; a pair that has failed is not
+    tested again.
     """
     pairs, certified, holds, describe = _BAND_GRIDS[subject]
     cell_of = {(k, ell): f"k={k},l={ell}" for k, ell in pairs}

@@ -1,5 +1,5 @@
 """Theorem-12/13 report lines computed avoider by avoider, as a reference
-independent of the oracle's packed fields and of its prefix-state pass."""
+independent of the oracle's walk and of its certificates."""
 
 from qmmp.mmp import QuadrantSpec, mmp_count
 from qmmp.perm import P123, avoiders
@@ -8,6 +8,11 @@ BAND_PAIRS = {
     "theorem-12": [(k, ell) for k in range(3) for ell in range(3)],
     "theorem-13": [(k, ell) for k in range(4) for ell in range(4)],
 }
+
+
+def swapped_row_bounds(j, v, n, k, ell):
+    """The theorem-12 erratum's band rule: row bands the top ell rows and the bottom k rows."""
+    return v > n - ell or v <= k, j <= k or j > n - ell
 
 
 def _failure(subject, sigma, k, ell, bands):

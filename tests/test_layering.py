@@ -196,6 +196,30 @@ def test_oracle_walks_leave_no_reference_cycle():
         gc.enable()
 
 
+def _unread_imports(tree):
+    """Names a module imports (``__future__`` features aside) and never reads."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(imported - read)
+
+
+def test_modules_read_every_name_they_import():
+    # the package's __init__ imports to re-export; every other module reads
+    # each name it imports
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            assert _unread_imports(_tree(path.stem)) == [], path.name
+    # the scan does see an unread import
+    probe = "from __future__ import annotations\nimport os.path\nfrom x import y as z, w\nw()\n"
+    assert _unread_imports(ast.parse(probe)) == ["os", "z"]
+
+
 def test_public_names_resolve():
     assert all(hasattr(qmmp, name) for name in qmmp.__all__)
     namespace = {}

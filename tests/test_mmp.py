@@ -5,11 +5,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmmp import mmp
 from qmmp.mmp import (
     _LANES,
     EMPTY,
     QuadrantSpec,
     _admits,
+    _packed_histogram,
     _window,
     bivariate_distribution,
     bivariate_distributions,
@@ -26,6 +28,7 @@ from qmmp.oracle import _band_values
 from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs
 from qmmp.series import BiPoly, IntPoly, catalan
 
+from band_reference import swapped_row_bounds
 from series_arith import to_univariate
 
 SIGMA = Permutation.parse("471569283")
@@ -350,53 +353,75 @@ def test_corner_frame_counts():
         corner_frame_counts(Permutation((1, 2, 3)), 1, 1)
 
 
-def _bands_by_definition(n, k, ell):
-    """The row bands and the column bands of a length-n graph, as sets of rows and columns."""
-    rows = set(range(n - k + 1, n + 1)) | set(range(1, ell + 1))
+def _bands_by_definition(n, k, ell, top, bottom):
+    """The row bands (the top ``top`` rows and the bottom ``bottom`` rows) and
+    the column bands of a length-n graph, as sets of rows and columns."""
+    grid = set(range(1, n + 1))
+    rows = set(range(n - top + 1, n + 1)) | set(range(1, bottom + 1))
     columns = set(range(1, k + 1)) | set(range(n - ell + 1, n + 1))
-    return rows, columns
+    return rows & grid, columns & grid
 
 
-def _corner_frame_by_definition(sigma, k, ell):
+def _corner_frame_by_definition(sigma, rows, columns):
     """(r, s) from the bands as sets of rows and columns."""
-    rows, columns = _bands_by_definition(sigma.n, k, ell)
     points = list(enumerate(sigma.word, start=1))
     r = sum(1 for i, v in points if i in columns and v in rows)
     s = sum(1 for i, v in points if i in columns or v in rows)
     return (r, s)
 
 
-def _band_counts_by_definition(sigma, k, ell):
-    """Violations, row-band, column-band and corner points of ``sigma``: a
-    violation is a point that matches (0,k,0,l), with at least k points in
-    quadrant II and ell in quadrant IV, exactly when it lies in the frame."""
-    rows, columns = _bands_by_definition(sigma.n, k, ell)
-    points = list(enumerate(sigma.word, start=1))
+def _has_violation_by_definition(sigma, k, ell, rows, columns):
+    """Whether ``sigma`` has a violation: a point that matches (0,k,0,l),
+    with at least k points in quadrant II and ell in quadrant IV, exactly
+    when it lies in the frame."""
+    points = enumerate(sigma.word, start=1)
     matched = [q[1] >= k and q[3] >= ell for q in quadrant_rows(sigma.word)]
-    return (
-        sum(1 for (i, v), m in zip(points, matched) if m == (i in columns or v in rows)),
-        sum(1 for i, v in points if v in rows),
-        sum(1 for i, v in points if i in columns),
-        sum(1 for i, v in points if i in columns and v in rows),
-    )
+    return any(m == (i in columns or v in rows) for (i, v), m in zip(points, matched))
 
 
-def test_corner_frame_bands():
+def test_corner_frame_bands(monkeypatch):
     # corner_frame_counts and the theorem-12/13 walk share one band rule:
-    # each of the walk's four value sets per pair is the set of that count
-    # taken avoider by avoider from the definitions
+    # per pair the walk gives whether some avoider has a violating point and
+    # the numbers of rows and columns in the bands, each taken from the
+    # definitions, with the true bands and with the erratum's swapped row
+    # bands, under which some pairs have violations
     pairs = tuple((k, ell) for k in range(5) for ell in range(5))
-    for n in range(9):
-        want = [(set(), set(), set(), set()) for _ in pairs]
-        for sigma in avoiders(n, P123):
-            for (k, ell), sets in zip(pairs, want):
-                r_s = _corner_frame_by_definition(sigma, k, ell)
-                assert corner_frame_counts(sigma, k, ell) == r_s, (sigma, k, ell)
-                for values, count in zip(sets, _band_counts_by_definition(sigma, k, ell)):
-                    values.add(count)
-        assert _band_values(n, pairs) == want, n
+    for swapped in (False, True):
+        if swapped:
+            monkeypatch.setattr(mmp, "_bands", swapped_row_bounds)
+        for n in range(9):
+            bands = [
+                _bands_by_definition(n, k, ell, *((ell, k) if swapped else (k, ell)))
+                for k, ell in pairs
+            ]
+            violated = [False] * len(pairs)
+            for sigma in avoiders(n, P123):
+                for p, ((k, ell), (rows, columns)) in enumerate(zip(pairs, bands)):
+                    r_s = _corner_frame_by_definition(sigma, rows, columns)
+                    assert corner_frame_counts(sigma, k, ell) == r_s, (sigma, k, ell)
+                    violated[p] |= _has_violation_by_definition(sigma, k, ell, rows, columns)
+            want = [(v, len(rows), len(columns)) for v, (rows, columns) in zip(violated, bands)]
+            assert _band_values(n, pairs) == want, (swapped, n)
+        # at n = 8
+        assert any(violated) == swapped
     with pytest.raises(ValueError):
         corner_frame_counts(Permutation((3, 2, 1)), 1, -1)
+
+
+def test_tally_rows_of_123_avoiders_are_the_walked_rows():
+    # A point with a smaller point before it (q3 > 0) and a larger one after
+    # it (q1 > 0) is the 2 of a 123, so a 123-avoider's tally rows are among
+    # the q with q1 + q2 + q3 + q4 = n - 1 and q1 * q3 = 0, and every such row
+    # occurs.  The theorem-12/13 certificate checks the rows that the walk
+    # asks its entry for, so it needs the walk to ask for each of them.
+    for n in range(13):
+        candidates = itertools.product(range(n), repeat=4)
+        want = {q for q in candidates if sum(q) == n - 1 and q[0] * q[2] == 0}
+        walked = set()
+        _packed_histogram(n, P123.word, 1, 0, lambda *q: walked.add(q) or 0)
+        assert walked == want, n
+        if n <= 9:
+            assert {q for sigma in avoiders(n, P123) for q in quadrant_rows(sigma.word)} == want, n
 
 
 def test_walk_checks_give_the_messages_of_avoiders():

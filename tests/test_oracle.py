@@ -9,7 +9,7 @@ from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
 from qmmp.perm import P123, P132, Permutation, avoiders
 from qmmp.series import IntPoly, TSeries, catalan
 
-from band_reference import band_lines
+from band_reference import band_lines, swapped_row_bounds
 from path_words import all_path_words
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,8 +213,8 @@ def test_comparison_subjects_name_their_first_counterexample(monkeypatch):
 def test_band_rules_flag_each_failure_kind():
     # each theorem's predicate fails on the numbers built for each failure
     # kind and holds on numbers that meet every identity (r = k+l at the
-    # edge), and each certificate refuses value sets that break one of its
-    # clauses alone
+    # edge), and each certificate refuses a band entry that breaks one of
+    # its clauses alone
     pairs = ((1, 2), (0, 0), (3, 1))
     t12, t13 = oracle._theorem_12_holds, oracle._theorem_13_holds
     # (r, s, count) per pair at n = 9
@@ -233,28 +233,21 @@ def test_band_rules_flag_each_failure_kind():
         for numbers in (good, broken):
             flagged = [not holds(n, k, ell, *xs) for (k, ell), xs in zip(pairs, numbers)]
             assert flagged == [numbers is broken, False, False], (holds, n, numbers)
-    # value sets (V, R, C, K) for (k, l) = (1, 2) at n = 9 and at n = 3
+    # (violated, R, C) for (k, l) = (1, 2) at n = 9 and at n = 3
     c12, c13 = oracle._theorem_12_certified, oracle._theorem_13_certified
-    wide = ({0}, {3}, {3}, {0, 1, 3})
-    narrow = ({0}, {1, 2}, {3}, {2, 3})
+    entry = (False, 3, 3)
     cases = [
-        (c12, 9, wide, 0, {0, 1}),  # a violation
-        (c13, 9, wide, 0, {0, 2}),  # a violation
-        (c13, 3, narrow, 0, {1}),  # a violation, n <= k+l
-        (c13, 3, narrow, 2, {2, 3}),  # a position off the column bands, n <= k+l
-        (c13, 9, wide, 1, {2, 3}),  # R != {k+l}
-        (c13, 9, wide, 2, {4}),  # C != {k+l}
-        (c13, 9, wide, 3, {0, 4}),  # max(K) > k+l
+        (c12, 9, 0, True),  # a violation
+        (c13, 9, 0, True),  # a violation
+        (c13, 3, 0, True),  # a violation, n <= k+l
+        (c13, 3, 2, 2),  # a column off the column bands, n <= k+l
+        (c13, 9, 1, 2),  # R != k+l
+        (c13, 9, 2, 4),  # C != k+l
     ]
-    for certified, n, values, clause, bad in cases:
-        assert certified(n, 1, 2, *values), (certified, n, values)
-        broken = values[:clause] + (bad,) + values[clause + 1 :]
+    for certified, n, clause, bad in cases:
+        assert certified(n, 1, 2, *entry), (certified, n)
+        broken = entry[:clause] + (bad,) + entry[clause + 1 :]
         assert not certified(n, 1, 2, *broken), (certified, n, broken)
-
-
-def _swapped_row_bounds(j, v, n, k, ell):
-    # the theorem-12 erratum's row bands: top ell rows and bottom k rows
-    return v > n - ell or v <= k, j <= k or j > n - ell
 
 
 def _rows_shifted_up(j, v, n, k, ell):
@@ -275,8 +268,8 @@ def _no_column_bands_up_to_k_plus_l(j, v, n, k, ell):
 @pytest.mark.parametrize(
     "sid, failing, rule",
     [
-        pytest.param("theorem-12", 6, _swapped_row_bounds, id="theorem-12-6"),
-        pytest.param("theorem-13", 12, _swapped_row_bounds, id="theorem-13-12"),
+        pytest.param("theorem-12", 6, swapped_row_bounds, id="theorem-12-6"),
+        pytest.param("theorem-13", 12, swapped_row_bounds, id="theorem-13-12"),
         pytest.param("theorem-12", 9, _rows_shifted_up, id="theorem-12-shifted-9"),
         pytest.param("theorem-13", 16, _rows_shifted_up, id="theorem-13-shifted-16"),
         pytest.param("theorem-12", 8, _no_row_bands, id="theorem-12-no-rows-8"),
