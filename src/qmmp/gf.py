@@ -37,7 +37,7 @@ from pathlib import Path
 from . import mmp as _mmp
 from .mmp import EMPTY, QuadrantSpec
 from .perm import P123, _Frozen
-from .series import BiPoly, IntPoly, TSeries, catalan, field_width, narayana, unpack_fields
+from .series import BiPoly, IntPoly, TSeries, catalan, field_width, narayana, unpack
 
 DEFAULT_TRUNC = 13
 
@@ -57,25 +57,20 @@ class NoEngineError(ValueError):
 # carry: every field of a sum or product the engines form is a sum of
 # nonnegative counts, bounded by the same field of the finished t^n
 # coefficient, which counts some of the C_n <= C_trunc avoiders of length n.
-# The public entry points unpack once per degree and check each degree's mass
-# against C_n, so a carry (which changes the mass) raises instead of passing
-# silently.
+# The public entry points unpack once per degree, by the one reader
+# ``series.unpack``, and check each degree's mass against C_n, so a carry
+# (which changes the mass) raises instead of passing silently.
 
 _width = lru_cache(maxsize=None)(field_width)
 
 
 def _unpack(cls: type, trunc: int, n: int, packed: int) -> IntPoly | BiPoly:
-    """The t^n coefficient held in ``packed``, as an ``IntPoly`` or ``BiPoly``.
-
-    A ``BiPoly`` has ``x0^e0 x1^e1`` at field ``e0 * (trunc + 1) + e1``.
-    """
-    fields = unpack_fields(packed, _width(trunc))
-    mass = sum(fields.values())
+    """The t^n coefficient in ``packed``: an ``IntPoly``, or a ``BiPoly`` of stride trunc + 1."""
+    (poly,) = unpack(packed, _width(trunc), 1, 0 if cls is IntPoly else trunc + 1)
+    mass = poly.mass()
     if mass != catalan(n):
         raise ArithmeticError(f"t^{n} coefficient has mass {mass}, not C_{n}: a field carried")
-    if cls is IntPoly:
-        return IntPoly._from_keys(fields)
-    return BiPoly({divmod(f, trunc + 1): c for f, c in fields.items()})
+    return poly
 
 
 def _series(packed: tuple[int, ...], trunc: int, cls: type = IntPoly) -> TSeries:

@@ -21,7 +21,7 @@ from operator import or_
 from typing import Callable, Sequence, Union
 
 from .perm import P123, Permutation, _Key, _check_n, _check_walk, catalan_moves, occurs
-from .series import BiPoly, IntPoly, field_width, unpack_fields
+from .series import BiPoly, IntPoly, field_width, unpack
 
 
 class _EmptyType:
@@ -209,11 +209,10 @@ def _packed_histogram(
 
     The avoiders are built left to right, one level per entry; a state is
     the bitmask ``used`` of the values placed so far (bit ``v`` for value
-    ``v``).  Its moves (:func:`qmmp.perm.catalan_moves`) are the free values
-    below the running minimum, its lowest set bit, called *descents*, and
-    one ascent.  Each move keeps every free value placeable, so every prefix
-    that reaches a state completes to an avoider in the same ways, and the
-    avoiders are the paths from ``0`` to the state with bits 1..n.
+    ``v``).  Each of its moves (:func:`qmmp.perm.catalan_moves`) keeps
+    every free value placeable, so every prefix that reaches a state
+    completes to an avoider in the same ways, and the avoiders are the
+    paths from ``0`` to the state with bits 1..n.
 
     Slot ``used >> 1`` of one list of ``2**n`` holds the histogram of the
     prefixes that reach ``used``, from ``leaf`` at the empty prefix, and
@@ -229,10 +228,10 @@ def _packed_histogram(
     mask ``m > 0`` moves the bits under ``m`` up by ``step``.  Each is a
     shift of whole lanes, so the transforms commute with each other and
     with addition, and summing over prefixes gives the ints that summing
-    over suffixes would.  A descent has all ``i`` placed values above it,
-    ``q2 = i``, so its entry comes from a list per level, built up front;
-    only the ascent takes the popcount and a table of the level.  Histograms
-    merge by addition, so a field must never carry into the next.
+    over suffixes would.  A table per level, keyed by ``(v, q2)``, keeps
+    each entry, so ``entry`` is asked once for each tally row that a point
+    of an avoider has (a row fixes its level, ``i = q2 + q3``) and for no
+    other.  Histograms merge by addition, so a field must never carry.
     """
     full = ((1 << n) - 1) << 1
     bits = n.bit_length()
@@ -240,28 +239,21 @@ def _packed_histogram(
     slots[0] = leaf
     level = [0]
     for i in range(n):
-        # indexed by the bit length v + 1 of a descent's bit
-        descent = [0, 0] + [entry(*_append_tallies(n, i, v, i)) for v in range(1, n - i + 1)]
-        ascent: list[int | None] = [None] * (n + 1 << bits)
+        entries: list[int | None] = [None] * (n + 1 << bits)
         after = []
         for slot in level:
             prefix = slots[slot]
             slots[slot] = 0
             used = slot << 1
             moves = catalan_moves(used, full, tau_word)
-            # from the empty prefix every move is a descent
-            lowest = used & -used or 2 << n
             while moves:
                 bit = moves & -moves
                 moves ^= bit
-                if bit < lowest:
-                    m = descent[bit.bit_length()]
-                else:
-                    v = bit.bit_length() - 1
-                    q2 = (used >> v).bit_count()
-                    m = ascent[v << bits | q2]
-                    if m is None:
-                        m = ascent[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
+                v = bit.bit_length() - 1
+                q2 = (used >> v).bit_count()
+                m = entries[v << bits | q2]
+                if m is None:
+                    m = entries[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
                 if not m:
                     moved = prefix
                 elif m < 0:
@@ -320,21 +312,12 @@ def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list
     return walks
 
 
-def _lane_fields(packed: int, width: int, lanes: int) -> list[dict[int, int]]:
-    """Per lane j, the nonzero fields ``index * lanes + j`` of ``packed``, keyed by ``index``."""
-    out: list[dict[int, int]] = [{} for _ in range(lanes)]
-    for f, c in unpack_fields(packed, width).items():
-        index, j = divmod(f, lanes)
-        out[j][index] = c
-    return out
-
-
 def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
     """The ``count`` polynomials packed in the lanes of :func:`_lane_walks`' walks, in order."""
     width = field_width(n)
     out: list[IntPoly] = []
     for start, packed in zip(range(0, count, _LANES), walks):
-        out += map(IntPoly._from_keys, _lane_fields(packed, width, min(_LANES, count - start)))
+        out += unpack(packed, width, min(_LANES, count - start))
     return out
 
 
@@ -377,8 +360,7 @@ def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]
 
     leaf = sum(1 << j * width for j in range(len(k2s)))
     packed = _packed_histogram(n, (1, 2, 3), leaf, step, entry)
-    lanes = _lane_fields(packed, width, len(k2s))
-    return [BiPoly({divmod(index, n + 1): c for index, c in lane.items()}) for lane in lanes]
+    return unpack(packed, width, len(k2s), n + 1)
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:

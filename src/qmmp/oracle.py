@@ -362,14 +362,13 @@ def _band_values(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[bool,
     depend only on the point's tallies (q1, q2, q3, q4), since it sits at
     position q2 + q3 + 1 with value n - q1 - q2, so one
     :func:`qmmp.mmp._packed_histogram` walk collects the rows it asks its
-    ``entry`` for, every point of every avoider among them (descent rows,
-    built up front, may add rows no avoider has, which only makes the check
-    stricter), and each row is checked for every pair at once, one bit per
-    pair, with match bits from ``_admits``.  R and C count the rows in a
-    row band and the columns in a column band (:func:`qmmp.mmp._bands`,
-    looked up at call time): a row band is a set of rows and a column band
-    a set of columns, so one ``_bands(i, i, ...)`` per index gives row i by
-    value and column i by position.
+    ``entry`` for, which are the rows of the avoiders' points, and each row
+    is checked for every pair at once, one bit per pair, with match bits
+    from ``_admits``.  R and C count the rows in a row band and the columns
+    in a column band (:func:`qmmp.mmp._bands`, looked up at call time): a
+    row band is a set of rows and a column band a set of columns, so one
+    ``_bands(i, i, ...)`` per index gives row i by value and column i by
+    position.
     """
     tallies: set[tuple[int, int, int, int]] = set()
     mmp._packed_histogram(n, P123.word, 1, 0, lambda *q: tallies.add(q) or 0)

@@ -244,22 +244,44 @@ def field_width(n: int) -> int:
     return catalan(n).bit_length()
 
 
-def unpack_fields(packed: int, width: int) -> dict[int, int]:
-    """The nonzero ``width``-bit fields of ``packed >= 0``, keyed by position.
+def unpack(packed: int, width: int, lanes: int = 1, stride: int = 0) -> list[IntPoly | BiPoly]:
+    """The polynomials in the ``width``-bit fields of ``packed >= 0``, one per lane.
 
-    Field f holds bits ``f * width`` up to ``(f + 1) * width``: the inverse
-    of packing a polynomial as ``sum(c << e * width)`` (Kronecker
-    substitution) while every coefficient is below ``2**width``.
+    Field ``index * lanes + j`` holds lane j's coefficient of ``x^index``, or
+    with ``stride > 0`` of ``x0^(index // stride) x1^(index % stride)``, while
+    every coefficient is below ``2**width`` (Kronecker packing).  An int past
+    64 fields is read in blocks of 64 cut from its bytes, so the time is
+    linear in its size.
     """
+    if packed < 0 or width < 1:
+        raise ValueError("a packed int must be >= 0 and its fields at least 1 bit wide")
+    fields: dict[int, int] = {}
+    if packed >> 64 * width:
+        size = 8 * width  # the bytes of 64 fields
+        data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        for b in range(0, len(data), size):
+            block = int.from_bytes(data[b : b + size], "little")
+            _read_fields(block, width, b * 8 // width, fields)
+    else:
+        _read_fields(packed, width, 0, fields)
+    if lanes == 1 and not stride:  # the engines' univariate path: no lane work per field
+        return [IntPoly._from_keys(fields)]
+    polys: list[dict] = [{} for _ in range(lanes)]
+    for f, c in fields.items():
+        index, j = divmod(f, lanes)
+        polys[j][divmod(index, stride) if stride else index] = c
+    return [BiPoly(p) if stride else IntPoly._from_keys(p) for p in polys]
+
+
+def _read_fields(packed: int, width: int, first: int, fields: dict[int, int]) -> None:
+    """Store each nonzero ``width``-bit field f of ``packed`` in ``fields[first + f]``."""
     mask = (1 << width) - 1
-    out = {}
-    f = 0
+    f = first
     while packed:
-        if packed & mask:
-            out[f] = packed & mask
+        if c := packed & mask:
+            fields[f] = c
         packed >>= width
         f += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

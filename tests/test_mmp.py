@@ -413,15 +413,22 @@ def test_tally_rows_of_123_avoiders_are_the_walked_rows():
     # it (q1 > 0) is the 2 of a 123, so a 123-avoider's tally rows are among
     # the q with q1 + q2 + q3 + q4 = n - 1 and q1 * q3 = 0, and every such row
     # occurs.  The theorem-12/13 certificate checks the rows that the walk
-    # asks its entry for, so it needs the walk to ask for each of them.
+    # asks its entry for, so it needs the walk to ask for each of them; the
+    # walk's one table per level needs it to ask for each of them once.  A
+    # row fixes its level, i = q2 + q3, so each row is one (level, row) pair.
+    def walked(n, tau):
+        asked = []
+        _packed_histogram(n, tau.word, 1, 0, lambda *q: asked.append(q) or 0)
+        return sorted(asked)
+
     for n in range(13):
         candidates = itertools.product(range(n), repeat=4)
         want = {q for q in candidates if sum(q) == n - 1 and q[0] * q[2] == 0}
-        walked = set()
-        _packed_histogram(n, P123.word, 1, 0, lambda *q: walked.add(q) or 0)
-        assert walked == want, n
-        if n <= 9:
-            assert {q for sigma in avoiders(n, P123) for q in quadrant_rows(sigma.word)} == want, n
+        assert walked(n, P123) == sorted(want), n
+    for tau in (P123, P132):
+        for n in range(10):
+            rows = {q for sigma in avoiders(n, tau) for q in quadrant_rows(sigma.word)}
+            assert walked(n, tau) == sorted(rows), (tau, n)
 
 
 def test_walk_checks_give_the_messages_of_avoiders():

@@ -1,11 +1,12 @@
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmmp import gf
 from qmmp.mmp import QuadrantSpec
-from qmmp.series import BiPoly, IntPoly, TSeries, catalan, narayana, unpack_fields
+from qmmp.series import BiPoly, IntPoly, TSeries, catalan, narayana, unpack
 
 from series_arith import (
     add,
@@ -80,12 +81,61 @@ def test_bipoly_basics():
     assert p.render() == "x1+x0"
 
 
-@given(
-    st.dictionaries(st.integers(0, 20), st.integers(1, 2**12 - 1), max_size=8),
-    st.integers(12, 40),
-)
-def test_unpack_fields_inverts_packing(coeffs, width):
-    assert unpack_fields(sum(c << e * width for e, c in coeffs.items()), width) == coeffs
+def _shifted_fields(packed, width):
+    """The nonzero fields of ``packed`` by position, one shift of the whole int per field."""
+    mask = (1 << width) - 1
+    out = {}
+    f = 0
+    while packed:
+        if packed & mask:
+            out[f] = packed & mask
+        packed >>= width
+        f += 1
+    return out
+
+
+@st.composite
+def _packings(draw):
+    """Lanes of polynomials with coefficients below ``2**width``, and a stride."""
+    width = draw(st.integers(1, 80))
+    # up to 256 * 5 fields, so ints of many 64-field blocks are drawn too
+    coeffs = st.dictionaries(st.integers(0, 255), st.integers(1, 2**width - 1), max_size=12)
+    lanes = draw(st.lists(coeffs, min_size=1, max_size=5))
+    return width, lanes, draw(st.sampled_from([0, *range(1, 8)]))
+
+
+@given(_packings())
+def test_unpack_inverts_packing(packing):
+    width, lanes, stride = packing
+    packed = sum(
+        c << (index * len(lanes) + j) * width
+        for j, lane in enumerate(lanes)
+        for index, c in lane.items()
+    )
+    if stride:
+        want = [BiPoly({divmod(index, stride): c for index, c in lane.items()}) for lane in lanes]
+    else:
+        want = [IntPoly(lane) for lane in lanes]
+    assert unpack(packed, width, len(lanes), stride) == want
+
+
+def test_unpack_reads_a_deep_bivariate_coefficient_as_the_shifts_do():
+    # 41 * 41 fields of 72 bits, the size of q123_bivariate(5, 5, 40)'s t^40
+    # coefficient, with runs of zero fields across the 64-field blocks
+    rng = random.Random(40)
+    fields = [rng.getrandbits(72) if rng.random() < 0.7 else 0 for _ in range(41 * 41)]
+    fields[64:200] = [0] * 136
+    packed = sum(c << f * 72 for f, c in enumerate(fields))
+    want = _shifted_fields(packed, 72)
+    assert unpack(packed, 72) == [IntPoly(want)]
+    assert unpack(packed, 72, stride=41) == [BiPoly({divmod(f, 41): c for f, c in want.items()})]
+
+
+def test_unpack_rejects_a_negative_int_or_width():
+    # each would shift forever
+    for packed, width in ((-1, 8), (5, 0), (5, -3)):
+        with pytest.raises(ValueError):
+            unpack(packed, width)
 
 
 def test_bipoly_product_exponent_limit():
