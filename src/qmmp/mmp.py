@@ -191,10 +191,11 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # Specs per walk of :func:`distributions`.  A walk holds two levels of
 # states, and a state's histogram only the match counts it has reached, so a
 # lane costs little memory: at 96 lanes verify-all runs 128 distribution and
-# bivariate walks (296 at 24, 123 at 128; the band subjects' 20 walks keep no
-# lanes), and its traced peak is 0.85 MB (0.80 at 24-64 lanes, 1.02 at 128),
-# about 0.4 MB of it the engine series that the engine-vs-oracle subjects
-# hold while they wait; from 48 lanes on, more are no faster.
+# bivariate walks (296 at 24, 186 at 48, 123 at 128; the band subjects' 20
+# walks keep no lanes), and a warm run's traced peak is 1.05 MB (0.89 at 24
+# lanes, 0.93 at 48, 1.17 at 128), about 0.4 MB of it the engine series that
+# the engine-vs-oracle subjects hold while they wait; from 48 lanes on, more
+# are no faster.
 _LANES = 96
 
 
@@ -275,7 +276,8 @@ def _packed_histogram(
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
-    Up to 96 specs share one walk of :func:`_packed_histogram` as *lanes*
+    Each group of up to 96 specs shares one walk of :func:`_packed_histogram`
+    as *lanes*, and is unpacked as soon as its walk ends.  The lanes are
     interleaved as in :func:`bivariate_distributions`: field ``m * L + j`` of
     a walk of ``L`` lanes counts the avoiders with ``m`` matches of the j-th
     spec, so a state's histogram is only as wide as the match counts it has
@@ -284,15 +286,10 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
     shifts the lanes of the specs it matches up by ``L`` fields, all of the
     histogram when it matches every spec.
     """
-    return _lane_polys(n, _lane_walks(n, tau, specs), len(specs))
-
-
-def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[int]:
-    """The packed histograms of :func:`distributions`, one walk per group of up to 96 specs."""
     tau_word = tau.word
     _check_walk(n, tau_word)
     width = field_width(n)
-    walks = []
+    out: list[IntPoly] = []
     for start in range(0, len(specs), _LANES):
         windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
         step = len(windows) * width
@@ -308,16 +305,7 @@ def _lane_walks(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list
             return ~step if m == every else m
 
         leaf = sum(1 << j * width for j in range(len(windows)))
-        walks.append(_packed_histogram(n, tau_word, leaf, step, entry))
-    return walks
-
-
-def _lane_polys(n: int, walks: list[int], count: int) -> list[IntPoly]:
-    """The ``count`` polynomials packed in the lanes of :func:`_lane_walks`' walks, in order."""
-    width = field_width(n)
-    out: list[IntPoly] = []
-    for start, packed in zip(range(0, count, _LANES), walks):
-        out += unpack(packed, width, min(_LANES, count - start))
+        out += unpack(_packed_histogram(n, tau_word, leaf, step, entry), width, len(windows))
     return out
 
 
@@ -390,20 +378,16 @@ def _bands(j: int, v: int, n: int, k: int, ell: int) -> tuple[bool, bool]:
     return v > n - k or v <= ell, j <= k or j > n - ell
 
 
-def _check_pair(sigma: Permutation, k: int, ell: int) -> None:
-    if k < 0 or ell < 0:
-        raise ValueError("k, ell must be nonnegative")
-    if occurs(P123, sigma):
-        raise ValueError(f"{sigma} contains an increasing triple; a 123-avoider is required")
-
-
 def corner_frame_counts(sigma: Permutation, k: int, ell: int) -> tuple[int, int]:
     """Counts (r, s) of graph points in the corner and frame bands (:func:`_bands`).
 
     For n > k + ell the identity ``s = 2(k + ell) - r`` holds on every
     123-avoider.
     """
-    _check_pair(sigma, k, ell)
+    if k < 0 or ell < 0:
+        raise ValueError("k, ell must be nonnegative")
+    if occurs(P123, sigma):
+        raise ValueError(f"{sigma} contains an increasing triple; a 123-avoider is required")
     r = s = 0
     for j, v in enumerate(sigma.word, start=1):
         row, column = _bands(j, v, sigma.n, k, ell)
@@ -419,6 +403,4 @@ def fast_mmp_0k0l(sigma: Permutation, k: int, ell: int) -> int:
     the bands (:func:`_bands`), i.e. at positions ``k < j <= n - ell`` with
     values ``ell < sigma_j <= n - k``.
     """
-    _check_pair(sigma, k, ell)
-    n = sigma.n
-    return sum(1 for j, v in enumerate(sigma.word, start=1) if not any(_bands(j, v, n, k, ell)))
+    return sigma.n - corner_frame_counts(sigma, k, ell)[1]

@@ -148,17 +148,15 @@ def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly
     """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
 
     One pass groups the requests by class, each class's distinct specs in the
-    order first asked for.  They share lane-packed walks, as in
-    :func:`qmmp.mmp.distributions`, and every walk of both classes runs before any
-    polynomial is unpacked, so no unpacked polynomial is held through a walk.
+    order first asked for, and serves each class from one
+    :func:`qmmp.mmp.distributions` call, so the specs share lane-packed walks.
     """
     specs = {P123: {}, P132: {}}
     for tau, spec in wanted:
         specs[tau][spec] = None
-    walks = {tau: mmp._lane_walks(n, tau, list(group)) for tau, group in specs.items()}
     out = {}
     for tau, group in specs.items():
-        out.update(zip([(tau, s) for s in group], mmp._lane_polys(n, walks[tau], len(group))))
+        out.update(zip([(tau, s) for s in group], mmp.distributions(n, tau, list(group))))
     return out
 
 

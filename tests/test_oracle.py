@@ -1,8 +1,11 @@
 import json
 import tracemalloc
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmmp import dyck, mmp, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
@@ -364,12 +367,39 @@ def test_drive_pools_each_n_and_releases_it(monkeypatch):
     assert len(kept) == 4 and not any(kept)
 
 
+SPECS_0123E = [QuadrantSpec(*c) for c in product((0, 1, 2, 3, EMPTY), repeat=4)]
+_distribution = cache(mmp.distribution)
+
+
+@st.composite
+def _mixed_requests(draw):
+    # both classes, more than one walk's lanes of distinct specs each, some
+    # keys asked for more than once, in any order
+    distinct = [
+        (tau, spec)
+        for tau in (P123, P132)
+        for spec in draw(st.lists(st.sampled_from(SPECS_0123E), min_size=97, max_size=150, unique=True))
+    ]
+    repeats = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    return draw(st.integers(0, 7)), draw(st.permutations(distinct + repeats))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mixed_requests())
+def test_oracle_at_serves_each_distinct_request(asked):
+    n, wanted = asked
+    got = oracle._oracle_at(n, wanted)
+    assert set(got) == set(wanted)
+    for (tau, spec), poly in got.items():
+        assert poly == _distribution(n, tau, spec)
+
+
 def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     # every oracle distribution of verify_all comes from _oracle_at, which
     # pools the subjects' requests of an n into one lane walk per class and
     # group of specs, each (n, class, spec) once
     walks, pooled, stray, open_calls, band_calls = [], [], [], [], []
-    packed, lane_walks, oracle_at = mmp._packed_histogram, mmp._lane_walks, oracle._oracle_at
+    packed, distributions, oracle_at = mmp._packed_histogram, mmp.distributions, oracle._oracle_at
     band_values = oracle._band_values
 
     def counted(*args):
@@ -387,7 +417,7 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
 
     def requested(n, tau, specs):
         (pooled if open_calls else stray).extend((n, tau.word, spec) for spec in specs)
-        return lane_walks(n, tau, specs)
+        return distributions(n, tau, specs)
 
     def served(n, wanted):
         open_calls.append(n)
@@ -397,7 +427,7 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
             open_calls.pop()
 
     monkeypatch.setattr(mmp, "_packed_histogram", counted)
-    monkeypatch.setattr(mmp, "_lane_walks", requested)
+    monkeypatch.setattr(mmp, "distributions", requested)
     monkeypatch.setattr(oracle, "_oracle_at", served)
     monkeypatch.setattr(oracle, "_band_values", banded)
     _verify_all_matches_pinned_transcript()
