@@ -12,7 +12,7 @@ once per degree, checking each degree's mass against the Catalan number.
 
 Family naming follows the slot string of the quadrant spec: ``k0e0`` is
 ``(k, 0, EMPTY, 0)``, ``akel`` is ``(a, k, EMPTY, l)``, ``ekel`` is
-``(EMPTY, k, EMPTY, l)``, and so on.  The five numeric 132 families are
+``(EMPTY, k, EMPTY, l)``, and so on.  All six 132 families are
 entry points over one recursion, ``_c_akel``, at different thresholds.  The
 123-avoider series for specs whose first or third slot is positive transport
 to 132-avoider engines; the genuinely two-sided specs ``(0, k, 0, l)`` have
@@ -35,7 +35,7 @@ from operator import getitem, mul
 from pathlib import Path
 
 from . import mmp as _mmp
-from .mmp import EMPTY, QuadrantSpec
+from .mmp import EMPTY, Coord, QuadrantSpec
 from .perm import P123, _Frozen
 from .series import BiPoly, IntPoly, TSeries, catalan, field_width, narayana, unpack
 
@@ -182,49 +182,46 @@ def _const(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _c_akel(a: int, k: int, ell: int, trunc: int) -> tuple[int, ...]:
-    """Packed ``(a, k, EMPTY, ell)`` series over 132-avoiders, every numeric family's engine.
+def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
+    """Packed ``(a, k, EMPTY, ell)`` series over 132-avoiders, every 132 family's engine.
 
-    ``(k, 0, EMPTY, 0)``, ``(0, k, EMPTY, 0)``, ``(k, ell, EMPTY, 0)`` and
-    ``(0, k, EMPTY, ell)`` are boundary cases of the one first-return call
-    below, under two rules: ``a - 1`` clamps at 0 in ``left`` and ``tail``,
-    and a reference to the list being built is None (``left`` when
-    ``a = ell = 0``, ``tail(0)`` when ``a = 0``).  ``low = a + k + ell``
-    holds for every family, since a match needs that many other points.
-    Only ``k = 0`` is special: lemma-sym swaps a positive ``ell`` into the
-    second slot, ``(0, 0, EMPTY, 0)`` is the Narayana series, and
-    ``(a, 0, EMPTY, 0)`` is ``1 / (1 - t P)`` with P the series of
-    ``(a - 1, 0, EMPTY, 0)``.
+    Each call is one first-return split σ = α n β.  ``(k, 0, EMPTY, 0)``,
+    ``(0, k, EMPTY, 0)``, ``(k, ell, EMPTY, 0)`` and ``(0, k, EMPTY, ell)``
+    are boundary cases of the numeric call below, under two rules:
+    ``a - 1`` clamps at 0 in ``left`` and ``tail``, and a reference to the
+    list being built is None (``left`` when ``a = ell = 0``, ``tail(0)``
+    when ``a = 0``).  ``low = a + k + ell`` holds for every numeric family,
+    since a match needs that many other points.  An EMPTY ``a`` passes no
+    ``tail`` and no ``low``: n lies in quadrant I of every point of α, so
+    α is any 132-avoider and none of its points matches.  ``k = 0`` is
+    special: lemma-sym swaps a positive ``ell`` into the second slot,
+    ``(0, 0, EMPTY, 0)`` is the Narayana series, and ``(a, 0, EMPTY, 0)`` is
+    ``1 / (1 - t P)`` with P the series of ``(a - 1, 0, EMPTY, 0)``, or for
+    an EMPTY ``a`` the Catalan series with x at t^0 (n is a hill when
+    nothing comes before it).
     """
     if k == 0:
         if ell:
             return _c_akel(a, ell, 0, trunc)
         if a == 0:
             return _narayana(trunc)
-        # the smaller first slots in rising order, so that each finds the
-        # one below it cached and the recursion stays one level deep
-        lower = [_c_akel(b, 0, 0, trunc) for b in range(a)]
-        return _first_return(trunc, 1, None, lower[-1])
+        if a is EMPTY:
+            part = (1 << _width(trunc),) + _catalans(trunc)[1:]
+        else:
+            # the smaller first slots in rising order, so that each finds the
+            # one below it cached and the recursion stays one level deep
+            part = [_c_akel(b, 0, 0, trunc) for b in range(a)][-1]
+        return _first_return(trunc, 1, None, part)
+    cat = _catalans(trunc)
+    right = _c_akel(a, ell, 0, trunc)
+    head = lambda i: _c_akel(a, k - i, ell, trunc)
+    if a is EMPTY:
+        return _first_return(trunc, k, cat, right, cat, head)
     below = max(a - 1, 0)
     left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
     return _first_return(
-        trunc, k, left, _c_akel(a, ell, 0, trunc), _catalans(trunc),
-        lambda i: _c_akel(a, k - i, ell, trunc),
+        trunc, k, left, right, cat, head,
         ell, lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc), low=a + k + ell,
-    )
-
-
-@lru_cache(maxsize=None)
-def _c_ekel(k: int, ell: int, trunc: int) -> tuple[int, ...]:
-    if k == 0 and ell == 0:
-        # 1 / (1 - t (C(t) + x - 1)): the x-power records hills.
-        hills = (1 << _width(trunc),) + _catalans(trunc)[1:]
-        return _first_return(trunc, 1, None, hills)
-    if k == 0:
-        return _c_ekel(ell, 0, trunc)
-    cat = _catalans(trunc)
-    return _first_return(
-        trunc, k, cat, _c_ekel(0, ell, trunc), cat, lambda i: _c_ekel(k - i, ell, trunc)
     )
 
 
@@ -255,7 +252,7 @@ def q132_akel(a: int, k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
 
 def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     """Series for (EMPTY, k, EMPTY, ell) over 132-avoiders (hills at k = ell = 0)."""
-    return _series(_c_ekel(*_clamp(trunc, k, ell), trunc), trunc)
+    return _series(_c_akel(EMPTY, *_clamp(trunc, k, ell), trunc), trunc)
 
 
 # ---------------------------------------------------------------------------

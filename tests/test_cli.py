@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,8 @@ from qmmp.dyck import DyckPath
 from qmmp.mmp import QuadrantSpec
 from qmmp.perm import Permutation
 from qmmp.series import IntPoly, TSeries
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -243,14 +249,19 @@ def test_max_n_cap(capsys, monkeypatch):
         assert code == 1 and out == "" and err.startswith("error:") and "MMP_MAX_N" in err
 
 
-def test_too_deep_a_recursion_is_one_error_line(capsys, monkeypatch):
+def test_too_deep_a_recursion_is_one_error_line():
     # the engines recurse top-down, so a large enough explicit cap runs out
-    # of Python stack: that is one error line naming the depth, no traceback
-    monkeypatch.setenv("MMP_MAX_N", "400")
-    code, out, err = run_cli(capsys, "series", "--avoid", "132", "--spec", "0,250,e,0", "--max-n", "251")
-    assert code == 1 and out == ""
-    assert err.startswith("error: depth 251 ") and "MMP_MAX_N" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # of Python stack: that is one error line naming the depth, no traceback.
+    # A subprocess with a timeout, so that a lost guard fails instead of hanging.
+    env = dict(os.environ, MMP_MAX_N="400", PYTHONPATH=str(SRC))
+    for spec in ("0,250,e,0", "e,250,e,0"):
+        argv = ["series", "--avoid", "132", "--spec", spec, "--max-n", "251"]
+        done = subprocess.run(
+            [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1 and done.stdout == "", spec
+        assert done.stderr.startswith("error: depth 251 ") and "MMP_MAX_N" in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_bijection_examples(capsys):

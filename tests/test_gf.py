@@ -59,21 +59,20 @@ def test_engines_match_oracle_small():
         assert gf.q132_0ke0(k, n).coeffs == tuple(
             distribution(m, P132, QuadrantSpec(0, k, EMPTY, 0)) for m in range(n + 1)
         )
-    for k in range(3):
-        for ell in range(3):
-            assert gf.q132_ekel(k, ell, n).coeffs == tuple(
-                distribution(m, P132, QuadrantSpec(EMPTY, k, EMPTY, ell)) for m in range(n + 1)
-            )
-    # every threshold triple of the one (a, k, EMPTY, ell) recursion, through
-    # each entry point that reaches it: k = 0 takes the lemma-sym branch and
-    # a = 0 the clamped a - 1, which the router never sends there
+    # every threshold triple of the one (a, k, EMPTY, ell) recursion, an EMPTY
+    # a included, through each entry point that reaches it: k = 0 takes the
+    # lemma-sym branch and a = 0 the clamped a - 1, which the router never
+    # sends there
     n = 7
-    for a in range(4):
+    for a in (EMPTY, 0, 1, 2, 3):
         for k in range(4):
             for ell in range(4):
                 want = tuple(
                     distribution(m, P132, QuadrantSpec(a, k, EMPTY, ell)) for m in range(n + 1)
                 )
+                if a is EMPTY:
+                    assert gf.q132_ekel(k, ell, n).coeffs == want
+                    continue
                 assert gf.q132_akel(a, k, ell, n).coeffs == want
                 if a == 0:
                     assert gf.q132_0kel(k, ell, n).coeffs == want
@@ -100,6 +99,38 @@ def test_paper_specs_match_pinned_digests():
         lines = gf.engine_series(avoid, QuadrantSpec.parse(text), 40).render_lines()
         got = [hashlib.sha256(line.encode()).hexdigest()[:16] for line in lines]
         assert len(digests) == 41 and got == digests, (avoid, text)
+
+
+# sha256 prefixes of the rendered t^30 series of every (EMPTY, k, EMPTY, l)
+# with k, l <= 4 that the paper tables do not pin
+_EKEL_T30_DIGESTS = {
+    "e,0,e,1": "2fa67d004f61d801",
+    "e,0,e,2": "c735872193e58fbd",
+    "e,0,e,3": "ef12c955c0b61682",
+    "e,0,e,4": "aaf37709f216a391",
+    "e,1,e,4": "a1a97b76a7aa835f",
+    "e,2,e,1": "8ae6b5fb587775fe",
+    "e,2,e,4": "07a5e4e95f8d4e01",
+    "e,3,e,1": "037865301797fabc",
+    "e,3,e,2": "33f4913d0975259d",
+    "e,3,e,4": "f5d4ae1d33e125d4",
+    "e,4,e,1": "a1a97b76a7aa835f",
+    "e,4,e,2": "07a5e4e95f8d4e01",
+    "e,4,e,3": "f5d4ae1d33e125d4",
+    "e,4,e,4": "ad0a1c5cdfac8455",
+}
+
+
+def test_unpinned_ekel_specs_match_pinned_digests():
+    # the oracle checks these only to n = 7; together with the paper tables
+    # they cover every (EMPTY, k, EMPTY, l) with k, l <= 4 deep
+    paper = set(cli.paper_table_specs())
+    grid = [QuadrantSpec(EMPTY, k, EMPTY, ell) for k in range(5) for ell in range(5)]
+    assert [str(s) for s in grid if ("132", s) not in paper] == list(_EKEL_T30_DIGESTS)
+    for text, digest in _EKEL_T30_DIGESTS.items():
+        lines = gf.engine_series("132", QuadrantSpec.parse(text), 30).render_lines()
+        got = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+        assert len(lines) == 31 and got[:16] == digest, text
 
 
 def _substitute(p: BiPoly, keep_x0: bool, keep_x1: bool) -> BiPoly:
