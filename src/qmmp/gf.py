@@ -190,10 +190,10 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     are boundary cases of the numeric call below, under two rules:
     ``a - 1`` clamps at 0 in ``left`` and ``tail``, and a reference to the
     list being built is None (``left`` when ``a = ell = 0``, ``tail(0)``
-    when ``a = 0``).  ``low = a + k + ell`` holds for every numeric family,
+    when ``a = 0``).  ``low = a + k + ell``, with 0 for an EMPTY ``a``,
     since a match needs that many other points.  An EMPTY ``a`` passes no
-    ``tail`` and no ``low``: n lies in quadrant I of every point of α, so
-    α is any 132-avoider and none of its points matches.  ``k = 0`` is
+    ``tail``: n lies in quadrant I of every point of α, so α is any
+    132-avoider and none of its points matches.  ``k = 0`` is
     special: lemma-sym swaps a positive ``ell`` into the second slot,
     ``(0, 0, EMPTY, 0)`` is the Narayana series, and ``(a, 0, EMPTY, 0)`` is
     ``1 / (1 - t P)`` with P the series of ``(a - 1, 0, EMPTY, 0)``, or for
@@ -215,13 +215,14 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     cat = _catalans(trunc)
     right = _c_akel(a, ell, 0, trunc)
     head = lambda i: _c_akel(a, k - i, ell, trunc)
+    low = (0 if a is EMPTY else a) + k + ell
     if a is EMPTY:
-        return _first_return(trunc, k, cat, right, cat, head)
+        return _first_return(trunc, k, cat, right, cat, head, low=low)
     below = max(a - 1, 0)
     left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
     return _first_return(
         trunc, k, left, right, cat, head,
-        ell, lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc), low=a + k + ell,
+        ell, lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc), low=low,
     )
 
 

@@ -188,14 +188,15 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # ---------------------------------------------------------------------------
 # Distributions over avoidance classes (the brute-force ground truth)
 
-# Specs per walk of :func:`distributions`.  A walk holds two levels of
-# states, and a state's histogram only the match counts it has reached, so a
-# lane costs little memory: at 96 lanes verify-all runs 128 distribution and
-# bivariate walks (296 at 24, 186 at 48, 123 at 128; the band subjects' 20
-# walks keep no lanes), and a warm run's traced peak is 1.05 MB (0.89 at 24
-# lanes, 0.93 at 48, 1.17 at 128), about 0.4 MB of it the engine series that
-# the engine-vs-oracle subjects hold while they wait; from 48 lanes on, more
-# are no faster.
+# Specs per walk of :func:`distributions`; a bivariate lane holds n + 1 times
+# the fields, so :func:`bivariate_distributions` takes _LANES // (n + 1) pairs
+# a walk.  A walk holds two levels of states, and a state's histogram only
+# the match counts it has reached, so a lane costs little memory: at 96
+# lanes verify-all runs 80 distribution and bivariate walks (302 at 24, 155
+# at 48, 70 at 128; the band subjects' 20 walks keep no lanes), and a warm
+# run's traced peak is 1.23 MB (1.07 at 24 lanes, 1.11 at 48, 1.35 at 128),
+# about 0.4 MB of it the engine series that the engine-vs-oracle subjects
+# hold while they wait and 0.18 MB theorem-11's 28 bivariate engine series.
 _LANES = 96
 
 
@@ -203,8 +204,7 @@ def _packed_histogram(
     n: int,
     tau_word: tuple[int, ...],
     leaf: int,
-    step: int,
-    entry: Callable[[int, int, int, int], int],
+    entry: Callable[[int, int, int, int], int | tuple[int, int]],
 ) -> int:
     """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
 
@@ -226,10 +226,10 @@ def _packed_histogram(
     (:func:`_append_tallies`, with ``q2 = popcount(used >> v)``), and
     ``entry(q1, q2, q3, q4)`` says what a match there does to a histogram:
     0 leaves it as it is, ``~s`` moves all of it up by ``s`` bits, and a
-    mask ``m > 0`` moves the bits under ``m`` up by ``step``.  Each is a
-    shift of whole lanes, so the transforms commute with each other and
-    with addition, and summing over prefixes gives the ints that summing
-    over suffixes would.  A table per level, keyed by ``(v, q2)``, keeps
+    pair ``(mask, s)`` moves the bits under ``mask`` up by ``s`` bits.
+    Each is a shift of whole lanes, so the transforms commute with each
+    other and with addition, and summing over prefixes gives the ints that
+    summing over suffixes would.  A table per level, keyed by ``(v, q2)``, keeps
     each entry, so ``entry`` is asked once for each tally row that a point
     of an avoider has (a row fixes its level, ``i = q2 + q3``) and for no
     other.  Histograms merge by addition, so a field must never carry.
@@ -240,7 +240,7 @@ def _packed_histogram(
     slots[0] = leaf
     level = [0]
     for i in range(n):
-        entries: list[int | None] = [None] * (n + 1 << bits)
+        entries: list[int | tuple[int, int] | None] = [None] * (n + 1 << bits)
         after = []
         for slot in level:
             prefix = slots[slot]
@@ -257,11 +257,12 @@ def _packed_histogram(
                     m = entries[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
                 if not m:
                     moved = prefix
-                elif m < 0:
+                elif m.__class__ is int:
                     moved = prefix << ~m
                 else:
-                    low = prefix & m
-                    moved = prefix - low + (low << step)
+                    mask, s = m
+                    low = prefix & mask
+                    moved = prefix - low + (low << s)
                 child = (used | bit) >> 1
                 got = slots[child]
                 if got:
@@ -273,6 +274,14 @@ def _packed_histogram(
     return slots[full >> 1]
 
 
+def _lane_shift(mask: int, s: int, every: int) -> int | tuple[int, int]:
+    """The :func:`_packed_histogram` entry moving the fields under ``mask`` up ``s`` bits.
+
+    ``every`` masks all of a walk's fields; none is entry 0, all is ``~s``.
+    """
+    return 0 if not mask else ~s if mask == every else (mask, s)
+
+
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
@@ -282,9 +291,9 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
     a walk of ``L`` lanes counts the avoiders with ``m`` matches of the j-th
     spec, so a state's histogram is only as wide as the match counts it has
     reached.  A field is ``field_width(n)`` bits wide
-    (:func:`qmmp.series.field_width`), since a count is at most C_n.  A move
-    shifts the lanes of the specs it matches up by ``L`` fields, all of the
-    histogram when it matches every spec.
+    (:func:`qmmp.series.field_width`), since a count is at most C_n.  A move's
+    entry shifts the lanes of the specs it matches up by ``L`` fields: 0 for
+    none, ``~s`` for all of them, else ``(mask, s)``.
     """
     tau_word = tau.word
     _check_walk(n, tau_word)
@@ -301,11 +310,10 @@ def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> li
 
         # Defaults bind the tables as locals: entry runs once per distinct move.
         def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, step=step):
-            m = a1[q1] & a2[q2] & a3[q3] & a4[q4]
-            return ~step if m == every else m
+            return _lane_shift(a1[q1] & a2[q2] & a3[q3] & a4[q4], step, every)
 
         leaf = sum(1 << j * width for j in range(len(windows)))
-        out += unpack(_packed_histogram(n, tau_word, leaf, step, entry), width, len(windows))
+        out += unpack(_packed_histogram(n, tau_word, leaf, entry), width, len(windows))
     return out
 
 
@@ -318,37 +326,46 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
     return distributions(n, tau, (spec,))[0]
 
 
-def bivariate_distributions(n: int, k1: int, k2s: Sequence[int]) -> list[BiPoly]:
-    """:func:`bivariate_distribution` of ``k1`` with each of ``k2s``, in order, from one walk.
+def bivariate_distributions(n: int, pairs: Sequence[tuple[int, int]]) -> list[BiPoly]:
+    """:func:`bivariate_distribution` of each ``(k1, k2)`` in ``pairs``, in order, from lane walks.
 
-    The avoiders with ``m0`` peak and ``m1`` non-peak matches for the j-th
-    ``k2`` are counted in field ``(m0 * (n + 1) + m1) * len(k2s) + j`` of
-    one :func:`_packed_histogram` walk, interleaved as in
-    :func:`distributions`.  A peak matches in every lane or in none, since
-    all lanes share ``k1``, and a match shifts the whole histogram by
-    ``n + 1`` steps of ``len(k2s)`` fields; a non-peak match shifts the
-    lanes whose ``k2`` it meets by one step.
+    Each group of up to ``max(1, _LANES // (n + 1))`` pairs shares one
+    :func:`_packed_histogram` walk, interleaved as in :func:`distributions`:
+    field ``(m0 * (n + 1) + m1) * L + j`` of a walk of ``L`` lanes counts the
+    avoiders with ``m0`` peak and ``m1`` non-peak matches of the j-th pair,
+    so below n = 96 no walk holds more fields than a 96-lane :func:`distributions` walk.
+    A peak (q3 = 0) moves the lanes whose ``k1`` it meets up ``n + 1`` steps
+    of ``L`` fields, a non-peak those whose ``k2`` it meets up one step, with
+    the lanes that a quadrant-II tally meets taken from :func:`_admits`.
     """
     _check_n(n)
-    if k1 < 0 or any(k2 < 0 for k2 in k2s):
+    if any(k < 0 for pair in pairs for k in pair):
         raise ValueError("k1, k2 must be nonnegative")
     width = field_width(n)
-    step = len(k2s) * width
-    # the fields of lane 0, one per step
-    lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))
-    every = (1 << (n + 1) ** 2 * step) - 1
-    # Per quadrant-II tally, the lanes whose k2 it meets.
-    meets = [sum(lane << j * width for j, k2 in enumerate(k2s) if q2 >= k2) for q2 in range(n)]
-    meets = [~step if m == every else m for m in meets]
+    size = max(1, _LANES // (n + 1))
+    windows = {k: _window(QuadrantSpec(0, k, 0, 0), n) for pair in pairs for k in pair}
+    out: list[BiPoly] = []
+    for start in range(0, len(pairs), size):
+        group = pairs[start : start + size]
+        step = len(group) * width
+        # the fields of lane 0, one per step
+        lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))
+        every = (1 << (n + 1) ** 2 * step) - 1
 
-    def entry(q1: int, q2: int, q3: int, q4: int) -> int:
-        if q3 == 0:
-            return ~(step * (n + 1)) if q2 >= k1 else 0
-        return meets[q2]
+        def met(thresholds, s):  # per quadrant-II tally, the entry for the lanes it meets
+            fields = [lane << j * width for j in range(len(thresholds))]
+            admits = _admits([windows[k] for k in thresholds], fields, n)[1]
+            return [_lane_shift(m, s, every) for m in admits]
 
-    leaf = sum(1 << j * width for j in range(len(k2s)))
-    packed = _packed_histogram(n, (1, 2, 3), leaf, step, entry)
-    return unpack(packed, width, len(k2s), n + 1)
+        k1s, k2s = zip(*group)
+        peak, other = met(k1s, (n + 1) * step), met(k2s, step)
+
+        def entry(q1, q2, q3, q4, peak=peak, other=other):
+            return other[q2] if q3 else peak[q2]
+
+        leaf = sum(1 << j * width for j in range(len(group)))
+        out += unpack(_packed_histogram(n, P123.word, leaf, entry), width, len(group), n + 1)
+    return out
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
@@ -360,7 +377,7 @@ def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:
     there.  Setting x0 = x1 = x with k1 = k2 = k recovers
     ``distribution(n, 123, (0, k, 0, 0))``.
     """
-    return bivariate_distributions(n, k1, (k2,))[0]
+    return bivariate_distributions(n, ((k1, k2),))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -335,15 +335,13 @@ def _engine_subject(subject: str, max_n: int) -> _Subject:
 
 def _subject_theorem_11(max_n: int) -> _Subject:
     specialized = [f"specialized k={k}" for k in range(7)]
-    bivariate = [f"k1={k1},k2={k2}" for k1 in range(7) for k2 in range(7 - k1)]
+    pairs = [(k1, k2) for k1 in range(7) for k2 in range(7 - k1)]
+    bivariate = [f"k1={k1},k2={k2}" for k1, k2 in pairs]
     cells = _Cells(bivariate + specialized, f"n<={max_n}")
-    for k1 in range(7):
-        k2s = range(7 - k1)
-        engines = [gf.q123_bivariate(k1, k2, max_n) for k2 in k2s]
-        for n in range(max_n + 1):
-            polys = bivariate_distributions(n, k1, k2s)
-            for k2, engine, want in zip(k2s, engines, polys):
-                _poly_eq(cells, f"k1={k1},k2={k2}", f"n={n}", engine.poly(n), want)
+    engines = [gf.q123_bivariate(k1, k2, max_n) for k1, k2 in pairs]
+    for n in range(max_n + 1):
+        for cell, engine, want in zip(bivariate, engines, bivariate_distributions(n, pairs)):
+            _poly_eq(cells, cell, f"n={n}", engine.poly(n), want)
     rows = [
         (cell, "", gf.q123_0k00(k, max_n).poly, (P123, QuadrantSpec(0, k, 0, 0)))
         for k, cell in enumerate(specialized)
@@ -369,7 +367,7 @@ def _band_values(n: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[bool,
     position.
     """
     tallies: set[tuple[int, int, int, int]] = set()
-    mmp._packed_histogram(n, P123.word, 1, 0, lambda *q: tallies.add(q) or 0)
+    mmp._packed_histogram(n, P123.word, 1, lambda *q: tallies.add(q) or 0)
     units = [1 << p for p in range(len(pairs))]
     # per index i, the pairs whose row band holds row i and column band column i
     rows, columns = [0] * (n + 1), [0] * (n + 1)

@@ -251,7 +251,9 @@ def unpack(packed: int, width: int, lanes: int = 1, stride: int = 0) -> list[Int
     with ``stride > 0`` of ``x0^(index // stride) x1^(index % stride)``, while
     every coefficient is below ``2**width`` (Kronecker packing).  An int past
     64 fields is read in blocks of 64 cut from its bytes, so the time is
-    linear in its size.
+    linear in its size.  A :class:`BiPoly` exponent is checked once per int,
+    not once per key: a stride outside 1..256, or a highest field whose x0
+    exponent passes 255, raises ValueError.
     """
     if packed < 0 or width < 1:
         raise ValueError("a packed int must be >= 0 and its fields at least 1 bit wide")
@@ -266,11 +268,18 @@ def unpack(packed: int, width: int, lanes: int = 1, stride: int = 0) -> list[Int
         _read_fields(packed, width, 0, fields)
     if lanes == 1 and not stride:  # the engines' univariate path: no lane work per field
         return [IntPoly._from_keys(fields)]
+    if stride and not (0 < stride <= 256 and max(fields, default=0) // lanes // stride < 256):
+        raise ValueError(f"stride {stride} or a field past x0^255 does not fit a BiPoly key")
+    # x0^e0 x1^e1 is read at index e0 * stride + e1 and keyed e0 * 256 + e1
+    pad = 256 - stride
+    if lanes == 1:  # the engines' bivariate path
+        return [BiPoly._from_keys({f + f // stride * pad: c for f, c in fields.items()})]
+    cls = BiPoly if stride else IntPoly
     polys: list[dict] = [{} for _ in range(lanes)]
     for f, c in fields.items():
         index, j = divmod(f, lanes)
-        polys[j][divmod(index, stride) if stride else index] = c
-    return [BiPoly(p) if stride else IntPoly._from_keys(p) for p in polys]
+        polys[j][index + index // stride * pad if stride else index] = c
+    return [cls._from_keys(p) for p in polys]
 
 
 def _read_fields(packed: int, width: int, first: int, fields: dict[int, int]) -> None:

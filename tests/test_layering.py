@@ -182,7 +182,7 @@ def test_oracle_walks_leave_no_reference_cycle():
     gc.disable()
     try:
         distribution(9, P132, QuadrantSpec(0, 1, 0, 0))
-        bivariate_distributions(9, 1, range(6))
+        bivariate_distributions(9, [(k1, k2) for k1 in range(3) for k2 in range(4)])
         oracle._band_values(9, ((0, 0), (1, 2), (3, 3)))
         oracle.verify_all(3)
         for n in (1, 8):

@@ -262,17 +262,50 @@ def test_bivariate_distribution_audit():
                 assert bivariate_distribution(n, k1, k2) == BiPoly(hist), (n, k1, k2)
 
 
-def test_bivariate_distributions_lanes():
-    # one walk per k1 holds each k2's distribution in its own lane, in input
-    # order, repeats and thresholds beyond n included
-    for n in range(10):
-        for k1 in range(7):
-            for k2s in (range(7 - k1), [3, 0, 3, 12, 1]):
-                want = [bivariate_distribution(n, k1, k2) for k2 in k2s]
-                assert bivariate_distributions(n, k1, k2s) == want, (n, k1, list(k2s))
-    assert bivariate_distributions(5, 1, []) == []
-    with pytest.raises(ValueError, match="k1, k2 must be nonnegative"):
-        bivariate_distributions(5, 1, [0, -1])
+def test_bivariate_distributions_lanes(monkeypatch):
+    # pairs of mixed k1 share walks, each pair's distribution in its own
+    # lane, in input order, repeats and thresholds beyond n included
+    pairs = [(k1, k2) for k1 in range(7) for k2 in range(7 - k1)]
+    pairs += [(3, 0), (0, 3), (3, 0), (12, 1), (1, 12)]
+    alone = {n: [bivariate_distribution(n, k1, k2) for k1, k2 in pairs * 2] for n in range(9)}
+    for n, want in alone.items():
+        assert bivariate_distributions(n, pairs) == want[: len(pairs)], n
+    # A walk takes at most max(1, _LANES // (n + 1)) pairs, so with its
+    # (n + 1)**2 fields a lane it holds no more fields than a full
+    # distributions walk while n < _LANES; a longer list is split, the last
+    # walk taking the rest.
+    lanes, packed = [], mmp._packed_histogram
+
+    def counted(n, tau_word, leaf, entry):
+        lanes.append(leaf.bit_count())  # one set bit per lane
+        return packed(n, tau_word, leaf, entry)
+
+    monkeypatch.setattr(mmp, "_packed_histogram", counted)
+    for n, budget in ((2, _LANES), (7, _LANES), (6, 5)):
+        monkeypatch.setattr(mmp, "_LANES", budget)
+        size = max(1, budget // (n + 1))
+        for count in {size - 1, size, size + 1, 2 * size + 1} - {0}:
+            lanes.clear()
+            assert bivariate_distributions(n, (pairs * 2)[:count]) == alone[n][:count], (n, count)
+            assert lanes == [size] * (count // size) + [count % size] * (count % size > 0)
+    assert bivariate_distributions(5, []) == []
+    for bad in ([(0, 1), (-1, 0)], [(0, -1)]):
+        with pytest.raises(ValueError, match="k1, k2 must be nonnegative"):
+            bivariate_distributions(5, bad)
+
+
+def test_theorem_11_walk_memory():
+    # theorem-11's 28 pairs in one call: at n = 12 a walk takes 7 of them,
+    # and the traced peak is 1.32 MiB, that of one walk per k1; all 28 in
+    # one walk would peak at 5.0 MiB
+    pairs = [(k1, k2) for k1 in range(7) for k2 in range(7 - k1)]
+    tracemalloc.start()
+    try:
+        bivariate_distributions(12, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * 2**20, peak
 
 
 def test_bivariate_distribution_examples():
@@ -418,7 +451,7 @@ def test_tally_rows_of_123_avoiders_are_the_walked_rows():
     # row fixes its level, i = q2 + q3, so each row is one (level, row) pair.
     def walked(n, tau):
         asked = []
-        _packed_histogram(n, tau.word, 1, 0, lambda *q: asked.append(q) or 0)
+        _packed_histogram(n, tau.word, 1, lambda *q: asked.append(q) or 0)
         return sorted(asked)
 
     for n in range(13):
@@ -496,7 +529,7 @@ def test_negative_length_is_rejected():
         lambda: distributions(-1, P132, [spec]),
         lambda: distributions(-1, P132, []),
         lambda: bivariate_distribution(-1, 0, 0),
-        lambda: bivariate_distributions(-1, 0, [0, 1]),
+        lambda: bivariate_distributions(-1, [(0, 0), (0, 1)]),
         lambda: avoiders(-1, P132),
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):

@@ -131,6 +131,20 @@ def test_unpack_reads_a_deep_bivariate_coefficient_as_the_shifts_do():
     assert unpack(packed, 72, stride=41) == [BiPoly({divmod(f, 41): c for f, c in want.items()})]
 
 
+def test_unpack_rejects_what_a_bipoly_key_cannot_hold():
+    # the exponent check runs once per int: a stride past 256 would let x1
+    # carry into x0, so it is refused whatever the fields, and the highest
+    # field's x0 must stay within 0..255
+    for packed, lanes, stride in ((1, 1, 257), (1 << 256 * 8, 1, 257), (1, 3, -1)):
+        with pytest.raises(ValueError):
+            unpack(packed, 8, lanes, stride)
+    for lanes, stride in ((1, 256), (3, 256), (2, 41)):
+        top = (256 * stride - 1) * lanes  # the last field of x0^255
+        assert unpack(1 << top * 8, 8, lanes, stride)[0] == BiPoly({(255, stride - 1): 1})
+        with pytest.raises(ValueError):
+            unpack(1 << (top + lanes) * 8, 8, lanes, stride)
+
+
 def test_unpack_rejects_a_negative_int_or_width():
     # each would shift forever
     for packed, width in ((-1, 8), (5, 0), (5, -3)):
