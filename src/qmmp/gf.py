@@ -2,24 +2,26 @@
 
 One engine per family of quadrant specs, each computing the exact truncated
 series whose t^n coefficient is the match-count polynomial over the length-n
-avoidance class.  Engines are organized around a first-return decomposition:
-the t^n coefficient is assembled by convolving lower-order coefficients of
-boundary engines, every recursion through the one kernel ``_first_return``.
-The kernel multiplies and adds only Python ints: each coefficient polynomial
-is packed into one int with fixed-width fields (Kronecker substitution), the
-engine caches hold the packed lists, and the public entry points unpack them
-once per degree, checking each degree's mass against the Catalan number.
+avoidance class.  The engines multiply, shift and add only Python ints: each
+coefficient polynomial is packed into one int with fixed-width fields
+(Kronecker substitution), the engine caches hold the packed lists, and the
+public entry points unpack them once per degree, checking each degree's mass
+against the Catalan number.
 
 Family naming follows the slot string of the quadrant spec: ``k0e0`` is
 ``(k, 0, EMPTY, 0)``, ``akel`` is ``(a, k, EMPTY, l)``, ``ekel`` is
 ``(EMPTY, k, EMPTY, l)``, and so on.  All six 132 families are
-entry points over one recursion, ``_c_akel``, at different thresholds.  The
-123-avoider series for specs whose first or third slot is positive transport
-to 132-avoider engines; the genuinely two-sided specs ``(0, k, 0, l)`` have
-their own recursion (peaks and non-peaks tracked by x0 and x1) and, for
-small ``(k, l)``, closed coefficient formulas.  That recursion runs in the
-image it is asked for: bivariate for ``q123_bivariate``, univariate at
-x0 = x1 = x for ``q123_0k00``.
+entry points over one recursion, ``_c_akel``, at different thresholds: it
+assembles the t^n coefficient by convolving lower-order coefficients of
+boundary engines at a first return, through the one kernel
+``_first_return``.  The 123-avoider series for specs whose first or third
+slot is positive transport to 132-avoider engines.  The genuinely two-sided
+specs ``(0, k, 0, l)`` have, for small ``(k, l)``, closed coefficient
+formulas, and for ``l = 0`` one bottom-up walk, ``_peak_walk``, over the
+left-to-right minima and right-to-left maxima of a 123-avoider (peaks and
+non-peaks, tracked by x0 and x1).  The walk runs in the image it is asked
+for: bivariate for ``q123_bivariate``, univariate at x0 = x1 = x for
+``q123_0k00``.
 
 ``KNOWN_ERRATA`` records the spots where a stated closed form, taken
 literally, first diverges from the brute-force oracle; the shipped engines
@@ -85,7 +87,7 @@ def _catalans(trunc: int) -> tuple[int, ...]:
 def _first_return(
     trunc: int, split: int, left, right, block=(), head=None, ell: int = 0, tail=None, low: int = 0
 ) -> tuple[int, ...]:
-    """Packed coefficient list of a first-return decomposition, the one engine kernel.
+    """Packed coefficient list of a first-return decomposition, the kernel of ``_c_akel``.
 
     ``out[0] = 1`` and ``out[n] = C_n`` for ``n <= low`` (no match fits
     yet); for ``n > low``::
@@ -102,9 +104,7 @@ def _first_return(
     it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
     None, stand for the list being built.  Every entry is a packed int, so
     the products and sums are plain integer arithmetic, each sum one C-level
-    ``sum(map(mul, ...))``.  A sparse ``right`` (:func:`_narayana_terms`)
-    holds each degree as ``(c, s)`` terms instead, and multiplies by
-    ``c * a << s``.
+    ``sum(map(mul, ...))``.
     """
     out = [catalan(n) for n in range(min(low, trunc) + 1)]
     if low >= trunc:
@@ -113,50 +113,25 @@ def _first_return(
     heads = [head(i) for i in range(1, min(split, trunc + 1))]
     tails = [tail(j) or out for j in range(min(ell, trunc))]
     cat = _catalans(trunc)
-    sparse = type(right[0]) is tuple
     for n in range(low + 1, trunc + 1):
         # heads[i - 1][n - i] and tails[j][n - 1 - j], up to the shorter list
         down = range(n - 1, -1, -1)
         total = sum(map(mul, block, map(getitem, heads, down)))
         total += sum(map(mul, cat, map(getitem, tails, down)))
         if n - ell >= split:
-            lefts, rights = left[split - 1 : n - ell], reversed(right[ell : n - split + 1])
-            if sparse:
-                total += sum(a * c << s for a, terms in zip(lefts, rights) for c, s in terms)
-            else:
-                total += sum(map(mul, lefts, rights))
+            total += sum(map(mul, left[split - 1 : n - ell], reversed(right[ell : n - split + 1])))
         out.append(total)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _narayana_terms(trunc: int, s0: int, s1: int, lift: int) -> tuple[tuple, ...]:
-    """:func:`_narayana` up ``lift`` fields, each degree as ``(coefficient, bit shift)`` terms.
-
-    A ``lift`` of s1 multiplies by x1.  Each term is one nonzero field: in
-    the x0 = x1 = x image a degree holds the single term ``C_n x^n``, in the
-    bivariate image n terms.
-    """
+def _narayana(trunc: int) -> tuple[int, ...]:
+    """Packed ``sum_p N(n, p) x^p``, the ``(0, 0, EMPTY, 0)`` series: over
+    132-avoiders x marks the left-to-right minima."""
     w = _width(trunc)
-    out = [((1, lift * w),)]
-    for n in range(1, trunc + 1):
-        fields: dict[int, int] = {}
-        for p in range(1, n + 1):
-            f = p * s0 + (n - p) * s1 + lift
-            fields[f] = fields.get(f, 0) + narayana(n, p)
-        out.append(tuple((c, f * w) for f, c in fields.items()))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _narayana(trunc: int, s0: int = 1, s1: int = 0) -> tuple[int, ...]:
-    """Packed ``sum_p N(n, p) x0^p x1^(n-p)``, with x0 and x1 at field strides s0 and s1.
-
-    Over 132-avoiders (the defaults, x1 set to 1) x0 marks the left-to-right
-    minima, the ``(0, 0, EMPTY, 0)`` series; over 123-avoiders x0 marks the
-    peaks and x1 the non-peaks of the path.
-    """
-    return tuple(sum(c << s for c, s in terms) for terms in _narayana_terms(trunc, s0, s1, 0))
+    return (1,) + tuple(
+        sum(narayana(n, p) << p * w for p in range(1, n + 1)) for n in range(1, trunc + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +162,7 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
 
     Each call is one first-return split σ = α n β.  ``(k, 0, EMPTY, 0)``,
     ``(0, k, EMPTY, 0)``, ``(k, ell, EMPTY, 0)`` and ``(0, k, EMPTY, ell)``
-    are boundary cases of the numeric call below, under two rules:
+    are boundary cases of the one first-return call below, under two rules:
     ``a - 1`` clamps at 0 in ``left`` and ``tail``, and a reference to the
     list being built is None (``left`` when ``a = ell = 0``, ``tail(0)``
     when ``a = 0``).  ``low = a + k + ell``, with 0 for an EMPTY ``a``,
@@ -215,15 +190,14 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     cat = _catalans(trunc)
     right = _c_akel(a, ell, 0, trunc)
     head = lambda i: _c_akel(a, k - i, ell, trunc)
-    low = (0 if a is EMPTY else a) + k + ell
     if a is EMPTY:
-        return _first_return(trunc, k, cat, right, cat, head, low=low)
-    below = max(a - 1, 0)
-    left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
-    return _first_return(
-        trunc, k, left, right, cat, head,
-        ell, lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc), low=low,
-    )
+        left, span, tail, low = cat, 0, None, k + ell
+    else:
+        below = max(a - 1, 0)
+        left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
+        span, low = ell, a + k + ell
+        tail = lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc)
+    return _first_return(trunc, k, left, right, cat, head, span, tail, low)
 
 
 def q132_k0e0(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
@@ -258,46 +232,53 @@ def q132_ekel(k: int, ell: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
 
 # ---------------------------------------------------------------------------
 # 123-avoider engine for (0, k, 0, 0): peaks vs non-peaks
-#
-# x0 tracks matching peaks and x1 matching non-peaks.  Setting x0 = x1 = x,
-# x0 = 1 or x1 = 1 is a ring homomorphism, so the whole recursion runs in
-# whichever image is asked for, given by the field strides ``(s0, s1)`` of
-# x0 and x1 in the packing: ``(trunc + 1, 1)`` unpacks to ``BiPoly`` (an x1
-# exponent never passes trunc, so it never spills into x0), ``(1, 1)`` to
-# the x0 = x1 = x ``IntPoly``, and a dropped variable, set to 1, has stride 0.
 
 
-@lru_cache(maxsize=None)
-def _c_biv(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int, ...]:
-    s0, s1 = strides
-    if k1 == 0 and k2 == 0:
-        return _narayana(trunc, s0, s1)
+def _peak_walk(k1: int, k2: int, trunc: int, strides: tuple[int, int]) -> tuple[int, ...]:
+    """Packed series over 123-avoiders, x0 marking the peaks with q2 >= k1 and
+    x1 the non-peaks with q2 >= k2, by one bottom-up walk over a height h.
+
+    Give a point of a 123-avoider its position i and its rank u from the
+    top (value n + 1 - u).  It is a left-to-right minimum (L) or a
+    right-to-left maximum (R), as one that is neither is the middle of a
+    123; one that is both counts as L.  An L point has q3 = 0 and
+    q2 = i - 1, so it is a peak and u >= i.  An R point has q1 = 0 and,
+    not being L, q3 >= 1, so it is a non-peak with q2 = u - 1 and u < i.  The L points fall from left
+    to right, and so do the R points, so L positions take L ranks in FIFO
+    order, and R positions R ranks.  Step s reads position s and rank s: an
+    L position waits in one queue for its rank, an R rank in another for its
+    position, and both hold h entries.  By the types of position s and rank
+    s the moves are (L,L) h -> h (push s, then the oldest L takes rank s),
+    (L,R) h -> h + 1 and, as an R position needs an R rank already queued,
+    (R,R) h -> h and (R,L) h -> h - 1 only from h >= 1.  So each avoider of
+    length n is a path back to height 0 after step n, and a different one,
+    since the types and the FIFO order fix every point.  Those paths (Motzkin
+    paths with two-coloured level steps off height 0) number C_n, as the
+    avoiders do, so each path is one avoider; ``_unpack``'s mass check
+    re-counts them.
+
+    An L point matches when its position s > k1 and an R point when its
+    rank s > k2, so its weight goes on at the push, and neither test depends
+    on n: one walk to ``trunc`` gives every degree.  ``strides`` are the
+    field strides of x0 and x1: ``(trunc + 1, 1)`` for ``BiPoly``, ``(1, 1)``
+    for x0 = x1 = x, and 0 for a variable set to 1.  A height over
+    ``trunc - s`` cannot return to 0 in time, so it is dropped.
+    """
     w = _width(trunc)
-    x0, x1 = 1 << s0 * w, 1 << s1 * w
-    no_x0, no_x1 = (0, s1), (s0, 0)
-    base = _c_biv(0, 0, trunc, strides)
-    # With both variables kept, a degree of the Narayana base is a few nonzero
-    # fields, so it goes to _first_return as terms, multiplied by shifts.
-    sparse = s0 and s1
-    if k2 == 0:
-        # Only peaks carry a condition.  The first-arch block never helps a
-        # peak match, while everything left of the return helps everything
-        # in the tail.
-        block = (1,) + tuple(x1 * p for p in _c_biv(0, 0, trunc, no_x0)[1:])
-        right = _narayana_terms(trunc, s0, s1, s1) if sparse else tuple(x1 * p for p in base)
-        return _first_return(
-            trunc, k1 + 1, None, right, block, lambda i: _c_biv(k1 - i, 0, trunc, strides)
-        )
-    if k1 >= k2:
-        block = _c_biv(0, k2 - 1, trunc, no_x0)
-    else:
-        # a one-point block is a single peak, which matches at k1 = 0
-        block = (x0 if k1 == 0 else 1,) + _c_biv(k1, 0, trunc, no_x1)[1:]
-    return _first_return(
-        trunc, max(k1, k2, 2), _c_biv(k1, k2 - 1, trunc, strides),
-        _narayana_terms(trunc, s0, s1, 0) if sparse else base, block,
-        lambda i: _c_biv(max(k1 - i, 0), max(k2 - i, 0), trunc, strides),
-    )
+    out, heights = [1], [1]
+    for s in range(1, trunc + 1):
+        peak = strides[0] * w if s > k1 else 0
+        non_peak = strides[1] * w if s > k2 else 0
+        new = [0] * (len(heights) + 1)
+        for h, v in enumerate(heights):
+            new[h] += v << peak  # (L,L)
+            new[h + 1] += v << peak << non_peak  # (L,R)
+            if h:
+                new[h] += v << non_peak  # (R,R)
+                new[h - 1] += v  # (R,L)
+        out.append(new[0])
+        heights = new[: trunc - s + 1]
+    return tuple(out)
 
 
 def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
@@ -306,14 +287,14 @@ def q123_bivariate(k1: int, k2: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
     k1, k2 = _clamp(trunc, k1, k2)
     if trunc > 255:
         raise ValueError(f"t^{trunc} reaches x0^{trunc}; exponents are limited to 255")
-    return _series(_c_biv(k1, k2, trunc, (trunc + 1, 1)), trunc, BiPoly)
+    return _series(_peak_walk(k1, k2, trunc, (trunc + 1, 1)), trunc, BiPoly)
 
 
 def q123_0k00(k: int, trunc: int = DEFAULT_TRUNC) -> TSeries:
-    """Series for (0, k, 0, 0) over 123-avoiders: the peak/non-peak recursion
-    of ``q123_bivariate`` run in its x0 = x1 = x image."""
+    """Series for (0, k, 0, 0) over 123-avoiders: the peak/non-peak walk of
+    ``q123_bivariate`` run in its x0 = x1 = x image."""
     (k,) = _clamp(trunc, k)
-    return _series(_c_biv(k, k, trunc, (1, 1)), trunc)
+    return _series(_peak_walk(k, k, trunc, (1, 1)), trunc)
 
 
 # ---------------------------------------------------------------------------

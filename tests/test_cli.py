@@ -264,6 +264,19 @@ def test_too_deep_a_recursion_is_one_error_line():
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+def test_deep_123_peak_spec_is_one_bottom_up_walk():
+    # (0, k, 0, 0) over 123-avoiders is a walk over heights, not a recursion:
+    # a deep threshold at a deep cap prints every degree and exits promptly.
+    env = dict(os.environ, MMP_MAX_N="400", PYTHONPATH=str(SRC))
+    argv = ["series", "--avoid", "123", "--spec", "0,250,0,0", "--max-n", "251"]
+    done = subprocess.run(
+        [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(lines) == 252 and lines[-1].startswith("t^251:")
+
+
 def test_bijection_examples(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--map", "psi", "--input", "869743251",
                            "--show", "path")

@@ -78,7 +78,7 @@ def test_engines_match_oracle_small():
                     assert gf.q132_0kel(k, ell, n).coeffs == want
                 if ell == 0:
                     assert gf.q132_kle0(a, k, n).coeffs == want
-    # every branch of the bivariate recursion (k2 = 0, k1 = 0, k1 >= k2, k1 < k2)
+    # the bivariate walk with either threshold below, at or above the other
     n = 12
     for k1 in range(4):
         for k2 in range(4):
@@ -144,7 +144,7 @@ def _substitute(p: BiPoly, keep_x0: bool, keep_x1: bool) -> BiPoly:
 
 def test_bivariate_images_commute_with_substitution():
     # Setting x0 = x1 = x, x0 = 1 or x1 = 1 is a ring homomorphism, so the
-    # recursion run in an image equals the bivariate series substituted.
+    # walk run in an image equals the bivariate series substituted.
     n = 16
     for k1 in range(7):
         for k2 in range(7):
@@ -153,18 +153,18 @@ def test_bivariate_images_commute_with_substitution():
                 assert gf.q123_0k00(k1, n).coeffs == tuple(map(to_univariate, biv.coeffs))
             for keep in ((False, True), (True, False), (False, False)):
                 s0, s1 = map(int, keep)  # a dropped variable has stride 0
-                image = gf._series(gf._c_biv(k1, k2, n, ((n + 1) * s0, s1)), n, BiPoly)
+                image = gf._series(gf._peak_walk(k1, k2, n, ((n + 1) * s0, s1)), n, BiPoly)
                 assert image.coeffs == tuple(_substitute(p, *keep) for p in biv.coeffs)
-                univariate = gf._series(gf._c_biv(k1, k2, n, (s0, s1)), n)
+                univariate = gf._series(gf._peak_walk(k1, k2, n, (s0, s1)), n)
                 assert univariate.coeffs == tuple(
                     to_univariate(_substitute(p, *keep)) for p in biv.coeffs
                 )
 
 
 def test_non_peak_thresholds_match_pinned_digests():
-    # (0, k2) runs the general first-return call with a one-point block of x0;
-    # the oracle checks the bivariate image only to n = 9, so these digests of
-    # the rendered series to t^20 pin the deep coefficients.
+    # (0, k2): every L point is a matching peak from step 1 on; the oracle
+    # checks the bivariate image only to n = 9, so these digests of the
+    # rendered series to t^20 pin the deep coefficients.
     pinned = {
         1: "d22a3a007b35dc31",
         2: "73b0999806978b4c",
@@ -179,9 +179,8 @@ def test_non_peak_thresholds_match_pinned_digests():
 
 
 def test_shift_products_match_pinned_digests():
-    # With x0 and x1 both kept, products by the Narayana base are shifts; the
-    # oracle checks these images only to n = 9, so digests of the rendered
-    # series, recorded from the big-int products, pin the deep coefficients.
+    # Both thresholds positive, in both images; the oracle checks these only
+    # to n = 9, so digests of the rendered series pin the deep coefficients.
     bivariate = {
         (1, 1): "e7195238aea05e8a",
         (1, 2): "998db1e674a802c3",
