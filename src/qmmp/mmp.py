@@ -17,7 +17,6 @@ distinction is load-bearing everywhere in this package.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import or_
 from typing import Callable, Sequence, Union
 
 from .perm import P123, Permutation, _Key, _check_n, _check_walk, catalan_moves, occurs
@@ -154,8 +153,8 @@ def _admits(windows, fields, n: int) -> list[list[int]]:
     exactly when field ``f`` survives the AND of its four slots' entries.
     A :func:`_window` range is ``(0, 0)`` or ``(k, n)``, so each field is
     ORed once, into tally 0 or into the start ``k`` of its run, and one
-    running OR over the tallies fills in the rest; a run starting at
-    ``k >= n`` admits no tally.
+    running OR over the tallies fills in the rest, one shared int from each
+    start to the next; a run starting at ``k >= n`` admits no tally.
     """
     admits = []
     for slot in range(4):
@@ -167,8 +166,8 @@ def _admits(windows, fields, n: int) -> list[list[int]]:
                 starts[min(lo, n)] |= field
             else:
                 empty |= field
-        admit = list(accumulate(starts[:n], or_))
-        if admit:
+        admit = list(accumulate(starts[:n], lambda run, begun: run | begun if begun else run))
+        if admit and empty:
             admit[0] |= empty
         admits.append(admit)
     return admits
@@ -188,15 +187,14 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # ---------------------------------------------------------------------------
 # Distributions over avoidance classes (the brute-force ground truth)
 
-# Specs per walk of :func:`distributions`; a bivariate lane holds n + 1 times
-# the fields, so :func:`bivariate_distributions` takes _LANES // (n + 1) pairs
-# a walk.  A walk holds two levels of states, and a state's histogram only
-# the match counts it has reached, so a lane costs little memory: at 96
-# lanes verify-all runs 80 distribution and bivariate walks (302 at 24, 155
-# at 48, 70 at 128; the band subjects' 20 walks keep no lanes), and a warm
-# run's traced peak is 1.23 MB (1.07 at 24 lanes, 1.11 at 48, 1.35 at 128),
-# about 0.4 MB of it the engine series that the engine-vs-oracle subjects
-# hold while they wait and 0.18 MB theorem-11's 28 bivariate engine series.
+# Lanes per walk of :func:`_lane_walks`, whose bivariate lanes hold n + 1
+# times the fields.  A walk holds two levels of states, and a state's
+# histogram only the indices it has reached, so a lane costs little memory:
+# at 96 lanes verify-all runs 80 lane walks (302 at 24, 155 at 48, 70 at
+# 128; the band subjects' 20 walks keep no lanes), and a warm run's traced
+# peak is 1.20 MB (1.10 at 24 lanes, 1.11 at 48, 1.31 at 128), about 0.4 MB
+# of it the engine series that the engine-vs-oracle subjects hold while
+# they wait and 0.18 MB theorem-11's 28 bivariate engine series.
 _LANES = 96
 
 
@@ -274,47 +272,58 @@ def _packed_histogram(
     return slots[full >> 1]
 
 
-def _lane_shift(mask: int, s: int, every: int) -> int | tuple[int, int]:
-    """The :func:`_packed_histogram` entry moving the fields under ``mask`` up ``s`` bits.
+def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
+    """The polynomial of each lane in ``lanes``, in order, from shared walks.
 
-    ``every`` masks all of a walk's fields; none is entry 0, all is ``~s``.
+    A lane is a spec at ``stride = 0`` and a pair ``(peak, other)`` of specs
+    at ``stride = n + 1``.  A point with q3 = 0 (a *peak*) matches it when
+    its tallies lie in the :func:`_window` of ``peak``, any other point when
+    they lie in that of ``other``; a lone spec is both.  Up to ``max(1,
+    _LANES // max(stride, 1))`` lanes share a :func:`_packed_histogram`
+    walk, interleaved: field ``index * L + j`` of a walk of ``L`` lanes,
+    each ``field_width(n)`` bits, counts lane j's avoiders at that index,
+    so a state's histogram is only as wide as the indices it has reached.
+    A match moves its lanes up one step of ``L`` fields and a peak match
+    ``max(stride, 1)`` steps, so the index is the match count at ``stride
+    = 0`` and ``m0 * stride + m1`` for m0 peak and m1 other matches at
+    ``stride = n + 1`` (:func:`qmmp.series.unpack`).  A move's entry ANDs
+    the lanes that :func:`_admits` gives its four tallies.
     """
-    return 0 if not mask else ~s if mask == every else (mask, s)
+    width = field_width(n)
+    step = max(stride, 1)
+    size = max(1, _LANES // step)
+    out: list[IntPoly | BiPoly] = []
+    for start in range(0, len(lanes), size):
+        group = lanes[start : start + size]
+        unit = len(group) * width
+        # the fields of lane 0, then of each lane
+        lane = sum(((1 << width) - 1) << s * unit for s in range((n + 1) * step))
+        fields = [lane << j * width for j in range(len(group))]
+        every = (1 << (n + 1) * step * unit) - 1
+        peaks, others = zip(*group) if stride else (group, group)
+        peak = other = _admits([_window(spec, n) for spec in peaks], fields, n)
+        if others != peaks:
+            other = _admits([_window(spec, n) for spec in others], fields, n)
+        del lane, fields  # the walk needs only the tables, not the masks
+
+        # Defaults bind the tables as locals: entry runs once per distinct move.
+        def entry(q1, q2, q3, q4, peak=peak, other=other, every=every, up=step * unit, unit=unit):
+            (a1, a2, a3, a4), s = (other, unit) if q3 else (peak, up)
+            mask = a1[q1] & a2[q2] & a3[q3] & a4[q4]
+            return 0 if not mask else ~s if mask == every else (mask, s)
+
+        leaf = sum(1 << j * width for j in range(len(group)))
+        out += unpack(_packed_histogram(n, tau_word, leaf, entry), width, len(group), stride)
+    return out
 
 
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
-    Each group of up to 96 specs shares one walk of :func:`_packed_histogram`
-    as *lanes*, and is unpacked as soon as its walk ends.  The lanes are
-    interleaved as in :func:`bivariate_distributions`: field ``m * L + j`` of
-    a walk of ``L`` lanes counts the avoiders with ``m`` matches of the j-th
-    spec, so a state's histogram is only as wide as the match counts it has
-    reached.  A field is ``field_width(n)`` bits wide
-    (:func:`qmmp.series.field_width`), since a count is at most C_n.  A move's
-    entry shifts the lanes of the specs it matches up by ``L`` fields: 0 for
-    none, ``~s`` for all of them, else ``(mask, s)``.
+    The x0 = x1 image of :func:`_lane_walks`, its ``stride = 0``.
     """
-    tau_word = tau.word
-    _check_walk(n, tau_word)
-    width = field_width(n)
-    out: list[IntPoly] = []
-    for start in range(0, len(specs), _LANES):
-        windows = [_window(spec, n) for spec in specs[start : start + _LANES]]
-        step = len(windows) * width
-        # the fields of lane 0, one per match count
-        lane = sum(((1 << width) - 1) << m * step for m in range(n + 1))
-        every = (1 << (n + 1) * step) - 1
-        # Per slot and tally, the lanes whose window admits that tally.
-        a1, a2, a3, a4 = _admits(windows, [lane << j * width for j in range(len(windows))], n)
-
-        # Defaults bind the tables as locals: entry runs once per distinct move.
-        def entry(q1, q2, q3, q4, a1=a1, a2=a2, a3=a3, a4=a4, every=every, step=step):
-            return _lane_shift(a1[q1] & a2[q2] & a3[q3] & a4[q4], step, every)
-
-        leaf = sum(1 << j * width for j in range(len(windows)))
-        out += unpack(_packed_histogram(n, tau_word, leaf, entry), width, len(windows))
-    return out
+    _check_walk(n, tau.word)
+    return _lane_walks(n, tau.word, specs, 0)
 
 
 def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
@@ -329,43 +338,14 @@ def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
 def bivariate_distributions(n: int, pairs: Sequence[tuple[int, int]]) -> list[BiPoly]:
     """:func:`bivariate_distribution` of each ``(k1, k2)`` in ``pairs``, in order, from lane walks.
 
-    Each group of up to ``max(1, _LANES // (n + 1))`` pairs shares one
-    :func:`_packed_histogram` walk, interleaved as in :func:`distributions`:
-    field ``(m0 * (n + 1) + m1) * L + j`` of a walk of ``L`` lanes counts the
-    avoiders with ``m0`` peak and ``m1`` non-peak matches of the j-th pair,
-    so below n = 96 no walk holds more fields than a 96-lane :func:`distributions` walk.
-    A peak (q3 = 0) moves the lanes whose ``k1`` it meets up ``n + 1`` steps
-    of ``L`` fields, a non-peak those whose ``k2`` it meets up one step, with
-    the lanes that a quadrant-II tally meets taken from :func:`_admits`.
+    The bivariate image of :func:`_lane_walks`, its ``stride = n + 1``, whose
+    lanes are the specs ``(0, k1, 0, 0)`` and ``(0, k2, 0, 0)``.
     """
     _check_n(n)
     if any(k < 0 for pair in pairs for k in pair):
         raise ValueError("k1, k2 must be nonnegative")
-    width = field_width(n)
-    size = max(1, _LANES // (n + 1))
-    windows = {k: _window(QuadrantSpec(0, k, 0, 0), n) for pair in pairs for k in pair}
-    out: list[BiPoly] = []
-    for start in range(0, len(pairs), size):
-        group = pairs[start : start + size]
-        step = len(group) * width
-        # the fields of lane 0, one per step
-        lane = sum(((1 << width) - 1) << s * step for s in range((n + 1) ** 2))
-        every = (1 << (n + 1) ** 2 * step) - 1
-
-        def met(thresholds, s):  # per quadrant-II tally, the entry for the lanes it meets
-            fields = [lane << j * width for j in range(len(thresholds))]
-            admits = _admits([windows[k] for k in thresholds], fields, n)[1]
-            return [_lane_shift(m, s, every) for m in admits]
-
-        k1s, k2s = zip(*group)
-        peak, other = met(k1s, (n + 1) * step), met(k2s, step)
-
-        def entry(q1, q2, q3, q4, peak=peak, other=other):
-            return other[q2] if q3 else peak[q2]
-
-        leaf = sum(1 << j * width for j in range(len(group)))
-        out += unpack(_packed_histogram(n, P123.word, leaf, entry), width, len(group), n + 1)
-    return out
+    lanes = [(QuadrantSpec(0, k1, 0, 0), QuadrantSpec(0, k2, 0, 0)) for k1, k2 in pairs]
+    return _lane_walks(n, P123.word, lanes, n + 1)
 
 
 def bivariate_distribution(n: int, k1: int, k2: int) -> BiPoly:

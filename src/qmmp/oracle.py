@@ -9,19 +9,18 @@ concrete counterexample whenever a cell fails.
 
 Every subject is a generator in one registry, ``_SUBJECTS``, and one runner,
 :func:`_drive`, runs them.  The subjects that compare oracle distributions
-with an engine, with one another or with a formula (theorem-2/6..10,
-theorem-11's specialized rows, conjecture-1, corollary-1, theorem-3, the
-top-coefficient subjects, theorem-14..18 and lemma-sym/lemma-sym2) ask for
-them instead of fetching them: :func:`_drive` serves all of their length-n
-requests from one deduplicated set of lane-packed walks per class.  Those
-whose cells say that two distributions are equal (corollary-1, lemma-sym,
-lemma-sym2, theorem-2/6..10, theorem-11's specialized rows and conjecture-1)
-are lists of rows, each two sides and a cell, run by one loop,
-:func:`_compare`.  The band subjects and the two bijection passes ask for
-nothing and finish at its first step: each certifies its checks from one
-pass over the prefix states per n (the band subjects from the tally rows
-that pass meets), and checks object by object only what that does not
-certify.  theorem-11 walks its bivariate rows itself.
+with an engine, with one another or with a formula (theorem-2/6..11,
+conjecture-1, corollary-1, theorem-3, the top-coefficient subjects,
+theorem-14..18 and lemma-sym/lemma-sym2) ask for them instead of fetching
+them: :func:`_drive` serves all of their length-n requests, theorem-11's
+peak / non-peak pairs among them, from one deduplicated set of lane-packed
+walks per class.  Those whose cells say that two distributions are equal
+(corollary-1, lemma-sym, lemma-sym2, theorem-2/6..11 and conjecture-1) are
+lists of rows, each two sides and a cell, run by one loop, :func:`_compare`.
+The band subjects and the two bijection passes ask for nothing and finish
+at its first step: each certifies its checks from one pass over the prefix
+states per n (the band subjects from the tally rows that pass meets), and
+checks object by object only what that does not certify.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ from .mmp import (
     _append_tallies,
     _in_window,
     _window,
-    bivariate_distributions,
     corner_frame_counts,
     distribution,
     mmp_count,
     quadrant_rows,
 )
 from .perm import P123, P132, Permutation, _Frozen, avoiders, catalan_moves
-from .series import IntPoly, TSeries
+from .series import TSeries
 
 
 def class_from_text(text: str) -> Permutation:
@@ -144,33 +142,37 @@ def _poly_eq(cells: _Cells, cell: str, label: str, got, want) -> None:
 _Subject = Generator[tuple[int, list], dict, "VerificationReport | dict[str, VerificationReport]"]
 
 
-def _oracle_at(n: int, wanted) -> dict[tuple[Permutation, QuadrantSpec], IntPoly]:
-    """The length-n distribution of each ``(class, spec)`` in ``wanted``, keyed by it.
+def _oracle_at(n: int, wanted) -> dict:
+    """The length-n distribution of each request key in ``wanted``, keyed by it.
 
-    One pass groups the requests by class, each class's distinct specs in the
-    order first asked for, and serves each class from one
-    :func:`qmmp.mmp.distributions` call, so the specs share lane-packed walks.
+    A key is ``(class, spec)``, or ``(None, (k1, k2))`` for the pair's peak /
+    non-peak :class:`~qmmp.series.BiPoly` over 123-avoiders.  Each class's
+    distinct keys, in the order first asked for, share the lane-packed walks
+    of one :func:`qmmp.mmp.distributions` or
+    :func:`qmmp.mmp.bivariate_distributions` call, looked up at call time.
     """
-    specs = {P123: {}, P132: {}}
-    for tau, spec in wanted:
-        specs[tau][spec] = None
+    groups = {P123: {}, P132: {}, None: {}}
+    for tau, key in wanted:
+        groups[tau][key] = None
     out = {}
-    for tau, group in specs.items():
-        out.update(zip([(tau, s) for s in group], mmp.distributions(n, tau, list(group))))
+    for tau, keys in groups.items():
+        keys = list(keys)
+        polys = mmp.distributions(n, tau, keys) if tau else mmp.bivariate_distributions(n, keys)
+        out.update(zip([(tau, key) for key in keys], polys))
     return out
 
 
 def _drive(subjects: list) -> list:
     """The return values of the subjects ``subjects``, run together, in order.
 
-    A subject is a generator that yields ``(n, [(class, spec), ...])`` once
-    per n, n rising, is sent the mapping from each of those ``(class,
-    spec)`` to its length-n distribution, and returns its report; one that
-    asks for nothing returns at the first step.  Each step serves every
-    subject waiting at the smallest n, in order, from one :func:`_oracle_at`
-    call, so a spec that several subjects ask for is walked once.  The
-    mapping is cleared after the step: a suspended subject keeps no earlier
-    n's polynomials alive through the next walks.
+    A subject is a generator that yields ``(n, [key, ...])`` once per n, n
+    rising, each key an :func:`_oracle_at` request, is sent the mapping from
+    each of those keys to its length-n distribution, and returns its report;
+    one that asks for nothing returns at the first step.  Each step serves
+    every subject waiting at the smallest n, in order, from one
+    :func:`_oracle_at` call, so a key that several subjects ask for is
+    walked once.  The mapping is cleared after the step: a suspended subject
+    keeps no earlier n's polynomials alive through the next walks.
     """
     reports: list = [None] * len(subjects)
     asks: dict[int, tuple[int, list]] = {}
@@ -195,8 +197,8 @@ def _compare(cells: _Cells, rows: list, max_n: int) -> Generator[tuple[int, list
     """Record the failures of ``rows`` in ``cells``, over n <= max_n, for a
     subject to ``yield from``.
 
-    A row is ``(cell, label, got, want)``, and each side is a ``(class,
-    spec)`` key or a function of n, such as an engine series' ``poly``.
+    A row is ``(cell, label, got, want)``, and each side is an
+    :func:`_oracle_at` key or a function of n, such as an engine series' ``poly``.
     Each n's distributions of the rows' distinct keys are asked for in one
     request; rows without a key ask for nothing.
     """
@@ -334,18 +336,15 @@ def _engine_subject(subject: str, max_n: int) -> _Subject:
 
 
 def _subject_theorem_11(max_n: int) -> _Subject:
-    specialized = [f"specialized k={k}" for k in range(7)]
-    pairs = [(k1, k2) for k1 in range(7) for k2 in range(7 - k1)]
-    bivariate = [f"k1={k1},k2={k2}" for k1, k2 in pairs]
-    cells = _Cells(bivariate + specialized, f"n<={max_n}")
-    engines = [gf.q123_bivariate(k1, k2, max_n) for k1, k2 in pairs]
-    for n in range(max_n + 1):
-        for cell, engine, want in zip(bivariate, engines, bivariate_distributions(n, pairs)):
-            _poly_eq(cells, cell, f"n={n}", engine.poly(n), want)
     rows = [
-        (cell, "", gf.q123_0k00(k, max_n).poly, (P123, QuadrantSpec(0, k, 0, 0)))
-        for k, cell in enumerate(specialized)
+        (f"k1={k1},k2={k2}", "", gf.q123_bivariate(k1, k2, max_n).poly, (None, (k1, k2)))
+        for k1 in range(7) for k2 in range(7 - k1)
     ]
+    rows += [
+        (f"specialized k={k}", "", gf.q123_0k00(k, max_n).poly, (P123, QuadrantSpec(0, k, 0, 0)))
+        for k in range(7)
+    ]
+    cells = _Cells((row[0] for row in rows), f"n<={max_n}")
     yield from _compare(cells, rows, max_n)
     return cells.report("theorem-11")
 

@@ -156,7 +156,7 @@ def _lasting_tables(tree):
 # per module scanned.
 KERNELS = {
     "perm": {"avoiders"},
-    "mmp": {"_packed_histogram", "distributions"},
+    "mmp": {"_packed_histogram", "_lane_walks"},
     "dyck": {"_column", "_stair"},
     "oracle": {"_levels", "_path_words", "_path_certified", "_walk_certified", "_band_values"},
 }
@@ -172,6 +172,29 @@ def test_oracle_kernel_tables_live_inside_a_call():
     # the scan does see lasting tables
     probe = ast.parse("T = {}\nclass C:\n    rows: list = list()\ndef f(m=[]):\n    global T\n")
     assert _lasting_tables(probe) == ["T", "C.rows", "default of f", "global T"]
+
+
+def _callers(tree, name):
+    """Top-level functions whose bodies, nested functions included, call ``name``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            calls = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
+            if any(getattr(f, "id", None) == name or getattr(f, "attr", None) == name for f in calls):
+                found.append(node.name)
+    return found
+
+
+def test_one_lane_walk_builder():
+    # distributions and bivariate_distributions are two images of one
+    # builder, the one mmp function that walks and unpacks lanes; the band
+    # subjects' walk collects tally rows and unpacks nothing
+    mmp_tree, oracle_tree = _tree("mmp"), _tree("oracle")
+    assert _callers(mmp_tree, "_packed_histogram") == _callers(mmp_tree, "unpack") == ["_lane_walks"]
+    assert _callers(oracle_tree, "_packed_histogram") == ["_band_values"]
+    assert _callers(oracle_tree, "unpack") == []
+    # the scan does see the engines' reader
+    assert _callers(_tree("gf"), "unpack") == ["_unpack"]
 
 
 def test_oracle_walks_leave_no_reference_cycle():

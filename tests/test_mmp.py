@@ -319,6 +319,16 @@ def test_bivariate_distribution_examples():
             assert to_univariate(bivariate_distribution(n, k, k)) == expect
     # x0=x1=x at (1,1), t^4 row
     assert to_univariate(bivariate_distribution(4, 1, 1)) == IntPoly({2: 9, 3: 5})
+    # x1 = 1 keeps the peaks, the (0,k1,e,0) matches, and x0 = 1 the
+    # non-peaks, the (0,k2,1,0) matches: each side of a lane has its window
+    for n in range(9):
+        for k1, k2 in itertools.product(range(4), repeat=2):
+            biv = bivariate_distribution(n, k1, k2)
+            for side, spec in enumerate((QuadrantSpec(0, k1, EMPTY, 0), QuadrantSpec(0, k2, 1, 0))):
+                image = {}
+                for exps, c in biv.items():
+                    image[exps[side]] = image.get(exps[side], 0) + c
+                assert IntPoly(image) == distribution(n, P123, spec), (n, k1, k2, side)
 
 
 def test_symmetry_lemmas_small():

@@ -371,15 +371,20 @@ SPECS_0123E = [QuadrantSpec(*c) for c in product((0, 1, 2, 3, EMPTY), repeat=4)]
 _distribution = cache(mmp.distribution)
 
 
+_bivariate = cache(mmp.bivariate_distribution)
+
+
 @st.composite
 def _mixed_requests(draw):
-    # both classes, more than one walk's lanes of distinct specs each, some
-    # keys asked for more than once, in any order
+    # both classes, more than one walk's lanes of distinct specs each, and
+    # peak / non-peak pairs, some keys asked for more than once, in any order
     distinct = [
         (tau, spec)
         for tau in (P123, P132)
         for spec in draw(st.lists(st.sampled_from(SPECS_0123E), min_size=97, max_size=150, unique=True))
     ]
+    pairs = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    distinct += [(None, pair) for pair in draw(st.lists(pairs, max_size=30, unique=True))]
     repeats = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
     return draw(st.integers(0, 7)), draw(st.permutations(distinct + repeats))
 
@@ -390,17 +395,17 @@ def test_oracle_at_serves_each_distinct_request(asked):
     n, wanted = asked
     got = oracle._oracle_at(n, wanted)
     assert set(got) == set(wanted)
-    for (tau, spec), poly in got.items():
-        assert poly == _distribution(n, tau, spec)
+    for (tau, key), poly in got.items():
+        assert poly == (_bivariate(n, *key) if tau is None else _distribution(n, tau, key))
 
 
 def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     # every oracle distribution of verify_all comes from _oracle_at, which
     # pools the subjects' requests of an n into one lane walk per class and
-    # group of specs, each (n, class, spec) once
+    # group of keys, each (n, class, spec) and each (n, pair) once
     walks, pooled, stray, open_calls, band_calls = [], [], [], [], []
     packed, distributions, oracle_at = mmp._packed_histogram, mmp.distributions, oracle._oracle_at
-    band_values = oracle._band_values
+    band_values, bivariate = oracle._band_values, mmp.bivariate_distributions
 
     def counted(*args):
         if not band_calls:
@@ -416,8 +421,16 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
             band_calls.pop()
 
     def requested(n, tau, specs):
-        (pooled if open_calls else stray).extend((n, tau.word, spec) for spec in specs)
+        if not open_calls:
+            stray.append(n)
+        pooled.extend((n, tau.word, spec) for spec in specs)
         return distributions(n, tau, specs)
+
+    def paired(n, pairs):
+        if not open_calls:
+            stray.append(n)
+        pooled.extend((n, "pair", pair) for pair in pairs)
+        return bivariate(n, pairs)
 
     def served(n, wanted):
         open_calls.append(n)
@@ -428,14 +441,18 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
 
     monkeypatch.setattr(mmp, "_packed_histogram", counted)
     monkeypatch.setattr(mmp, "distributions", requested)
+    monkeypatch.setattr(mmp, "bivariate_distributions", paired)
     monkeypatch.setattr(oracle, "_oracle_at", served)
     monkeypatch.setattr(oracle, "_band_values", banded)
     _verify_all_matches_pinned_transcript()
     assert not stray
     assert len(pooled) == len(set(pooled)) > 0
+    # theorem-11's 28 pairs at each n <= 9
+    assert sum(kind == "pair" for _, kind, _ in pooled) == 28 * 10
     # 548 walks when each distribution subject walked on its own, 208 when
     # the engine-vs-oracle subjects walked apart, 128 at up to 96 lanes a
-    # walk, 80 since theorem-11's pairs of every k1 share walks
+    # walk, 80 since theorem-11's pairs of every k1 share walks, as _drive
+    # serves them
     assert len(walks) <= 80
 
 
