@@ -93,7 +93,7 @@ def _first_return(
     yet); for ``n > low``::
 
         out[n] = sum(block[i-1] * head(i)[n-i]  for 1 <= i < split)
-               + sum(left[i-1] * right[n-i]     for split <= i <= n - ell)
+               + sum(left[i-1] * right()[n-i]   for split <= i <= n - ell)
                + sum(C_j * tail(j)[n-1-j]       for 0 <= j < ell)
 
     Each term splits at a first return after ``i`` steps.  For ``i < split``
@@ -104,7 +104,8 @@ def _first_return(
     it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
     None, stand for the list being built.  Every entry is a packed int, so
     the products and sums are plain integer arithmetic, each sum one C-level
-    ``sum(map(mul, ...))``.
+    ``sum(map(mul, ...))``.  No engine is fetched when ``low >= trunc``,
+    and ``right()`` comes last.
     """
     out = [catalan(n) for n in range(min(low, trunc) + 1)]
     if low >= trunc:
@@ -112,6 +113,7 @@ def _first_return(
     left = out if left is None else left
     heads = [head(i) for i in range(1, min(split, trunc + 1))]
     tails = [tail(j) or out for j in range(min(ell, trunc))]
+    right = right()
     cat = _catalans(trunc)
     for n in range(low + 1, trunc + 1):
         # heads[i - 1][n - i] and tails[j][n - 1 - j], up to the shorter list
@@ -160,24 +162,34 @@ def _const(n: int) -> IntPoly:
 def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     """Packed ``(a, k, EMPTY, ell)`` series over 132-avoiders, every 132 family's engine.
 
-    Each call is one first-return split σ = α n β.  ``(k, 0, EMPTY, 0)``,
-    ``(0, k, EMPTY, 0)``, ``(k, ell, EMPTY, 0)`` and ``(0, k, EMPTY, ell)``
-    are boundary cases of the one first-return call below, under two rules:
-    ``a - 1`` clamps at 0 in ``left`` and ``tail``, and a reference to the
-    list being built is None (``left`` when ``a = ell = 0``, ``tail(0)``
-    when ``a = 0``).  ``low = a + k + ell``, with 0 for an EMPTY ``a``,
-    since a match needs that many other points.  An EMPTY ``a`` passes no
-    ``tail``: n lies in quadrant I of every point of α, so α is any
-    132-avoider and none of its points matches.  ``k = 0`` is
-    special: lemma-sym swaps a positive ``ell`` into the second slot,
+    Lemma-sym comes first, for every ``(a, k, ell)``: σ ↦ σ⁻¹ keeps
+    132-avoidance and swaps quadrants II and IV, so ``(a, k, EMPTY, ell)``
+    and ``(a, ell, EMPTY, k)`` have one series, and the cache holds it once,
+    under ``k >= ell``.  Each other call is one first-return split
+    σ = α n β.  ``(k, 0, EMPTY, 0)``, ``(0, k, EMPTY, 0)``,
+    ``(k, ell, EMPTY, 0)`` and ``(0, k, EMPTY, ell)`` are boundary cases of
+    the one first-return call below, under two rules: ``a - 1`` clamps at 0
+    in ``left`` and ``tail``, and a reference to the list being built is
+    None (``left`` when ``a = ell = 0``, ``tail(0)`` when ``a = 0``).
+    ``low = a + k + ell``, with 0 for an EMPTY ``a``, since a match needs
+    that many other points.  An EMPTY ``a`` passes no ``tail``: n lies in
+    quadrant I of every point of α, so α is any 132-avoider and none of its
+    points matches.  ``k = 0`` (and so ``ell = 0``) is special:
     ``(0, 0, EMPTY, 0)`` is the Narayana series, and ``(a, 0, EMPTY, 0)`` is
     ``1 / (1 - t P)`` with P the series of ``(a - 1, 0, EMPTY, 0)``, or for
     an EMPTY ``a`` the Catalan series with x at t^0 (n is a hill when
     nothing comes before it).
+
+    The dependencies are fetched deepest first: ``left`` and, through
+    ``_first_return``, the heads (one step lower in ``k``) and tails come
+    before ``right``, the ``(a, ell, EMPTY, 0)`` series, whose threshold
+    ``ell <= k`` is the shallow one.  So a request too deep for the
+    recursion meets the recursion limit before it computes any shallow
+    series to t^trunc.
     """
+    if k < ell:
+        return _c_akel(a, ell, k, trunc)
     if k == 0:
-        if ell:
-            return _c_akel(a, ell, 0, trunc)
         if a == 0:
             return _narayana(trunc)
         if a is EMPTY:
@@ -186,10 +198,10 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
             # the smaller first slots in rising order, so that each finds the
             # one below it cached and the recursion stays one level deep
             part = [_c_akel(b, 0, 0, trunc) for b in range(a)][-1]
-        return _first_return(trunc, 1, None, part)
+        return _first_return(trunc, 1, None, lambda: part)
     cat = _catalans(trunc)
-    right = _c_akel(a, ell, 0, trunc)
     head = lambda i: _c_akel(a, k - i, ell, trunc)
+    right = lambda: _c_akel(a, ell, 0, trunc)
     if a is EMPTY:
         left, span, tail, low = cat, 0, None, k + ell
     else:
@@ -455,7 +467,7 @@ def engine_series(
     tries a closed form before a recurrence.  Over 132-avoiders the engines
     cover numeric ``(a, b, EMPTY, d)`` and ``(EMPTY, b, EMPTY, d)``; the
     engines themselves swap the second and fourth slots where the second is
-    0 (lemma-sym), so the router passes the slots as they are.
+    the smaller (lemma-sym), so the router passes the slots as they are.
     Over 123-avoiders the closed forms cover ``(0, k, 0, l)`` for the small
     ``(k, l)`` with coefficient formulas (either orientation); the
     recurrences cover ``(0, k, 0, 0)`` by the bivariate engine, a positive

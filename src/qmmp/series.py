@@ -108,16 +108,15 @@ class _Poly:
         return hash(tuple(sorted(self._c.items())))
 
     def render(self) -> str:
-        """Ascending-key string, e.g. ``1+6x+6x^2+x^3``."""
+        """Ascending-key string, e.g. ``1+6x+6x^2+x^3``: one ``str.format`` call
+        on the support's format string from ``_monomials``, where a coefficient
+        of 1 or -1 prints as its sign alone, except on the constant."""
         if not self._c:
             return "0"
-        items = sorted(self._c.items())
-        monomials = self._monomials
-        # a coefficient of 1 or -1 prints as its sign alone, except on the constant
-        parts = [f"{_SIGN.get(c, c)}{monomials[k]}" for k, c in items]
-        if not items[0][0]:
-            parts[0] = str(items[0][1])
-        return "+".join(parts).replace("+-", "-")
+        keys = sorted(self._c)
+        values = list(map(self._c.__getitem__, keys))
+        text = self._monomials[tuple(keys)].format(values[0], *map(_SIGN.get, values, values))
+        return text.replace("+-", "-")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -127,15 +126,23 @@ _SIGN = {1: "", -1: "-"}
 
 
 class _Monomials(dict):
-    """Printed monomials by packed key, each spelled once, when first rendered."""
+    """Format strings of ``render`` by support, each built once, when first rendered.
+
+    The support is the ascending tuple of a polynomial's packed keys, and
+    ``spell`` prints the monomial of one key.  Field ``{i}`` stands before
+    the monomial of the i-th key (from 1), and a constant term is field
+    ``{0}`` alone, so ``render`` passes the raw constant first, e.g.
+    ``"{0}+{2}x+{3}x^3"`` for the keys ``(0, 1, 3)``.
+    """
 
     __slots__ = ("spell",)
 
     def __init__(self, spell) -> None:
         self.spell = spell
 
-    def __missing__(self, key: int) -> str:
-        self[key] = text = self.spell(key)
+    def __missing__(self, keys: tuple[int, ...]) -> str:
+        terms = (f"{{{i}}}{self.spell(k)}" if k else "{0}" for i, k in enumerate(keys, 1))
+        self[keys] = text = "+".join(terms)
         return text
 
 

@@ -14,7 +14,7 @@ from qmmp import cli, gf, oracle
 from qmmp.dyck import DyckPath
 from qmmp.mmp import QuadrantSpec
 from qmmp.perm import Permutation
-from qmmp.series import IntPoly, TSeries
+from qmmp.series import IntPoly, TSeries, catalan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -253,8 +253,10 @@ def test_too_deep_a_recursion_is_one_error_line():
     # the engines recurse top-down, so a large enough explicit cap runs out
     # of Python stack: that is one error line naming the depth, no traceback.
     # A subprocess with a timeout, so that a lost guard fails instead of hanging.
+    # The deep threshold may sit in either swapped slot, and the guard must
+    # fire before any shallow series is computed to t^251.
     env = dict(os.environ, MMP_MAX_N="400", PYTHONPATH=str(SRC))
-    for spec in ("0,250,e,0", "e,250,e,0"):
+    for spec in ("0,250,e,0", "e,250,e,0", "0,1,e,250", "1,0,e,250", "2,250,e,1"):
         argv = ["series", "--avoid", "132", "--spec", spec, "--max-n", "251"]
         done = subprocess.run(
             [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
@@ -262,6 +264,14 @@ def test_too_deep_a_recursion_is_one_error_line():
         assert done.returncode == 1 and done.stdout == "", spec
         assert done.stderr.startswith("error: depth 251 ") and "MMP_MAX_N" in done.stderr
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    # (e, 1, e, 250) is (e, 250, e, 1) by lemma-sym: a match needs 252 points,
+    # so through t^251 every coefficient is the constant C_n
+    argv = ["series", "--avoid", "132", "--spec", "e,1,e,250", "--max-n", "251"]
+    done = subprocess.run(
+        [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == [f"t^{n}: {catalan(n)}" for n in range(252)]
 
 
 def test_deep_123_peak_spec_is_one_bottom_up_walk():

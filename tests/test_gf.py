@@ -60,9 +60,9 @@ def test_engines_match_oracle_small():
             distribution(m, P132, QuadrantSpec(0, k, EMPTY, 0)) for m in range(n + 1)
         )
     # every threshold triple of the one (a, k, EMPTY, ell) recursion, an EMPTY
-    # a included, through each entry point that reaches it: k = 0 takes the
-    # lemma-sym branch and a = 0 the clamped a - 1, which the router never
-    # sends there
+    # a included, through each entry point that reaches it: k < ell takes
+    # lemma-sym and a = 0 the clamped a - 1, which the router never sends
+    # there
     n = 7
     for a in (EMPTY, 0, 1, 2, 3):
         for k in range(4):
@@ -85,6 +85,22 @@ def test_engines_match_oracle_small():
             assert gf.q123_bivariate(k1, k2, n).coeffs == tuple(
                 bivariate_distribution(m, k1, k2) for m in range(n + 1)
             )
+
+
+def test_lemma_sym_computes_each_orbit_once(monkeypatch):
+    # over 132-avoiders σ ↦ σ⁻¹ swaps quadrants II and IV, so (a, k, e, l) and
+    # (a, l, e, k) are one cached series, and each orbit {(a, k, l), (a, l, k)}
+    # costs one first-return call, but for (0, 0, e, 0), the Narayana series
+    trunc = 12
+    triples = [(a, k, ell) for a in (EMPTY, 0, 1, 2, 3) for k in range(5) for ell in range(5)]
+    calls = []
+    first_return = gf._first_return
+    monkeypatch.setattr(gf, "_first_return", lambda *args: calls.append(args) or first_return(*args))
+    gf._c_akel.cache_clear()
+    for a, k, ell in triples:
+        assert gf._c_akel(a, k, ell, trunc) is gf._c_akel(a, ell, k, trunc)
+    orbits = {(a, max(k, ell), min(k, ell)) for a, k, ell in triples}
+    assert len(calls) == len(orbits) - 1
 
 
 def test_paper_specs_match_pinned_digests():

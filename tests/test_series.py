@@ -287,3 +287,44 @@ def test_solve_quadratic_ill_posed():
 def test_render_lines():
     s = TSeries([IntPoly.const(1), IntPoly({0: 1, 1: 1})])
     assert s.render_lines() == ["t^0: 1", "t^1: 1+x"]
+
+
+def _render_per_term(p) -> str:
+    """The reference renderer: one string per term, a coefficient of 1 or -1
+    printed as its sign alone except on the constant, joined by "+"."""
+    def power(name, e):
+        return "" if not e else name if e == 1 else f"{name}^{e}"
+
+    def monomial(e):
+        return power("x", e) if isinstance(p, IntPoly) else power("x0", e[0]) + power("x1", e[1])
+
+    items = p.items()
+    if not items:
+        return "0"
+    parts = [f"{ {1: '', -1: '-'}.get(c, c)}{monomial(e)}" for e, c in items]
+    if items[0][0] in (0, (0, 0)):
+        parts[0] = str(items[0][1])
+    return "+".join(parts).replace("+-", "-")
+
+
+coefficients = st.one_of(st.sampled_from((1, -1)), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 300), coefficients, max_size=8),
+    st.dictionaries(st.tuples(st.integers(0, 255), st.integers(0, 255)), coefficients, max_size=8),
+    st.sampled_from((0, 1, -1, 2, -2)),
+)
+def test_render_is_the_per_term_renderer(ints, pairs, const):
+    # sparse supports, coefficients of either sign and of ±1, a constant of
+    # ±1 or none, the zero polynomial; each support builds one format string,
+    # and a support rendered before builds none
+    for p in (IntPoly({**ints, 0: const}), BiPoly({**pairs, (0, 0): const})):
+        cache = type(p)._monomials
+        support = tuple(sorted(p._c))
+        size = len(cache) + (bool(support) and support not in cache)
+        assert p.render() == _render_per_term(p)
+        assert p.render() == _render_per_term(p)
+        assert len(cache) == size and (not support or support in cache)
+    assert IntPoly().render() == BiPoly().render() == "0"
