@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Sequence, Union
 
-from .perm import P123, Permutation, _Key, _check_n, _check_walk, catalan_moves, occurs
+from .perm import P123, Permutation, _Key, _check_n, _check_walk, occurs
 from .series import BiPoly, IntPoly, field_width, unpack
 
 
@@ -207,69 +207,102 @@ def _packed_histogram(
     """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
 
     The avoiders are built left to right, one level per entry; a state is
-    the bitmask ``used`` of the values placed so far (bit ``v`` for value
-    ``v``).  Each of its moves (:func:`qmmp.perm.catalan_moves`) keeps
-    every free value placeable, so every prefix that reaches a state
-    completes to an avoider in the same ways, and the avoiders are the
-    paths from ``0`` to the state with bits 1..n.
+    the bitmask ``slot`` of the values placed so far (bit ``v - 1`` for
+    value ``v``).  Its moves are those of :func:`qmmp.perm.catalan_moves`,
+    inlined here: each keeps every free value placeable, so every prefix
+    that reaches a state completes to an avoider in the same ways, and the
+    avoiders are the paths from ``0`` to the state with bits 0..n-1.
 
-    Slot ``used >> 1`` of one list of ``2**n`` holds the histogram of the
-    prefixes that reach ``used``, from ``leaf`` at the empty prefix, and
-    each level lists its states' slots in the order first reached.  A
-    move adds its parent's histogram, transformed, into its child's slot;
-    the parent's slot is cleared as its moves are added, so at most two
+    Entry ``slot`` of one list of ``2**n`` holds the histogram of the
+    prefixes that reach ``slot``, from ``leaf`` at the empty prefix, and
+    each level lists its states in the order first reached.  A move adds
+    its parent's histogram, transformed, into its child's entry; the
+    parent's entry is cleared as its moves are added, so at most two
     levels are live.
 
     A value ``v`` appended as entry ``i + 1`` has its tallies fixed at once
-    (:func:`_append_tallies`, with ``q2 = popcount(used >> v)``), and
+    (:func:`_append_tallies`, with ``q2 = popcount(slot >> v)``), and
     ``entry(q1, q2, q3, q4)`` says what a match there does to a histogram:
     0 leaves it as it is, ``~s`` moves all of it up by ``s`` bits, and a
     pair ``(mask, s)`` moves the bits under ``mask`` up by ``s`` bits.
     Each is a shift of whole lanes, so the transforms commute with each
     other and with addition, and summing over prefixes gives the ints that
-    summing over suffixes would.  A table per level, keyed by ``(v, q2)``, keeps
-    each entry, so ``entry`` is asked once for each tally row that a point
-    of an avoider has (a row fixes its level, ``i = q2 + q3``) and for no
-    other.  Histograms merge by addition, so a field must never carry.
+    summing over suffixes would.  Histograms merge by addition, so a field
+    must never carry.
+
+    A *descent* places a free value ``v`` below the least placed value
+    ``lowest``.  Every placed value lies above it, so ``q2 = i`` and its
+    row is ``(n - v - i, i, 0, v - 1)``, fixed by ``(i, v)``: each level
+    builds one list of the descents ``v = 1..n-i`` with their entries, and
+    a state takes its first ``lowest - 1``.  Every i-subset of values is a
+    state (placed in decreasing order), so the state of the top ``i``
+    values takes them all, and each entry asked is that of a row that
+    occurs.  The one *ascent* of a state, if any, places the largest free
+    value (123) or the least free value above ``lowest`` (132).  Its row
+    has ``q3 > 0``, so it is never a descent's, and a table per level,
+    keyed by ``(v, q2)``, keeps its entries.  So ``entry`` is asked once
+    for each tally row that a point of an avoider has (a row fixes its
+    level, ``i = q2 + q3``) and for no other.  The ``2**n - 1`` states of
+    levels 0..n-1 make ``2**n - 1`` descents and ``2**n - n - 1`` ascents.
     """
-    full = ((1 << n) - 1) << 1
+    full = (1 << n) - 1
+    empty_low = 1 << n  # the least value of the empty prefix reads as n + 1
     bits = n.bit_length()
+    least_above = tau_word != P123.word
     slots = [0] * (1 << n)
     slots[0] = leaf
     level = [0]
     for i in range(n):
+        down = [(1 << v - 1, entry(*_append_tallies(n, i, v, i))) for v in range(1, n - i + 1)]
+        below = [down[:k] for k in range(n - i + 1)]  # the descents of lowest = k + 1
         entries: list[int | tuple[int, int] | None] = [None] * (n + 1 << bits)
         after = []
         for slot in level:
             prefix = slots[slot]
             slots[slot] = 0
-            used = slot << 1
-            moves = catalan_moves(used, full, tau_word)
-            while moves:
-                bit = moves & -moves
-                moves ^= bit
-                v = bit.bit_length() - 1
-                q2 = (used >> v).bit_count()
-                m = entries[v << bits | q2]
-                if m is None:
-                    m = entries[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
+            low = slot & -slot or empty_low
+            for bit, m in below[low.bit_length() - 1]:
                 if not m:
                     moved = prefix
                 elif m.__class__ is int:
                     moved = prefix << ~m
                 else:
                     mask, s = m
-                    low = prefix & mask
-                    moved = prefix - low + (low << s)
-                child = (used | bit) >> 1
+                    part = prefix & mask
+                    moved = prefix - part + (part << s)
+                child = slot | bit
                 got = slots[child]
                 if got:
                     slots[child] = got + moved
                 else:
                     slots[child] = moved
                     after.append(child)
+            above = (full ^ slot) & -low
+            if not above:
+                continue
+            bit = above & -above if least_above else 1 << above.bit_length() - 1
+            v = bit.bit_length()
+            q2 = (slot >> v).bit_count()
+            m = entries[v << bits | q2]
+            if m is None:
+                m = entries[v << bits | q2] = entry(*_append_tallies(n, i, v, q2))
+            if not m:
+                moved = prefix
+            elif m.__class__ is int:
+                moved = prefix << ~m
+            else:
+                mask, s = m
+                part = prefix & mask
+                moved = prefix - part + (part << s)
+            child = slot | bit
+            got = slots[child]
+            if got:
+                slots[child] = got + moved
+            else:
+                slots[child] = moved
+                after.append(child)
         level = after
-    return slots[full >> 1]
+    return slots[full]
 
 
 def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:

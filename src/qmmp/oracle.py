@@ -44,7 +44,7 @@ from .mmp import (
     quadrant_rows,
 )
 from .perm import P123, P132, Permutation, _Frozen, avoiders, catalan_moves
-from .series import TSeries
+from .series import TSeries, catalan
 
 
 def class_from_text(text: str) -> Permutation:
@@ -57,10 +57,21 @@ def class_from_text(text: str) -> Permutation:
 
 
 def brute_series(tau: Permutation, spec: QuadrantSpec, trunc: int) -> TSeries:
-    """Match-count series computed by direct enumeration of the avoidance class."""
+    """Match-count series computed by direct enumeration of the avoidance class.
+
+    Each degree's mass must be C_n, one count per avoider; a walk that
+    drops or repeats a path raises ``ArithmeticError`` naming the degree.
+    """
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    return TSeries([distribution(n, tau, spec) for n in range(trunc + 1)])
+    polys = [distribution(n, tau, spec) for n in range(trunc + 1)]
+    for n, poly in enumerate(polys):
+        mass = poly.mass()
+        if mass != catalan(n):
+            raise ArithmeticError(
+                f"t^{n} coefficient has mass {mass}, not C_{n}: the walk lost or repeated a path"
+            )
+    return TSeries(polys)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,11 @@ def catalan_moves(used: int, full: int, tau_word: tuple[int, ...]) -> int:
     ``lowest < v``, a later value above ``v`` completes a 123 and a later
     value between ``lowest`` and ``v`` completes a 132, so any other ascent
     strands a free value that can never be placed.
+
+    This is the one statement of the rule.  The brute-force kernel
+    :func:`qmmp.mmp._packed_histogram` inlines it, with its descents from
+    one list per level, and ``tests/test_mmp.py`` pins that walk against a
+    reference walk that calls this function once per state.
     """
     lowest = (used & -used).bit_length() - 1 if used else full.bit_length()
     free = full & ~used

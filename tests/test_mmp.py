@@ -11,6 +11,7 @@ from qmmp.mmp import (
     EMPTY,
     QuadrantSpec,
     _admits,
+    _append_tallies,
     _packed_histogram,
     _window,
     bivariate_distribution,
@@ -25,8 +26,8 @@ from qmmp.mmp import (
     quadrants_at,
 )
 from qmmp.oracle import _band_values
-from qmmp.perm import P123, P132, Permutation, avoiders, left_to_right_minima, occurs
-from qmmp.series import BiPoly, IntPoly, catalan
+from qmmp.perm import P123, P132, Permutation, avoiders, catalan_moves, left_to_right_minima, occurs
+from qmmp.series import BiPoly, IntPoly, catalan, field_width, unpack
 
 from band_reference import swapped_row_bounds
 from series_arith import to_univariate
@@ -472,6 +473,70 @@ def test_tally_rows_of_123_avoiders_are_the_walked_rows():
         for n in range(10):
             rows = {q for sigma in avoiders(n, tau) for q in quadrant_rows(sigma.word)}
             assert walked(n, tau) == sorted(rows), (tau, n)
+
+
+def _reference_walk(n, tau_word, leaf, entry):
+    """The packed histogram of :func:`_packed_histogram`, with each state's moves
+    from ``catalan_moves`` and each move's entry asked afresh, and the walk's
+    counts of descents (below the least placed value) and ascents."""
+    full = ((1 << n) - 1) << 1
+    level = {0: leaf}
+    descents = ascents = 0
+    for i in range(n):
+        after = {}
+        for used, prefix in level.items():
+            lowest = (used & -used).bit_length() - 1 if used else n + 1
+            moves = catalan_moves(used, full, tau_word)
+            while moves:
+                bit = moves & -moves
+                moves ^= bit
+                v = bit.bit_length() - 1
+                descents += v < lowest
+                ascents += v > lowest
+                m = entry(*_append_tallies(n, i, v, (used >> v).bit_count()))
+                if not m:
+                    moved = prefix
+                elif isinstance(m, int):
+                    moved = prefix << ~m
+                else:
+                    mask, s = m
+                    moved = prefix - (prefix & mask) + ((prefix & mask) << s)
+                after[used | bit] = after.get(used | bit, 0) + moved
+        level = after
+    return level[full], descents, ascents
+
+
+def test_walk_kernel_is_the_reference_walk():
+    # the kernel inlines catalan_moves: its descent lists and its one ascent
+    # per state must walk the moves that catalan_moves gives, to the same
+    # packed int, under entries of all three kinds, each row's kind and mask
+    # fixed by the row; 2**n - 1 states make 2**n - 1 descents and
+    # 2**n - n - 1 ascents
+    lanes = 3
+    for n in range(12):
+        width = field_width(n)
+        unit = lanes * width
+        field = (1 << width) - 1
+        lane = [sum(field << k * unit + j * width for k in range(n + 1)) for j in range(lanes)]
+        leaf = sum(1 << j * width for j in range(lanes))
+        kinds = set()
+
+        def entry(q1, q2, q3, q4):
+            r = (5 * q1 + 3 * q2 + 7 * q3 + q4) % 7
+            if r < 2:
+                m = ~unit if r else 0
+            else:
+                m = (sum(lane[j] for j in range(lanes) if r - 1 >> j & 1), unit)
+            kinds.add(min(r, 2))
+            return m
+
+        for tau in (P123, P132):
+            packed, descents, ascents = _reference_walk(n, tau.word, leaf, entry)
+            assert _packed_histogram(n, tau.word, leaf, entry) == packed, (tau, n)
+            assert (descents, ascents) == (2**n - 1, 2**n - n - 1), (tau, n)
+            assert [p.mass() for p in unpack(packed, width, lanes, 0)] == [catalan(n)] * lanes
+        if n >= 4:
+            assert kinds == {0, 1, 2}, n
 
 
 def test_walk_checks_give_the_messages_of_avoiders():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from functools import cache
 from itertools import product
@@ -7,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmmp import dyck, mmp, oracle
+from qmmp import cli, dyck, mmp, oracle
 from qmmp.mmp import EMPTY, QuadrantSpec, mmp_count, quadrant_rows
 from qmmp.perm import P123, P132, Permutation, avoiders
-from qmmp.series import IntPoly, TSeries, catalan
+from qmmp.series import IntPoly, TSeries, catalan, field_width
 
 from band_reference import band_lines, swapped_row_bounds
 from path_words import all_path_words
@@ -35,6 +36,32 @@ def test_deep_brute_fallback_is_bounded():
         s = oracle.brute_series(tau, QuadrantSpec(0, 1, 0, 0), 16)
         for n in range(17):
             assert s.poly(n).mass() == catalan(n)
+
+
+def test_brute_series_checks_each_degree_mass(monkeypatch, capsys):
+    # a walk that loses one avoider at n = 5 must not print a wrong series:
+    # the library call and the CLI's brute path both name the degree
+    walk = mmp._packed_histogram
+
+    def dropping(n, tau_word, leaf, entry):
+        packed = walk(n, tau_word, leaf, entry)
+        if n != 5:
+            return packed
+        # one lane: drop one count from the lowest nonzero field
+        width = field_width(n)
+        return packed - (1 << ((packed & -packed).bit_length() - 1) // width * width)
+
+    monkeypatch.setattr(mmp, "_packed_histogram", dropping)
+    want = "t^5 coefficient has mass 41, not C_5"
+    for tau in (P123, P132):
+        with pytest.raises(ArithmeticError, match=re.escape(want)):
+            oracle.brute_series(tau, QuadrantSpec(0, 1, 0, 0), 6)
+        args = ["series", "--avoid", str(tau), "--spec", "0,1,0,0", "--engine", "brute"]
+        assert cli.main([*args, "--max-n", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {want}") and err.count("\n") == 1
+        assert cli.main([*args, "--max-n", "4"]) == 0  # no walk at n = 5
+        assert capsys.readouterr().out.count("\n") == 5
 
 
 def test_class_from_text():
