@@ -1,4 +1,4 @@
-"""Generating-series engines for match-count distributions.
+"""Generating-series engines for match-count polynomials.
 
 One engine per family of quadrant specs, each computing the exact truncated
 series whose t^n coefficient is the match-count polynomial over the length-n
@@ -17,11 +17,11 @@ boundary engines at a first return, through the one kernel
 ``_first_return``.  The 123-avoider series for specs whose first or third
 slot is positive transport to 132-avoider engines.  The genuinely two-sided
 specs ``(0, k, 0, l)`` have, for small ``(k, l)``, closed coefficient
-formulas, and for ``l = 0`` one bottom-up walk, ``_peak_walk``, over the
-left-to-right minima and right-to-left maxima of a 123-avoider (peaks and
-non-peaks, tracked by x0 and x1).  The walk runs in the image it is asked
-for: bivariate for ``q123_bivariate``, univariate at x0 = x1 = x for
-``q123_0k00``.
+formulas that give every degree, and for ``l = 0`` one bottom-up walk,
+``_peak_walk``, over the left-to-right minima and right-to-left maxima of a
+123-avoider (peaks and non-peaks, tracked by x0 and x1).  The walk runs in
+the image it is asked for: bivariate for ``q123_bivariate``, univariate at
+x0 = x1 = x for ``q123_0k00``.
 
 ``KNOWN_ERRATA`` records the spots where a stated closed form, taken
 literally, first diverges from the brute-force oracle; the shipped engines
@@ -36,9 +36,8 @@ from functools import lru_cache
 from operator import getitem, mul
 from pathlib import Path
 
-from . import mmp as _mmp
 from .mmp import EMPTY, Coord, QuadrantSpec
-from .perm import P123, _Frozen
+from .perm import _Frozen
 from .series import BiPoly, IntPoly, TSeries, catalan, field_width, narayana, unpack
 
 DEFAULT_TRUNC = 13
@@ -105,14 +104,16 @@ def _first_return(
     None, stand for the list being built.  Every entry is a packed int, so
     the products and sums are plain integer arithmetic, each sum one C-level
     ``sum(map(mul, ...))``.  No engine is fetched when ``low >= trunc``,
-    and ``right()`` comes last.
+    and ``right()`` comes last.  Every caller passes
+    ``low >= split + ell - 1``, so for ``low < n <= trunc`` no bound binds:
+    ``split <= trunc``, ``ell < trunc`` and ``n - ell >= split``.
     """
     out = [catalan(n) for n in range(min(low, trunc) + 1)]
     if low >= trunc:
         return tuple(out)
     left = out if left is None else left
-    heads = [head(i) for i in range(1, min(split, trunc + 1))]
-    tails = [tail(j) or out for j in range(min(ell, trunc))]
+    heads = [head(i) for i in range(1, split)]
+    tails = [tail(j) or out for j in range(ell)]
     right = right()
     cat = _catalans(trunc)
     for n in range(low + 1, trunc + 1):
@@ -120,8 +121,7 @@ def _first_return(
         down = range(n - 1, -1, -1)
         total = sum(map(mul, block, map(getitem, heads, down)))
         total += sum(map(mul, cat, map(getitem, tails, down)))
-        if n - ell >= split:
-            total += sum(map(mul, left[split - 1 : n - ell], reversed(right[ell : n - split + 1])))
+        total += sum(map(mul, left[split - 1 : n - ell], reversed(right[ell : n - split + 1])))
         out.append(total)
     return tuple(out)
 
@@ -368,19 +368,15 @@ def extremal_coeff(family: str, k: int, ell: int, m: int, n: int) -> int:
     return catalan(k) * catalan(ell)  # theorem-04, corollary-04 (l = 0) and corollary-05
 
 
+# The n from which the (0,k,0,ell) formulas hold as the paper states them
+# (theorems 14-18).  Below it some terms fall at negative exponents; the
+# terms sum to C_n at every n and those at x^1 and up are the counts, so
+# closed_poly_0k0l folds the rest into x^0 (test_gf checks it to n = 9).
 _CLOSED_0K0L_THRESHOLD = {(1, 0): 2, (2, 0): 4, (1, 1): 4, (2, 1): 5, (2, 2): 7}
 
 
-def _check_closed(k: int, ell: int, n: int) -> None:
-    if (k, ell) not in _CLOSED_0K0L_THRESHOLD:
-        raise ValueError(f"no closed coefficient formula for (0,{k},0,{ell})")
-    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-    if n < threshold:
-        raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
-
-
 def _closed_coeffs(k: int, ell: int, n: int) -> tuple[int, ...]:
-    """The (0,k,0,ell) coefficients of :func:`closed_coeff_0k0l` for r = 0..k+ell, unchecked."""
+    """The (0,k,0,ell) terms for r = 0..k+ell at any n; ValueError for a pair with none."""
     c = catalan
     if (k, ell) == (1, 0):
         return (c(n) - c(n - 1), c(n - 1))
@@ -403,6 +399,8 @@ def _closed_coeffs(k: int, ell: int, n: int) -> tuple[int, ...]:
             5 * c(n - 2) - 5 * c(n - 3) + 6,
             2 * c(n - 3),
         )
+    if (k, ell) != (2, 2):
+        raise ValueError(f"no closed coefficient formula for (0,{k},0,{ell})")
     return (
         c(n) - 6 * c(n - 1) + 11 * c(n - 2) - 6 * c(n - 3) + c(n - 4) - 2 * n * n + 16 * n - 34,
         6 * c(n - 1) - 24 * c(n - 2) + 24 * c(n - 3) - 6 * c(n - 4) + 2 * n * n - 28 * n + 80,
@@ -417,22 +415,29 @@ def closed_coeff_0k0l(k: int, ell: int, n: int, r: int) -> int:
     over 123-avoiders, for the five small families with closed formulas.
 
     ``r`` is the number of graph points in the corner area (0..k+ell).
+    Raises ValueError below the formula's threshold, the paper's regime.
     """
-    _check_closed(k, ell, n)
+    terms = _closed_coeffs(k, ell, n)
+    threshold = _CLOSED_0K0L_THRESHOLD[(k, ell)]
+    if n < threshold:
+        raise ValueError(f"(0,{k},0,{ell}) formulas require n >= {threshold}")
     if not 0 <= r <= k + ell:
         raise ValueError(f"r must lie in 0..{k + ell}")
-    return _closed_coeffs(k, ell, n)[r]
+    return terms[r]
 
 
 def closed_poly_0k0l(k: int, ell: int, n: int) -> IntPoly:
-    """Full (0,k,0,ell) polynomial at order n from the closed formulas."""
-    _check_closed(k, ell, n)
+    """Full (0,k,0,ell) polynomial at order n >= 0 from the closed formulas;
+    below the threshold the terms at negative exponents fold into x^0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    terms = _closed_coeffs(k, ell, n)
+    fold = n < _CLOSED_0K0L_THRESHOLD[(k, ell)]
     coeffs = {}
-    for e, v in enumerate(_closed_coeffs(k, ell, n), n - 2 * (k + ell)):
-        if e >= 0:
-            coeffs[e] = v
-        elif v:
+    for e, v in enumerate(terms, n - 2 * (k + ell)):
+        if e < 0 and v and not fold:
             raise ArithmeticError(f"nonzero coefficient at negative exponent x^{e}")
+        coeffs[max(e, 0)] = coeffs.get(max(e, 0), 0) + v
     return IntPoly(coeffs)
 
 
@@ -469,10 +474,11 @@ def engine_series(
     engines themselves swap the second and fourth slots where the second is
     the smaller (lemma-sym), so the router passes the slots as they are.
     Over 123-avoiders the closed forms cover ``(0, k, 0, l)`` for the small
-    ``(k, l)`` with coefficient formulas (either orientation); the
-    recurrences cover ``(0, k, 0, 0)`` by the bivariate engine, a positive
-    first and third slot by the constant ``C_n``, and one positive first or
-    third slot by transport: the reverse-complement rotation
+    ``(k, l)`` with coefficient formulas (either orientation), every degree
+    from its formulas; the recurrences cover
+    ``(0, k, 0, 0)`` by the bivariate engine, a positive first and third
+    slot by the constant ``C_n``, and one positive first or third slot by
+    transport: the reverse-complement rotation
     ``(a, b, c, d) -> (c, d, a, b)`` where the third is the positive one,
     then a third slot of EMPTY, and on to the 132 dispatch.  Every other
     spec reaches the one NoEngineError, with the text of its class and kind.
@@ -492,14 +498,7 @@ def engine_series(
         # the reverse-complement symmetry swaps the second and fourth slots
         k, ell = (b, d) if (b, d) in _CLOSED_0K0L_THRESHOLD else (d, b)
         if (k, ell) in _CLOSED_0K0L_THRESHOLD:
-            # below the formula's threshold the polynomials are enumerated
-            low = _CLOSED_0K0L_THRESHOLD[(k, ell)]
-            return TSeries(
-                closed_poly_0k0l(k, ell, n)
-                if n >= low
-                else _mmp.distribution(n, P123, QuadrantSpec(0, k, 0, ell))
-                for n in range(trunc + 1)
-            )
+            return TSeries(closed_poly_0k0l(k, ell, n) for n in range(trunc + 1))
     if avoid == "123" and engine != "closed":
         if pos_a and pos_c:
             # A position can never see points in both quadrants I and III here.
@@ -569,7 +568,7 @@ class ErrataRecord(_Frozen):
 KNOWN_ERRATA: tuple[ErrataRecord, ...] = (
     # The x^1-agreement half of the claim is false: the stated value is the
     # x^1 coefficient predicted by the (k,l,EMPTY,m) series, the oracle value
-    # is the actual x^1 coefficient of the (k,l,0,m) distribution.  Over
+    # is the actual x^1 coefficient of the (k,l,0,m) polynomial.  Over
     # 132-avoiders: (i) every empty-slot match is a zero-slot match and every
     # permutation with a zero-slot match has an empty-slot match, so the x^0
     # coefficients agree for every n; (ii) the x^1 coefficients satisfy

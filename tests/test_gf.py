@@ -393,6 +393,15 @@ def test_closed_coeff_mass_is_catalan():
         for n in range(threshold, 13):
             total = sum(gf.closed_coeff_0k0l(k, ell, n, r) for r in range(k + ell + 1))
             assert total == catalan(n), (k, ell, n)
+        # the whole polynomial at every n, below the threshold by the fold
+        # into x^0, and against the oracle to n = 9
+        for n in range(13):
+            poly = gf.closed_poly_0k0l(k, ell, n)
+            assert poly.mass() == catalan(n), (k, ell, n)
+            if n <= 9:
+                assert poly == distribution(n, P123, QuadrantSpec(0, k, 0, ell)), (k, ell, n)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gf.closed_poly_0k0l(k, ell, -1)
 
 
 _NO_ENGINE_TEXT = {

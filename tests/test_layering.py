@@ -19,6 +19,8 @@ has one recursion, ``_c_akel``, for every 132 family; the 123 peaks and
 non-peaks are a bottom-up walk.
 ``IntPoly`` and ``BiPoly`` differ only in their variables: every operation
 is one function of ``series._Poly``.
+``gf`` takes from ``mmp`` only the spec record and its slot types and names no
+oracle walk, so an engine-vs-oracle check compares two independent counts.
 """
 
 import ast
@@ -195,6 +197,57 @@ def test_one_lane_walk_builder():
     assert _callers(oracle_tree, "unpack") == []
     # the scan does see the engines' reader
     assert _callers(_tree("gf"), "unpack") == ["_unpack"]
+
+
+# The mmp and oracle entry points that count by walking the avoiders.
+ORACLE_WALKS = {
+    "distribution",
+    "distributions",
+    "bivariate_distributions",
+    "_packed_histogram",
+    "_lane_walks",
+}
+
+
+def _named(tree, names):
+    """The names among ``names`` that a module reads, as a name or an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.attr)
+    return found
+
+
+def _taken_from(tree, module):
+    """What a module imports from the qmmp module ``module``: the names, and
+    ``module`` itself for an import of the whole module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not node.level:
+                if source.split(".")[0] != "qmmp":
+                    continue
+                source = source[len("qmmp.") :]
+            if source == module:
+                out.update(alias.name for alias in node.names)
+            elif not source:
+                out.update(alias.name for alias in node.names if alias.name == module)
+        elif isinstance(node, ast.Import):
+            out.update(module for alias in node.names if alias.name == f"qmmp.{module}")
+    return out
+
+
+def test_engines_call_no_oracle_walk():
+    gf_tree = _tree("gf")
+    assert _named(gf_tree, ORACLE_WALKS) == set()
+    assert _taken_from(gf_tree, "mmp") == {"EMPTY", "Coord", "QuadrantSpec"}
+    # the scans do see a walk named and a whole-module import
+    assert {"distributions", "bivariate_distributions"} <= _named(_tree("oracle"), ORACLE_WALKS)
+    probe = "from . import mmp as m\nfrom .mmp import A\nimport qmmp.mmp\nfrom qmmp.mmp import B\n"
+    assert _taken_from(ast.parse(probe), "mmp") == {"mmp", "A", "B"}
 
 
 def test_oracle_walks_leave_no_reference_cycle():
