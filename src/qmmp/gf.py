@@ -103,14 +103,13 @@ def _first_return(
     it, and ``tail(j)`` is that engine.  ``left=None``, and a ``tail(j)`` of
     None, stand for the list being built.  Every entry is a packed int, so
     the products and sums are plain integer arithmetic, each sum one C-level
-    ``sum(map(mul, ...))``.  No engine is fetched when ``low >= trunc``,
-    and ``right()`` comes last.  Every caller passes
-    ``low >= split + ell - 1``, so for ``low < n <= trunc`` no bound binds:
-    ``split <= trunc``, ``ell < trunc`` and ``n - ell >= split``.
+    ``sum(map(mul, ...))``.  ``right()`` comes last.  Every caller passes
+    ``split + ell - 1 <= low <= trunc`` (``_c_akel`` answers a larger
+    ``low`` with the constants C_n before it fetches any engine), so for
+    ``low < n <= trunc`` no bound binds: ``split <= trunc``, ``ell < trunc``
+    and ``n - ell >= split``.
     """
-    out = [catalan(n) for n in range(min(low, trunc) + 1)]
-    if low >= trunc:
-        return tuple(out)
+    out = [catalan(n) for n in range(low + 1)]
     left = out if left is None else left
     heads = [head(i) for i in range(1, split)]
     tails = [tail(j) or out for j in range(ell)]
@@ -172,9 +171,10 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     in ``left`` and ``tail``, and a reference to the list being built is
     None (``left`` when ``a = ell = 0``, ``tail(0)`` when ``a = 0``).
     ``low = a + k + ell``, with 0 for an EMPTY ``a``, since a match needs
-    that many other points.  An EMPTY ``a`` passes no ``tail``: n lies in
-    quadrant I of every point of α, so α is any 132-avoider and none of its
-    points matches.  ``k = 0`` (and so ``ell = 0``) is special:
+    that many other points; when ``low >= trunc`` no match fits, and the
+    answer is the constants C_n, with no engine fetched.  An EMPTY ``a``
+    passes no ``tail``: n lies in quadrant I of every point of α, so α is
+    any 132-avoider and none of its points matches.  ``k = 0`` (and so ``ell = 0``) is special:
     ``(0, 0, EMPTY, 0)`` is the Narayana series, and ``(a, 0, EMPTY, 0)`` is
     ``1 / (1 - t P)`` with P the series of ``(a - 1, 0, EMPTY, 0)``, or for
     an EMPTY ``a`` the Catalan series with x at t^0 (n is a hill when
@@ -200,14 +200,17 @@ def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
             part = [_c_akel(b, 0, 0, trunc) for b in range(a)][-1]
         return _first_return(trunc, 1, None, lambda: part)
     cat = _catalans(trunc)
+    low = k + ell if a is EMPTY else a + k + ell
+    if low >= trunc:
+        return cat  # no match fits through t^trunc: fetch nothing
     head = lambda i: _c_akel(a, k - i, ell, trunc)
     right = lambda: _c_akel(a, ell, 0, trunc)
     if a is EMPTY:
-        left, span, tail, low = cat, 0, None, k + ell
+        left, span, tail = cat, 0, None
     else:
         below = max(a - 1, 0)
         left = None if a == ell == 0 else _c_akel(below, k, 0, trunc)
-        span, low = ell, a + k + ell
+        span = ell
         tail = lambda j: None if a == j == 0 else _c_akel(below, k, ell - j, trunc)
     return _first_return(trunc, k, left, right, cat, head, span, tail, low)
 

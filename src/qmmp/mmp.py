@@ -139,7 +139,7 @@ def _window(spec: QuadrantSpec, n: int) -> tuple[tuple[int, int], ...]:
     EMPTY is ``(0, 0)``: no points there.  A number ``k`` is ``(k, n)``: at
     least ``k`` points, since a tally is at most ``n - 1``.
     """
-    return tuple((0, 0) if v is EMPTY else (v, n) for v in spec.coords)
+    return tuple([(0, 0) if v is EMPTY else (v, n) for v in spec.coords])
 
 
 def _in_window(q: tuple[int, int, int, int], window: tuple[tuple[int, int], ...]) -> bool:
@@ -190,9 +190,9 @@ def mmp_count(sigma: Permutation, spec: QuadrantSpec) -> int:
 # Lanes per walk of :func:`_lane_walks`, whose bivariate lanes hold n + 1
 # times the fields.  A walk holds two levels of states, and a state's
 # histogram only the indices it has reached, so a lane costs little memory:
-# at 96 lanes verify-all runs 80 lane walks (302 at 24, 155 at 48, 70 at
+# at 96 lanes verify-all runs 58 lane walks (189 at 24, 101 at 48, 50 at
 # 128; the band subjects' 20 walks keep no lanes), and a warm run's traced
-# peak is 1.20 MB (1.10 at 24 lanes, 1.11 at 48, 1.31 at 128), about 0.4 MB
+# peak is 1.20 MB (1.07 at 24 lanes, 1.10 at 48, 1.31 at 128), about 0.4 MB
 # of it the engine series that the engine-vs-oracle subjects hold while
 # they wait and 0.18 MB theorem-11's 28 bivariate engine series.
 _LANES = 96
@@ -308,10 +308,10 @@ def _packed_histogram(
 def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
     """The polynomial of each lane in ``lanes``, in order, from shared walks.
 
-    A lane is a spec at ``stride = 0`` and a pair ``(peak, other)`` of specs
-    at ``stride = n + 1``.  A point with q3 = 0 (a *peak*) matches it when
-    its tallies lie in the :func:`_window` of ``peak``, any other point when
-    they lie in that of ``other``; a lone spec is both.  Up to ``max(1,
+    A lane is a :func:`_window` at ``stride = 0`` and a pair ``(peak,
+    other)`` of windows at ``stride = n + 1``.  A point with q3 = 0 (a
+    *peak*) matches it when its tallies lie in ``peak``, any other point
+    when they lie in ``other``; a lone window is both.  Up to ``max(1,
     _LANES // max(stride, 1))`` lanes share a :func:`_packed_histogram`
     walk, interleaved: field ``index * L + j`` of a walk of ``L`` lanes,
     each ``field_width(n)`` bits, counts lane j's avoiders at that index,
@@ -334,9 +334,9 @@ def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
         fields = [lane << j * width for j in range(len(group))]
         every = (1 << (n + 1) * step * unit) - 1
         peaks, others = zip(*group) if stride else (group, group)
-        peak = other = _admits([_window(spec, n) for spec in peaks], fields, n)
+        peak = other = _admits(peaks, fields, n)
         if others != peaks:
-            other = _admits([_window(spec, n) for spec in others], fields, n)
+            other = _admits(others, fields, n)
         del lane, fields  # the walk needs only the tables, not the masks
 
         # Defaults bind the tables as locals: entry runs once per distinct move.
@@ -350,13 +350,42 @@ def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
     return out
 
 
+def _lane(spec: QuadrantSpec, n: int, tau_word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The window of the lane that ``spec`` takes at length n, by the rules of
+    :func:`distributions`; the never lane is ``((n, n),) * 4``, which admits
+    no tally."""
+    window = _window(spec, n)
+    (a, _), (b, _), (c, _), (d, _) = window
+    class_123 = tau_word == P123.word
+    if a + b + c + d >= n or class_123 and a and c:
+        return ((n, n),) * 4
+    if class_123 and (a or c):
+        return ((a, n), window[1], (c, n), window[3])
+    return window
+
+
 def distributions(n: int, tau: Permutation, specs: Sequence[QuadrantSpec]) -> list[IntPoly]:
     """:func:`distribution` of each spec in ``specs``, in order, from shared walks.
 
-    The x0 = x1 image of :func:`_lane_walks`, its ``stride = 0``.
+    The x0 = x1 image of :func:`_lane_walks`, its ``stride = 0``, with one
+    lane per distinct :func:`_lane`.  Specs that match the same points of
+    every avoider share a lane, and so its walk and its polynomial, by two
+    rules:
+
+    - *Both classes.*  A spec whose numbers sum to n or more matches no
+      point, since a point's four quadrants hold only the other n - 1
+      points.  All such specs share one *never* lane, which is walked like
+      any other, so its mass is still counted.
+    - *123 only.*  A point with q1 >= 1 and q3 >= 1 is the 2 of a 123, so a
+      spec with first and third slots both >= 1 takes the never lane, and
+      when one of the two is >= 1 the other's tally is 0: an EMPTY there
+      reads as 0.
     """
     _check_walk(n, tau.word)
-    return _lane_walks(n, tau.word, specs, 0)
+    lanes: dict[tuple[tuple[int, int], ...], int] = {}
+    index = [lanes.setdefault(_lane(spec, n, tau.word), len(lanes)) for spec in specs]
+    polys = _lane_walks(n, tau.word, list(lanes), 0)
+    return [polys[i] for i in index]
 
 
 def distribution(n: int, tau: Permutation, spec: QuadrantSpec) -> IntPoly:
@@ -372,12 +401,12 @@ def bivariate_distributions(n: int, pairs: Sequence[tuple[int, int]]) -> list[Bi
     """:func:`bivariate_distribution` of each ``(k1, k2)`` in ``pairs``, in order, from lane walks.
 
     The bivariate image of :func:`_lane_walks`, its ``stride = n + 1``, whose
-    lanes are the specs ``(0, k1, 0, 0)`` and ``(0, k2, 0, 0)``.
+    lanes are the windows of ``(0, k1, 0, 0)`` and ``(0, k2, 0, 0)``.
     """
     _check_n(n)
     if any(k < 0 for pair in pairs for k in pair):
         raise ValueError("k1, k2 must be nonnegative")
-    lanes = [(QuadrantSpec(0, k1, 0, 0), QuadrantSpec(0, k2, 0, 0)) for k1, k2 in pairs]
+    lanes = [tuple(((0, n), (k, n), (0, n), (0, n)) for k in pair) for pair in pairs]
     return _lane_walks(n, P123.word, lanes, n + 1)
 
 

@@ -161,6 +161,9 @@ def _oracle_at(n: int, wanted) -> dict:
     distinct keys, in the order first asked for, share the lane-packed walks
     of one :func:`qmmp.mmp.distributions` or
     :func:`qmmp.mmp.bivariate_distributions` call, looked up at call time.
+    Specs that match alike share one lane there, and so one walk: a spec
+    whose numbers sum to n or more matches no point, and over 123 no point
+    has both q1 >= 1 and q3 >= 1 (the rules of ``distributions``).
     """
     groups = {P123: {}, P132: {}, None: {}}
     for tau, key in wanted:

@@ -256,7 +256,7 @@ def test_too_deep_a_recursion_is_one_error_line():
     # The deep threshold may sit in either swapped slot, and the guard must
     # fire before any shallow series is computed to t^251.
     env = dict(os.environ, MMP_MAX_N="400", PYTHONPATH=str(SRC))
-    for spec in ("0,250,e,0", "e,250,e,0", "0,1,e,250", "1,0,e,250", "2,250,e,1"):
+    for spec in ("0,250,e,0", "e,250,e,0", "0,1,e,249", "1,0,e,249", "2,247,e,1"):
         argv = ["series", "--avoid", "132", "--spec", spec, "--max-n", "251"]
         done = subprocess.run(
             [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
@@ -264,14 +264,16 @@ def test_too_deep_a_recursion_is_one_error_line():
         assert done.returncode == 1 and done.stdout == "", spec
         assert done.stderr.startswith("error: depth 251 ") and "MMP_MAX_N" in done.stderr
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
-    # (e, 1, e, 250) is (e, 250, e, 1) by lemma-sym: a match needs 252 points,
-    # so through t^251 every coefficient is the constant C_n
-    argv = ["series", "--avoid", "132", "--spec", "e,1,e,250", "--max-n", "251"]
-    done = subprocess.run(
-        [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0 and done.stderr == ""
-    assert done.stdout.splitlines() == [f"t^{n}: {catalan(n)}" for n in range(252)]
+    # A match of each of these needs 252 points or more ((e, 1, e, 250) is
+    # (e, 250, e, 1) by lemma-sym), so through t^251 every coefficient is
+    # the constant C_n, answered without recursing
+    for spec in ("e,1,e,250", "0,1,e,250", "1,0,e,250", "2,250,e,1"):
+        argv = ["series", "--avoid", "132", "--spec", spec, "--max-n", "251"]
+        done = subprocess.run(
+            [sys.executable, "-m", "qmmp.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0 and done.stderr == "", spec
+        assert done.stdout.splitlines() == [f"t^{n}: {catalan(n)}" for n in range(252)], spec
 
 
 def test_deep_123_peak_spec_is_one_bottom_up_walk():

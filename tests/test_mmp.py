@@ -12,6 +12,9 @@ from qmmp.mmp import (
     QuadrantSpec,
     _admits,
     _append_tallies,
+    _in_window,
+    _lane,
+    _lane_walks,
     _packed_histogram,
     _window,
     bivariate_distribution,
@@ -181,8 +184,8 @@ def test_distributions_lanes():
             IntPoly({0: 1}),
         ]
         assert distributions(5, tau, []) == []
-    # input order is kept, and a repeated spec gets its own lane, in the
-    # same walk or in another
+    # input order is kept, and a repeated spec shares its lane, however far
+    # apart in the list
     spec = QuadrantSpec(1, EMPTY, 0, 1)
     assert distributions(6, P123, [spec, spec]) == [distribution(6, P123, spec)] * 2
     head = SPECS_012E[::-7]
@@ -194,16 +197,64 @@ def test_distributions_lanes():
         distributions(3, Permutation((2, 1, 3)), SPECS_012E[:1])
 
 
-def test_distributions_walk_group_boundaries():
-    # one spec short of a full walk, a full walk, and a full walk plus a
-    # one-lane walk, against one walk per spec; at n = 0 every lane is leaf
-    specs = SPECS_012E[: _LANES + 1]
+def _distinct_lanes(tau, specs):
+    """The specs of ``specs`` that no rule of :func:`_lane` merges at n >= 9
+    (slot sums of 8 or less): over 123, those whose first and third slots
+    are not both nonzero, unless both are EMPTY."""
+    return [s for s in specs if tau is P132 or s.a == 0 or s.c == 0 or s.a is s.c is EMPTY]
+
+
+def test_distributions_walk_group_boundaries(monkeypatch):
+    # one lane short of a full walk, a full walk, and a full walk plus a
+    # one-lane walk, against one walk per spec.  The specs are distinct lanes
+    # at n = 9, so merging cannot shrink the walks, which the leaf bits count
+    # (one set bit per lane); at n = 0 every spec takes the never lane.
+    lanes, packed = [], mmp._packed_histogram
+
+    def counted(n, tau_word, leaf, entry):
+        lanes.append(leaf.bit_count())
+        return packed(n, tau_word, leaf, entry)
+
+    monkeypatch.setattr(mmp, "_packed_histogram", counted)
     for tau in (P123, P132):
+        specs = _distinct_lanes(tau, SPECS_012E)[: _LANES + 1]
+        assert len(specs) == _LANES + 1
         for n in (0, 1, 2, 9):
             alone = [distribution(n, tau, spec) for spec in specs]
             for count in (_LANES - 1, _LANES, _LANES + 1):
+                lanes.clear()
                 assert distributions(n, tau, specs[:count]) == alone[:count], (tau, n, count)
+                if n == 9:
+                    assert lanes == [min(count, _LANES)] + [1] * (count > _LANES), (tau, count)
+        lanes.clear()
         assert distributions(0, tau, specs) == [IntPoly({0: 1})] * len(specs)
+        assert lanes == [1]
+
+
+def test_merged_lanes_are_the_unmerged_lanes():
+    # every spec's own window, walked un-merged through _lane_walks, gives
+    # the polynomial that distributions hands it from its shared lane; from
+    # n = 9 on the 256 specs make 129 lanes over 123 and 256 over 132
+    for tau in (P123, P132):
+        for n in range(13):
+            windows = [_window(spec, n) for spec in SPECS_012E]
+            unmerged = _lane_walks(n, tau.word, windows, 0)
+            assert distributions(n, tau, SPECS_012E) == unmerged, (tau, n)
+        merged = {_lane(spec, 12, tau.word) for spec in SPECS_012E}
+        assert len(merged) == (129 if tau is P123 else 256), tau
+
+
+def test_lane_rules_keep_every_match():
+    # a spec and its lane admit the same tally rows of every avoider: the
+    # slot-sum rule and, over 123, the q1 * q3 = 0 rules merge only specs
+    # that match alike, point by point
+    for tau in (P123, P132):
+        for n in range(9):
+            rows = {q for sigma in avoiders(n, tau) for q in quadrant_rows(sigma.word)}
+            for spec in SPECS_012E:
+                window, lane = _window(spec, n), _lane(spec, n, tau.word)
+                for q in rows:
+                    assert _in_window(q, lane) == _in_window(q, window), (tau, n, spec, q)
 
 
 def test_admits_is_the_per_tally_rule():

@@ -479,8 +479,8 @@ def test_verify_all_walks_each_pooled_request_once(monkeypatch):
     # 548 walks when each distribution subject walked on its own, 208 when
     # the engine-vs-oracle subjects walked apart, 128 at up to 96 lanes a
     # walk, 80 since theorem-11's pairs of every k1 share walks, as _drive
-    # serves them
-    assert len(walks) <= 80
+    # serves them, 58 since specs that match alike share one lane
+    assert len(walks) <= 58
 
 
 def test_negative_depth_is_rejected():
