@@ -153,10 +153,6 @@ def _clamp(trunc: int, *thresholds: int) -> tuple[int, ...]:
     return tuple(min(k, trunc) for k in thresholds)
 
 
-def _const(n: int) -> IntPoly:
-    return IntPoly.const(catalan(n))
-
-
 @lru_cache(maxsize=None)
 def _c_akel(a: Coord, k: int, ell: int, trunc: int) -> tuple[int, ...]:
     """Packed ``(a, k, EMPTY, ell)`` series over 132-avoiders, every 132 family's engine.
@@ -505,7 +501,7 @@ def engine_series(
     if avoid == "123" and engine != "closed":
         if pos_a and pos_c:
             # A position can never see points in both quadrants I and III here.
-            return TSeries([_const(n) for n in range(trunc + 1)])
+            return TSeries([IntPoly.const(catalan(n)) for n in range(trunc + 1)])
         if a == c == 0 and 0 in (b, d) and EMPTY not in (b, d):
             return q123_0k00(max(b, d), trunc)
         if pos_c:
@@ -572,8 +568,9 @@ KNOWN_ERRATA: tuple[ErrataRecord, ...] = (
     # The x^1-agreement half of the claim is false: the stated value is the
     # x^1 coefficient predicted by the (k,l,EMPTY,m) series, the oracle value
     # is the actual x^1 coefficient of the (k,l,0,m) polynomial.  Over
-    # 132-avoiders: (i) every empty-slot match is a zero-slot match and every
-    # permutation with a zero-slot match has an empty-slot match, so the x^0
+    # 132-avoiders, for all k, l, m: (i) every empty-slot match is a
+    # zero-slot match, and the smallest entry left of a zero-slot match that
+    # is not a left-to-right minimum is an empty-slot match, so the x^0
     # coefficients agree for every n; (ii) the x^1 coefficients satisfy
     # empty-slot >= zero-slot, with equality for n < k+l+m+2; (iii) they
     # differ at n = k+l+m+2, as this record shows for k = l = m = 0.

@@ -134,7 +134,8 @@ def quadrants_at(sigma: Permutation, i: int) -> tuple[int, int, int, int]:
 
 
 def _window(spec: QuadrantSpec, n: int) -> tuple[tuple[int, int], ...]:
-    """Per slot, the closed range ``(lo, hi)`` of tallies that match at length ``n``.
+    """Per slot, the closed range ``(lo, hi)`` of tallies that match at length ``n``: the
+    one rule that turns a spec into match bounds.
 
     EMPTY is ``(0, 0)``: no points there.  A number ``k`` is ``(k, n)``: at
     least ``k`` points, since a tally is at most ``n - 1``.

@@ -161,9 +161,8 @@ def _oracle_at(n: int, wanted) -> dict:
     distinct keys, in the order first asked for, share the lane-packed walks
     of one :func:`qmmp.mmp.distributions` or
     :func:`qmmp.mmp.bivariate_distributions` call, looked up at call time.
-    Specs that match alike share one lane there, and so one walk: a spec
-    whose numbers sum to n or more matches no point, and over 123 no point
-    has both q1 >= 1 and q3 >= 1 (the rules of ``distributions``).
+    Specs that match alike share one lane there, by the rules of
+    :func:`qmmp.mmp.distributions`.
     """
     groups = {P123: {}, P132: {}, None: {}}
     for tau, key in wanted:
@@ -243,14 +242,7 @@ def _subject_corollary_1(max_n: int) -> _Subject:
 
 
 def _subject_theorem_3(max_n: int) -> _Subject:
-    # The x^0 and x^1 agreement claims get separate cells; each failing cell
-    # carries its first counterexample.  Over 132-avoiders, for all k, l, m:
-    # (i) every empty-slot match is a zero-slot match, and the smallest entry
-    # left of a zero-slot match that is not a left-to-right minimum is an
-    # empty-slot match, so the x^0 coefficients agree for every n; (ii) the
-    # x^1 coefficients satisfy empty-slot >= zero-slot, with equality for
-    # n < k+l+m+2; (iii) they differ at n = k+l+m+2, so every x^1 cell fails
-    # there (see gf.KNOWN_ERRATA).
+    # one cell per x^0 and per x^1 claim; why every x^1 cell fails: gf.KNOWN_ERRATA
     pairs = {
         f"k={k},l={ell},m={m}": [(P132, QuadrantSpec(k, ell, slot, m)) for slot in (EMPTY, 0)]
         for k in range(3)

@@ -233,6 +233,10 @@ def test_bad_spec_errors(capsys):
 
 
 def test_max_n_cap(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, "series", "--avoid", "123", "--spec", "0,1,0,0", "--max-n", "-1"
+    )
+    assert (code, out, err) == (1, "", "error: --max-n must be nonnegative\n")
     monkeypatch.setenv("MMP_MAX_N", "4")
     code, out, err = run_cli(
         capsys, "series", "--avoid", "123", "--spec", "0,1,0,0", "--max-n", "9"
@@ -296,6 +300,9 @@ def test_bijection_examples(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--map", "psi", "--input", "869743251",
                            "--show", "lift")
     assert code == 0 and out.strip() == "8,6,10,9,4,3,2,7,1,5"
+    code, out, _ = run_cli(capsys, "bijection", "--map", "psi", "--input", "DRDDRR",
+                           "--show", "lift")
+    assert code == 0 and out == "DDRDDRRR\n"
     code, out, _ = run_cli(capsys, "bijection", "--map", "phi", "--input", "867943251",
                            "--show", "path")
     assert code == 0 and out.strip() == "DDRDDRRRDDRDRDRRDR"

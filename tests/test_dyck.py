@@ -146,6 +146,7 @@ def test_peak_diagonal_counts_quadrant_one():
 
 def test_lift():
     assert lift(DyckPath("")).word == "DR"
+    assert str(lift(DyckPath("DR"))) == "DDRR"
     for sigma in avoiders(6, P132):
         if sigma.n == 0:
             continue

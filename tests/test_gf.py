@@ -341,6 +341,11 @@ def test_transport_123_routes():
         gf.transport_123(QuadrantSpec(0, 3, 0, 1), n)
     with pytest.raises(gf.NoEngineError):
         gf.transport_123(QuadrantSpec(EMPTY, 1, EMPTY, 0), n)
+    # the recurrence kind takes the same routes but the closed one
+    for spec in (QuadrantSpec(0, 2, 0, 0), QuadrantSpec(1, 0, 1, 0), QuadrantSpec(1, 1, 0, 0)):
+        assert gf.recurrence_series_123(spec, n) == gf.transport_123(spec, n), spec
+    with pytest.raises(gf.NoEngineError, match="no recurrence engine for MMP"):
+        gf.recurrence_series_123(QuadrantSpec(0, 1, 0, 1), n)
 
 
 def test_closed_series_123():
@@ -371,9 +376,14 @@ def test_extremal_coeff_regime_errors():
         gf.extremal_coeff("corollary-4", 1, 1, 0, 9)
     with pytest.raises(ValueError):
         gf.extremal_coeff("no-such", 1, 0, 0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gf.extremal_coeff("theorem-4", -1, 1, 0, 5)
+    # every hook count divides exactly; a division that does not raises
+    with pytest.raises(ArithmeticError, match="non-integer closed form: 3/2"):
+        gf._exact_div(3, 2)
 
 
-def test_closed_coeff_0k0l():
+def test_closed_coeff_0k0l(monkeypatch):
     assert gf.closed_coeff_0k0l(1, 0, 5, 1) == 14
     assert gf.closed_coeff_0k0l(2, 2, 8, 0) == 36
     assert gf.closed_coeff_0k0l(1, 1, 5, 1) == 20
@@ -386,6 +396,18 @@ def test_closed_coeff_0k0l():
     # the whole polynomial of an uncovered pair raises the same ValueError
     with pytest.raises(ValueError, match=r"no closed coefficient formula for \(0,3,0,3\)"):
         gf.closed_poly_0k0l(3, 3, 9)
+    # a term at a negative exponent folds into x^0 below the threshold and
+    # raises from it on: (0,2,0,2) at n = 7 puts r = 0 at x^-1
+    closed = gf._closed_coeffs
+
+    def bumped(k, ell, n):
+        first, *rest = closed(k, ell, n)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(gf, "_closed_coeffs", bumped)
+    assert gf.closed_poly_0k0l(2, 2, 6).mass() == catalan(6) + 1
+    with pytest.raises(ArithmeticError, match=r"nonzero coefficient at negative exponent x\^-1"):
+        gf.closed_poly_0k0l(2, 2, 7)
 
 
 def test_closed_coeff_mass_is_catalan():

@@ -116,12 +116,24 @@ def test_structure_subjects_pass_small():
         assert report.passed, report.summary()
 
 
-def test_coefficient_subjects_pass_small():
+def test_coefficient_subjects_pass_small(monkeypatch):
     for sid in ("theorem-4", "corollary-4", "theorem-04", "corollary-04",
                 "corollary-05", "theorem-004", "theorem-0004",
                 "theorem-14", "theorem-15", "theorem-16", "theorem-17", "theorem-18"):
         report = oracle.verify(sid, 8)
         assert report.passed, report.summary()
+    # a wrong formula value fails its cell with the first counterexample
+    from qmmp import gf
+
+    extremal = gf.extremal_coeff
+
+    def faulty(family, k, ell, m, n):
+        return extremal(family, k, ell, m, n) + (k == 1 and n == 4)
+
+    monkeypatch.setattr(gf, "extremal_coeff", faulty)
+    assert _fail_lines(oracle.verify("corollary-4", 6)) == [
+        "corollary-4; k=1; fail; n=4 123 x^3: got 5, expected 6"
+    ]
 
 
 def test_skip_cells_carry_reasons():
@@ -692,6 +704,17 @@ def _short_at_three(_stair):
     return lambda height, v: (2, 1) if (height, v) == (3, 1) else _stair(height, v)
 
 
+def _raising(rule):
+    def raise_value_error(*args):
+        raise ValueError("no step")
+
+    return raise_value_error
+
+
+def _off_grid(stair):
+    return lambda height, v: (-1, height)
+
+
 def _path_found(n):
     failed, matched = oracle._path_failures(n)
     return [*failed.values(), *matched.values()]
@@ -719,6 +742,9 @@ def _finds_nothing(found, n):
         ("_column", _all_highest),
         ("_column", _phi_fill_both),
         ("_stair", _short_at_three),
+        ("_column", _raising),
+        ("_stair", _raising),
+        ("_stair", _off_grid),
     ],
 )
 def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corrupt):
@@ -730,7 +756,10 @@ def test_level_passes_certify_exactly_the_passing_sizes(monkeypatch, name, corru
     # column a left-to-right minimum, so the path certificate's non-corner
     # check (q2 = i) refuses the same n; _first_at_one, in
     # test_path_certificate_needs_its_corner_and_range_checks, is the rule
-    # that breaks the corner check alone
+    # that breaks the corner check alone.  _raising makes every step raise
+    # ValueError and _off_grid gives every staircase step a D run of -1, off
+    # the grid: a level pass refuses both from n = 1 on, where the per-object
+    # check fails or raises
     if name:
         monkeypatch.setattr(dyck, name, corrupt(getattr(dyck, name)))
     for n in range(8):

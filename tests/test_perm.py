@@ -71,6 +71,7 @@ def test_complement_entrywise():
 def test_serialization_round_trip():
     p = Permutation.parse("867943251")
     assert str(p) == "867943251"
+    assert list(p) == [8, 6, 7, 9, 4, 3, 2, 5, 1]
     q = Permutation((8, 6, 10, 9, 4, 3, 2, 7, 1, 5))
     assert str(q) == "8,6,10,9,4,3,2,7,1,5"
     assert Permutation.parse(str(q)) == q

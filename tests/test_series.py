@@ -257,6 +257,8 @@ def test_truncation_rules():
     assert len(shift(a, 3)) == 9 and shift(a, 3)[3] == a[0]
     with pytest.raises(ValueError):
         TSeries(a).poly(9)
+    with pytest.raises(ValueError, match=r"at least the t\^0 coefficient"):
+        TSeries(())
 
 
 def test_solve_quadratic_base_case():
