@@ -51,7 +51,8 @@ def _cap_max_n(requested: int) -> int:
 def _note_brute_depth(depth: int) -> None:
     """Say on stderr what a brute-force walk to ``depth`` costs, past the default cap."""
     if depth > DEFAULT_MAX_N_CAP:
-        # the walk of row n keeps up to 2^n prefix states
+        # a walk of length n keeps up to 2^n prefix states: verify walks each
+        # row n, and a brute-force series one walk at n = depth for every row
         print(
             f"note: brute force to t^{depth} (above the default cap {DEFAULT_MAX_N_CAP}) "
             f"walks up to 2^{depth} = {1 << depth} prefix states per row",

@@ -152,24 +152,26 @@ def _admits(windows, fields, n: int) -> list[list[int]]:
 
     If no two fields share a bit, a move's tallies match window ``f``
     exactly when field ``f`` survives the AND of its four slots' entries.
-    A :func:`_window` range is ``(0, 0)`` or ``(k, n)``, so each field is
-    ORed once, into tally 0 or into the start ``k`` of its run, and one
-    running OR over the tallies fills in the rest, one shared int from each
-    start to the next; a run starting at ``k >= n`` admits no tally.
+    A range is *exact*, ``(k, k)``, as EMPTY's ``(0, 0)`` and the shifted
+    EMPTY of :func:`_degree_lanes` are, or a run ``(k, n)``.  So each field
+    is ORed once, into its own tally k or into the start k of its run, and
+    one running OR over the tallies fills in the runs, one shared int from
+    each start to the next; a range starting at ``k >= n`` admits no tally.
     """
     admits = []
     for slot in range(4):
         starts = [0] * (n + 1)
-        empty = 0
+        exact: dict[int, int] = {}
         for field, window in zip(fields, windows):
             lo, hi = window[slot]
-            if hi:
+            if lo != hi:
                 starts[min(lo, n)] |= field
             else:
-                empty |= field
+                exact[lo] = exact.get(lo, 0) | field
         admit = list(accumulate(starts[:n], lambda run, begun: run | begun if begun else run))
-        if admit and empty:
-            admit[0] |= empty
+        for k, own in exact.items():
+            if k < n:
+                admit[k] |= own
         admits.append(admit)
     return admits
 
@@ -204,8 +206,9 @@ def _packed_histogram(
     tau_word: tuple[int, ...],
     leaf: int,
     entry: Callable[[int, int, int, int], int | tuple[int, int]],
-) -> int:
-    """Match-count histograms over the length-n avoiders of 123 or 132, packed in one int.
+) -> list[int]:
+    """Match-count histograms over the length-n avoiders of 123 or 132, packed in one
+    int, and at each level m the histogram of the state ``T_m`` of the top m values.
 
     The avoiders are built left to right, one level per entry; a state is
     the bitmask ``slot`` of the values placed so far (bit ``v - 1`` for
@@ -245,6 +248,20 @@ def _packed_histogram(
     for each tally row that a point of an avoider has (a row fixes its
     level, ``i = q2 + q3``) and for no other.  The ``2**n - 1`` states of
     levels 0..n-1 make ``2**n - 1`` descents and ``2**n - n - 1`` ascents.
+
+    Entry m of the list returned is the histogram at ``T_m``, the state of
+    the values ``n - m + 1..n``, as level m starts; entry n is that of the
+    full state, entry 0 is ``leaf``.  The prefixes that reach ``T_m`` are
+    the length-m avoiders shifted up by ``n - m``: each is a prefix of an
+    avoider, and each completes by the other values in decreasing order,
+    since a 123 or 132 needs its 1 before larger later values and every
+    later value is below the whole prefix.  At ``T_m`` a point's q1, q2 and
+    q3 are those of its length-m avoider, and its q4 is larger by ``n - m``,
+    the bottom values all coming later.  So a lane whose fourth window is
+    shifted up by ``n - m`` reads at ``T_m`` the length-m histogram of its
+    unshifted window (:func:`_degree_lanes`).  No field carries there
+    either: distinct prefixes that reach a state extend to distinct
+    avoiders, so every count is at most ``C_n``.
     """
     full = (1 << n) - 1
     empty_low = 1 << n  # the least value of the empty prefix reads as n + 1
@@ -253,7 +270,9 @@ def _packed_histogram(
     slots = [0] * (1 << n)
     slots[0] = leaf
     level = [0]
+    tops = []
     for i in range(n):
+        tops.append(slots[full ^ (1 << n - i) - 1])  # T_i: bits n-i..n-1
         down = [(1 << v - 1, entry(*_append_tallies(n, i, v, i))) for v in range(1, n - i + 1)]
         below = [down[:k] for k in range(n - i + 1)]  # the descents of lowest = k + 1
         entries: list[int | tuple[int, int] | None] = [None] * (n + 1 << bits)
@@ -303,10 +322,11 @@ def _packed_histogram(
                 slots[child] = moved
                 after.append(child)
         level = after
-    return slots[full]
+    tops.append(slots[full])
+    return tops
 
 
-def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
+def _lane_walks(n: int, tau_word, lanes, stride: int, reads=None) -> list[IntPoly | BiPoly]:
     """The polynomial of each lane in ``lanes``, in order, from shared walks.
 
     A lane is a :func:`_window` at ``stride = 0`` and a pair ``(peak,
@@ -322,11 +342,18 @@ def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
     = 0`` and ``m0 * stride + m1`` for m0 peak and m1 other matches at
     ``stride = n + 1`` (:func:`qmmp.series.unpack`).  A move's entry ANDs
     the lanes that :func:`_admits` gives its four tallies.
+
+    Each lane is read at the walk's full state, unless ``reads`` lists the
+    pairs ``(j, m)`` to read: then one polynomial per pair, in order, is
+    lane j's histogram at the walk's state of the top m values
+    (:func:`_packed_histogram`), so a lane may be read at several lengths.
     """
+    if reads is None:
+        reads = [(j, n) for j in range(len(lanes))]
     width = field_width(n)
     step = max(stride, 1)
     size = max(1, _LANES // step)
-    out: list[IntPoly | BiPoly] = []
+    read: dict[tuple[int, int], IntPoly | BiPoly] = {}
     for start in range(0, len(lanes), size):
         group = lanes[start : start + size]
         unit = len(group) * width
@@ -347,8 +374,33 @@ def _lane_walks(n: int, tau_word, lanes, stride: int) -> list[IntPoly | BiPoly]:
             return 0 if not mask else ~s if mask == every else (mask, s)
 
         leaf = sum(1 << j * width for j in range(len(group)))
-        out += unpack(_packed_histogram(n, tau_word, leaf, entry), width, len(group), stride)
-    return out
+        tops = _packed_histogram(n, tau_word, leaf, entry)
+        for m in {m for j, m in reads if start <= j < start + size}:
+            polys = unpack(tops[m], width, len(group), stride)
+            read.update(((start + j, m), poly) for j, poly in enumerate(polys))
+    return [read[pair] for pair in reads]
+
+
+def _degree_lanes(spec: QuadrantSpec, n: int) -> tuple[list, list[tuple[int, int]]]:
+    """The distinct lanes, and the reads of :func:`_lane_walks`, that give the
+    distribution of ``spec`` at every length m = 0..n from one length-n walk.
+
+    Length m reads at the state of the top m values, where a point's q4 is
+    larger by ``n - m`` than in its length-m avoider (:func:`_packed_histogram`),
+    so its lane is ``_window(spec, n)`` with the fourth slot shifted by
+    ``n - m``: EMPTY becomes the exact ``(n - m, n - m)``, a number ``d >=
+    1`` becomes ``(min(d + n - m, n), n)``, and 0 stays ``(0, n)``, one
+    lane for every m.
+    """
+    *head, _ = _window(spec, n)
+    d = spec.d
+    lanes: dict[tuple[tuple[int, int], ...], int] = {}
+    reads = []
+    for m in range(n + 1):
+        shift = n - m
+        fourth = (shift, shift) if d is EMPTY else (min(d + shift, n), n) if d else (0, n)
+        reads.append((lanes.setdefault((*head, fourth), len(lanes)), m))
+    return list(lanes), reads
 
 
 def _lane(spec: QuadrantSpec, n: int, tau_word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -39,11 +39,10 @@ from .mmp import (
     _in_window,
     _window,
     corner_frame_counts,
-    distribution,
     mmp_count,
     quadrant_rows,
 )
-from .perm import P123, P132, Permutation, _Frozen, avoiders, catalan_moves
+from .perm import P123, P132, Permutation, _check_walk, _Frozen, avoiders, catalan_moves
 from .series import TSeries, catalan
 
 
@@ -59,12 +58,17 @@ def class_from_text(text: str) -> Permutation:
 def brute_series(tau: Permutation, spec: QuadrantSpec, trunc: int) -> TSeries:
     """Match-count series computed by direct enumeration of the avoidance class.
 
-    Each degree's mass must be C_n, one count per avoider; a walk that
-    drops or repeats a path raises ``ArithmeticError`` naming the degree.
+    One :func:`qmmp.mmp._lane_walks` walk at length ``trunc`` gives every
+    degree: degree n is read at the walk's state of the top n values, in
+    the lane of :func:`qmmp.mmp._degree_lanes` for length n.  Each degree's
+    mass must be C_n, one count per avoider; a walk that drops or repeats a
+    path raises ``ArithmeticError`` naming the degree.
     """
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    polys = [distribution(n, tau, spec) for n in range(trunc + 1)]
+    _check_walk(trunc, tau.word)
+    lanes, reads = mmp._degree_lanes(spec, trunc)
+    polys = mmp._lane_walks(trunc, tau.word, lanes, 0, reads)
     for n, poly in enumerate(polys):
         mass = poly.mass()
         if mass != catalan(n):

@@ -259,10 +259,14 @@ def test_lane_rules_keep_every_match():
 
 def test_admits_is_the_per_tally_rule():
     # the running OR against the definition: per slot and tally, the OR of
-    # the fields whose window admits that tally; thresholds k >= n admit none
+    # the fields whose window admits that tally; thresholds k >= n admit
+    # none, and an exact window (k, k), 0 < k < n, admits tally k alone
     specs = [QuadrantSpec(*c) for c in itertools.product((0, 1, 2, 3, EMPTY), repeat=4)]
     for n in (0, 1, 2, 5, 9):
         windows = [_window(spec, n) for spec in specs]
+        for k in range(1, n):  # exact windows in the first and the fourth slot
+            windows += [((k, k), *window[1:]) for window in windows[:9]]
+            windows += [(*window[:3], (k, k)) for window in windows[:9]]
         fields = [0b11 << 2 * f for f in range(len(windows))]
         want = [[0] * n for _ in range(4)]
         for field, window in zip(fields, windows):
@@ -527,13 +531,16 @@ def test_tally_rows_of_123_avoiders_are_the_walked_rows():
 
 
 def _reference_walk(n, tau_word, leaf, entry):
-    """The packed histogram of :func:`_packed_histogram`, with each state's moves
-    from ``catalan_moves`` and each move's entry asked afresh, and the walk's
-    counts of descents (below the least placed value) and ascents."""
+    """The packed histograms of :func:`_packed_histogram`, with each state's moves
+    from ``catalan_moves`` and each move's entry asked afresh: per level m, the
+    entry of the state of the top m values; and the walk's counts of descents
+    (below the least placed value) and ascents."""
     full = ((1 << n) - 1) << 1
     level = {0: leaf}
+    tops = []
     descents = ascents = 0
     for i in range(n):
+        tops.append(level[full ^ (1 << n - i + 1) - 2])  # values n-i+1..n
         after = {}
         for used, prefix in level.items():
             lowest = (used & -used).bit_length() - 1 if used else n + 1
@@ -554,7 +561,7 @@ def _reference_walk(n, tau_word, leaf, entry):
                     moved = prefix - (prefix & mask) + ((prefix & mask) << s)
                 after[used | bit] = after.get(used | bit, 0) + moved
         level = after
-    return level[full], descents, ascents
+    return [*tops, level[full]], descents, ascents
 
 
 def test_walk_kernel_is_the_reference_walk():
@@ -562,7 +569,9 @@ def test_walk_kernel_is_the_reference_walk():
     # per state must walk the moves that catalan_moves gives, to the same
     # packed int, under entries of all three kinds, each row's kind and mask
     # fixed by the row; 2**n - 1 states make 2**n - 1 descents and
-    # 2**n - n - 1 ascents
+    # 2**n - n - 1 ascents.  The entry of the state of the top m values, as
+    # level m starts, is that of the reference walk too, for every m, and
+    # holds the length-m histogram: no move's entry shifts by tally q4 here
     lanes = 3
     for n in range(12):
         width = field_width(n)
@@ -582,10 +591,11 @@ def test_walk_kernel_is_the_reference_walk():
             return m
 
         for tau in (P123, P132):
-            packed, descents, ascents = _reference_walk(n, tau.word, leaf, entry)
-            assert _packed_histogram(n, tau.word, leaf, entry) == packed, (tau, n)
+            tops, descents, ascents = _reference_walk(n, tau.word, leaf, entry)
+            assert _packed_histogram(n, tau.word, leaf, entry) == tops, (tau, n)
             assert (descents, ascents) == (2**n - 1, 2**n - n - 1), (tau, n)
-            assert [p.mass() for p in unpack(packed, width, lanes, 0)] == [catalan(n)] * lanes
+            for m, top in enumerate(tops):
+                assert [p.mass() for p in unpack(top, width, lanes, 0)] == [catalan(m)] * lanes
         if n >= 4:
             assert kinds == {0, 1, 2}, n
 

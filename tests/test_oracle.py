@@ -30,6 +30,29 @@ def test_brute_series_examples():
     assert left == right
 
 
+def test_brute_series_is_one_walk_read_at_every_degree(monkeypatch):
+    # one walk at the depth gives every degree, each read at the walk's
+    # state of the top n values: the series is the per-length walks' for all
+    # 256 {0,1,2,e}^4 specs of both classes and a few with a slot of 3
+    trunc, walks, walk = 10, [], mmp._packed_histogram
+
+    def counted(n, tau_word, leaf, entry):
+        walks.append(n)
+        return walk(n, tau_word, leaf, entry)
+
+    specs = [QuadrantSpec(*c) for c in product((0, 1, 2, EMPTY), repeat=4)]
+    specs += map(QuadrantSpec.parse, ("3,0,0,e", "0,3,e,3", "e,1,3,2", "3,e,e,3", "0,0,0,3"))
+    for tau in (P123, P132):
+        by_length = [mmp.distributions(m, tau, specs) for m in range(trunc + 1)]
+        monkeypatch.setattr(mmp, "_packed_histogram", counted)
+        for s, spec in enumerate(specs):
+            walks.clear()
+            series = oracle.brute_series(tau, spec, trunc)
+            assert series == TSeries([polys[s] for polys in by_length]), (tau, spec)
+            assert walks == [trunc], (tau, spec)
+        monkeypatch.undo()
+
+
 def test_deep_brute_fallback_is_bounded():
     # no engine covers (0,1,0,0) over 132-avoiders; depth 16 is the default cap
     for tau in (P123, P132):
@@ -38,18 +61,35 @@ def test_deep_brute_fallback_is_bounded():
             assert s.poly(n).mass() == catalan(n)
 
 
+def test_brute_series_walk_memory():
+    # an EMPTY fourth slot needs a lane per degree, the widest lane set: 17
+    # lanes at t^16.  Over the 64 such {0,1,2,e}^4 specs, 0,0,0,e peaked
+    # highest in either class, at 3.40 MiB (123) and 4.73 MiB (132) traced;
+    # the bound leaves 27% over the larger
+    for tau in (P123, P132):
+        tracemalloc.start()
+        try:
+            oracle.brute_series(tau, QuadrantSpec(0, 0, 0, EMPTY), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, (tau, peak)
+
+
 def test_brute_series_checks_each_degree_mass(monkeypatch, capsys):
-    # a walk that loses one avoider at n = 5 must not print a wrong series:
-    # the library call and the CLI's brute path both name the degree
+    # a walk that loses one avoider at length 5 must not print a wrong
+    # series: the library call and the CLI's brute path both name the degree.
+    # The one walk reads degree 5 at its state of the top 5 values.
     walk = mmp._packed_histogram
 
     def dropping(n, tau_word, leaf, entry):
-        packed = walk(n, tau_word, leaf, entry)
-        if n != 5:
-            return packed
-        # one lane: drop one count from the lowest nonzero field
-        width = field_width(n)
-        return packed - (1 << ((packed & -packed).bit_length() - 1) // width * width)
+        tops = walk(n, tau_word, leaf, entry)
+        if n < 5:
+            return tops
+        # one lane (a fourth slot of 0): drop one count from the lowest nonzero field
+        packed, width = tops[5], field_width(n)
+        tops[5] = packed - (1 << ((packed & -packed).bit_length() - 1) // width * width)
+        return tops
 
     monkeypatch.setattr(mmp, "_packed_histogram", dropping)
     want = "t^5 coefficient has mass 41, not C_5"
@@ -60,7 +100,7 @@ def test_brute_series_checks_each_degree_mass(monkeypatch, capsys):
         assert cli.main([*args, "--max-n", "6"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {want}") and err.count("\n") == 1
-        assert cli.main([*args, "--max-n", "4"]) == 0  # no walk at n = 5
+        assert cli.main([*args, "--max-n", "4"]) == 0  # no top-5 state
         assert capsys.readouterr().out.count("\n") == 5
 
 
